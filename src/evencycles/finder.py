@@ -624,11 +624,6 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
 # two disjoint odd cycles (cubic endgame)
 
 
-def _odd_cycles_by_length(g: Graph):
-    for length in range(3, g.n + 1, 2):
-        yield from _cycles_of_length(g, length, g.vertices)
-
-
 def _theta_from_vertex_fan(g, b: Cycle, v: int, u1: int, u2: int) -> Cycle:
     """Even cycle in b + {u1 v, u2 v}."""
     stem = Path(g, (u1, v, u2))
@@ -636,48 +631,42 @@ def _theta_from_vertex_fan(g, b: Cycle, v: int, u1: int, u2: int) -> Cycle:
     return theta_even_cycle(theta)
 
 
-def pair_from_two_disjoint_odd(g: Graph) -> CyclePairCertificate:
-    """Certificate from the existence of two vertex-disjoint odd cycles."""
-    bcycle = None
-    for vs in _odd_cycles_by_length(g):
-        rest = set(g.vertices) - set(vs)
-        sub, _ = induced_subgraph(g, rest)
-        if not is_bipartite(sub)[0]:
-            bcycle = Cycle(g, vs)
-            break
-    if bcycle is None:
-        raise GraphError("no two disjoint odd cycles")
-    fset = frozenset(g.vertices) - bcycle.vertex_set()
-
-    if _has_even_cycle(g, fset):
-        return pair_from_disjoint_odd_even(g, bcycle)
-
+def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
+    """Certificate from an odd cycle b such that g - V(b) is not bipartite."""
+    if b.length % 2 != 1:
+        raise GraphError("need an odd b")
+    fset = frozenset(g.vertices) - b.vertex_set()
     fsub, fmap = induced_subgraph(g, fset)
     dsub = shortest_odd_cycle(fsub)
-    _require(dsub is not None, "F was certified non-bipartite")
+    if dsub is None:
+        raise GraphError("g - V(b) is bipartite: no odd cycle disjoint from b")
+
+    if _has_even_cycle(g, fset):
+        return pair_from_disjoint_odd_even(g, b)
+
     dcycle = _map_cycle(dsub, fmap, g)
 
     if fset == dcycle.vertex_set() and fsub.e == dcycle.length:
-        return _cubic_endgame(g, bcycle, dcycle)
+        return _cubic_endgame(g, b, dcycle)
 
     # some end-block of F other than D yields a theta on B, hence an even
     # cycle disjoint from D
     fdec = blocks(fsub)
     dverts_sub = frozenset(dsub.vertices)
     cand = sorted(
-        (sorted(b.vertices), b)
-        for b in fdec.end_blocks()
-        if b.vertices != dverts_sub
+        (sorted(blk.vertices), blk)
+        for blk in fdec.end_blocks()
+        if blk.vertices != dverts_sub
     )
     _require(cand, "F != D must expose an end-block other than D")
     dprime = cand[0][1]
-    bset = bcycle.vertex_set()
+    bset = b.vertex_set()
     if len(dprime.vertices) <= 2:
         noncut = sorted(dprime.vertices - fdec.cut_vertices) or sorted(dprime.vertices)
         v = fmap[noncut[0]]
         bn = sorted(w for w in g.adj[v] if w in bset)
         _require(len(bn) >= 2, "3-connectivity gives the end-block vertex two B-neighbors")
-        ceven = _theta_from_vertex_fan(g, bcycle, v, bn[0], bn[1])
+        ceven = _theta_from_vertex_fan(g, b, v, bn[0], bn[1])
     else:
         _require(
             len(dprime.edges) == len(dprime.vertices) and len(dprime.vertices) % 2 == 1,
@@ -714,7 +703,7 @@ def pair_from_two_disjoint_odd(g: Graph) -> CyclePairCertificate:
         _require(len(arcs) >= 1, "D' - v contains a w1-w2 path")
         mid = arcs[0]
         stem = Path(g, (b1,) + mid.vertices + (b2,))
-        theta = ThetaGraph.build(b1, b2, [bcycle.arc(b1, b2), bcycle.arc(b2, b1), stem])
+        theta = ThetaGraph.build(b1, b2, [b.arc(b1, b2), b.arc(b2, b1), stem])
         ceven = theta_even_cycle(theta)
     _require(not (ceven.vertex_set() & dcycle.vertex_set()), "even cycle disjoint from D")
     return pair_from_disjoint_odd_even(g, dcycle)
@@ -857,7 +846,11 @@ def three_connected_pair(
     cut = connectivity_cut(g, 3)
     if cut is not None:
         raise HypothesisFailure("connectivity", "graph is not 3-connected", witness=cut)
+    return _three_connected_pair(g, oracle_guard)
 
+
+def _three_connected_pair(g: Graph, oracle_guard: int) -> CyclePairCertificate:
+    """three_connected_pair on a graph already known to be 3-connected, n >= 6."""
     bip, wit = is_bipartite(g)
     if bip:
         found = oracle.bondy_vince_search(g, max(oracle_guard, g.n))
@@ -873,7 +866,7 @@ def three_connected_pair(
         return pair_from_disjoint_odd_even(g, d)
     sub, _ = induced_subgraph(g, rest)
     if not is_bipartite(sub)[0]:
-        return pair_from_two_disjoint_odd(g)
+        return pair_from_two_disjoint_odd(g, d)
 
     # g - V(D) is a forest
     comps = sorted(components(g, d.vertex_set()), key=lambda c: (-len(c), c))
@@ -1294,7 +1287,7 @@ def _solve(g: Graph, guard: int) -> Outcome:
     if cut2 is not None:
         return _two_cut(g, cut2, guard)
 
-    return Outcome.of_certificate(three_connected_pair(g, guard))
+    return Outcome.of_certificate(_three_connected_pair(g, guard))
 
 
 def _edges_within(g: Graph, comp) -> int:

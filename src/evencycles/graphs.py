@@ -538,26 +538,76 @@ def blocks(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(out), frozenset(cuts))
 
 
+def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
+    """Smallest cut vertex of the connected graph g - skip, or None.
+
+    One iterative low-point depth-first search.  `skip` gets a discovery
+    time above every real one, so the search neither enters it nor lowers a
+    low point through it, and g - skip is never built.
+    """
+    if g.n - (skip is not None) < 3:
+        return None
+    disc = [0] * g.n
+    low = [0] * g.n
+    if skip is not None:
+        disc[skip] = g.n + 1
+    root = 1 if skip == 0 else 0
+    disc[root] = low[root] = 1
+    timer = 2
+    root_children = 0
+    best = None
+    stack = [(root, -1, iter(g.adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if disc[w] == 0:
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, v, iter(g.adj[w])))
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                if low[v] >= disc[parent] and (best is None or parent < best):
+                    best = parent
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    if root_children > 1 and (best is None or root < best):
+        best = root
+    return best
+
+
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
-    for graphs with more than k vertices.  Supports k <= 3."""
+    for graphs with more than k vertices.  Supports k <= 3.
+
+    The cut returned is the smallest one in lexicographic order: the
+    smallest cut vertex, else the smallest pair {u, v} with u < v.  For
+    k = 3 that is {u, smallest cut vertex of g - u} for the first u whose
+    g - u has one: a cut {w, u} with w < u would have shown up at w, which
+    is also why u = n - 1 needs no scan.  So there is one depth-first scan
+    of g and one of g - u for each u < n - 1, n scans in all, at O(n + m)
+    each: O(n(n + m)).
+    """
     if k > 3:
         raise GraphError("connectivity_cut supports k <= 3 only")
     if not is_connected(g):
         raise GraphError("connectivity_cut requires a connected graph")
     if k <= 1:
         return None
-    dec = blocks(g)
-    if dec.cut_vertices:
-        return frozenset([min(dec.cut_vertices)])
+    c = _min_cut_vertex(g)
+    if c is not None:
+        return frozenset([c])
     if k == 2:
         return None
-    for u in g.vertices:
-        for v in range(u + 1, g.n):
-            if g.n - 2 <= 1:
-                break
-            if len(components(g, frozenset([u, v]))) > 1:
-                return frozenset([u, v])
+    for u in range(g.n - 1):
+        c = _min_cut_vertex(g, u)
+        if c is not None:
+            return frozenset([u, c])
     return None
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 import pytest
 
@@ -42,6 +43,15 @@ class TestFind:
         p = tmp_path / "bad.txt"
         p.write_text("0 0\n")
         assert cli.main(["find", str(p)]) == 2
+
+    def test_crash_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.finder, "main_theorem", crash)
+        f = write_graph(tmp_path, complete_graph(6))
+        assert cli.main(["find", f]) == 3
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestPaths:
@@ -116,6 +126,26 @@ class TestSweep:
         assert rows[0] == cli.SWEEP_COLUMNS
         outcomes = {r[rows[0].index("outcome")] for r in rows[1:]}
         assert "k5-witness" in outcomes  # K5 is in the n=5 density corpus
+
+    def test_sweep_sparse_graphs_with_oracle(self, tmp_path, capsys):
+        # K_{3,3} is below the density bound but has a 4- and a 6-cycle
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "enum:6:connected", "--check-oracle", "--csv", str(out)])
+        assert rc == 0
+        assert "disagreements: 0" in capsys.readouterr().out
+        rows = self._read(out)
+        col = {name: i for i, name in enumerate(rows[0])}
+        for r in rows[1:]:
+            sparse = r[col["outcome"]] == "hypothesis-failure"
+            assert (r[col["oracle_agrees"]] == "") == sparse
+            assert sparse or r[col["oracle_agrees"]] == "true"
+
+    def test_sweep_matches_golden_csv(self, tmp_path, capsys):
+        # tests/data/sweep_enum7_density.csv: the sweep without its wall-time column
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "enum:7:density", "--check-oracle", "--csv", str(out)]) == 0
+        golden = pathlib.Path(__file__).parent / "data" / "sweep_enum7_density.csv"
+        assert [r[:-1] for r in self._read(out)] == self._read(golden)
 
     def test_sweep_deterministic_and_parallel(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

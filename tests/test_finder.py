@@ -30,6 +30,14 @@ from evencycles.generators import (
 from evencycles.graphs import Cycle, Graph, GraphError, Path, blocks
 
 
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle on 0..n-1, spokes i ~ n+i, inner n+i ~ n+(i+k) mod n."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph.build(2 * n, edges)
+
+
 def assert_valid_pair(cert, g):
     ok, why = oracle.validate(cert, g)
     assert ok, why
@@ -159,12 +167,16 @@ class TestLemmaPipelines:
 
     def test_two_disjoint_odd(self):
         g = complete_graph(6)
-        cert = pair_from_two_disjoint_odd(g)
+        cert = pair_from_two_disjoint_odd(g, Cycle(g, (0, 1, 2)))
         assert_valid_pair(cert, g)
 
     def test_two_disjoint_odd_requires_them(self):
-        with pytest.raises(GraphError):
-            pair_from_two_disjoint_odd(complete_bipartite(3, 3))
+        g = complete_graph(5)
+        with pytest.raises(GraphError):  # K5 minus a triangle is K2, bipartite
+            pair_from_two_disjoint_odd(g, Cycle(g, (0, 1, 2)))
+        g = complete_graph(7)
+        with pytest.raises(GraphError):  # b must be odd
+            pair_from_two_disjoint_odd(g, Cycle(g, (0, 1, 2, 3)))
 
 
 class TestThreeConnected:
@@ -185,6 +197,14 @@ class TestThreeConnected:
     def test_named_graphs(self, g):
         cert = three_connected_pair(g)
         assert_valid_pair(cert, g)
+
+    @pytest.mark.parametrize("n", range(27, 42, 2))
+    def test_odd_prisms(self, n):
+        # GP(n, 1) with n odd: the two n-gons are the disjoint odd cycles
+        g = generalized_petersen(n, 1)
+        cert = three_connected_pair(g)
+        ok, why = oracle.validate(cert, g)
+        assert ok, why
 
     def test_rejects_small(self):
         with pytest.raises(HypothesisFailure):

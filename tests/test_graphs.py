@@ -1,8 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evencycles.generators import complete_graph, cycle_graph, petersen_graph
+from evencycles.generators import (
+    complete_graph,
+    cycle_graph,
+    enumerate_small,
+    petersen_graph,
+    wheel_graph,
+)
 from evencycles.graphs import (
     Cycle,
     Graph,
@@ -172,6 +180,70 @@ class TestBlocks:
         assert connectivity_cut(path4, 2) in (frozenset([1]), frozenset([2]))
         assert connectivity_cut(complete_graph(4), 3) is None
         assert connectivity_cut(cycle_graph(5), 3) == frozenset([0, 2])
+
+
+def smallest_cut_by_pairs(g: Graph, k: int):
+    """Reference for connectivity_cut: try every vertex, then every pair, in order."""
+    if k <= 1:
+        return None
+    for v in g.vertices:
+        if len(components(g, frozenset([v]))) > 1:
+            return frozenset([v])
+    if k == 2:
+        return None
+    for u in g.vertices:
+        for v in range(u + 1, g.n):
+            if len(components(g, frozenset([u, v]))) > 1:
+                return frozenset([u, v])
+    return None
+
+
+def glued_cliques(a: int, b: int) -> Graph:
+    """K_a on 0..a-1 and K_b on a-2..a+b-3, sharing the 2-cut {a-2, a-1}."""
+    first = range(a)
+    second = range(a - 2, a + b - 2)
+    edges = {(u, v) for side in (first, second) for u in side for v in side if u < v}
+    return Graph.build(a + b - 2, edges)
+
+
+class TestConnectivityCut:
+    """connectivity_cut returns exactly the cut the pairwise reference finds."""
+
+    def assert_matches_reference(self, g):
+        for k in (2, 3):
+            assert connectivity_cut(g, k) == smallest_cut_by_pairs(g, k), (k, g.edges)
+
+    def test_connected_graphs_to_order_7(self):
+        rng = random.Random(7)
+        checked = 0
+        for n in range(1, 8):
+            for g in enumerate_small(n, "connected"):
+                self.assert_matches_reference(g)
+                perm = rng.sample(range(n), n)
+                self.assert_matches_reference(
+                    Graph.build(n, [(perm[u], perm[v]) for u, v in g.edges])
+                )
+                checked += 1
+        assert checked == 1 + 1 + 2 + 6 + 21 + 112 + 853  # OEIS A001349
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_cycles(self, n):
+        g = cycle_graph(n)
+        self.assert_matches_reference(g)
+        assert connectivity_cut(g, 3) == (None if n == 3 else frozenset([0, 2]))
+
+    @pytest.mark.parametrize("rim", range(3, 16))
+    def test_wheels(self, rim):
+        g = wheel_graph(rim)
+        self.assert_matches_reference(g)
+        assert connectivity_cut(g, 3) is None  # wheels are 3-connected
+
+    @pytest.mark.parametrize("a,b", [(3, 3), (4, 4), (4, 7), (6, 5), (9, 9)])
+    def test_glued_cliques(self, a, b):
+        g = glued_cliques(a, b)
+        self.assert_matches_reference(g)
+        assert connectivity_cut(g, 2) is None
+        assert connectivity_cut(g, 3) == frozenset([a - 2, a - 1])
 
 
 class TestDisjointPaths:
