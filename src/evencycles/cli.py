@@ -106,7 +106,7 @@ def doc_to_certificate(doc: dict, g: Graph):
 
 def cmd_find(args) -> int:
     g = _load_graph(args.file, args.format)
-    out = finder.main_theorem(g, oracle_guard=args.guard)
+    out = finder.main_theorem(g)
     if args.json:
         print(json.dumps(outcome_to_doc(out, g, args.format), sort_keys=True))
     elif out.kind == "certificate":
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="run the main trichotomy on a graph")
     _add_graph_input(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD)
     p.set_defaults(fn=cmd_find)
 
     p = sub.add_parser("paths", help="two x-y paths differing in length by two")

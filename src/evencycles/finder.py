@@ -80,34 +80,28 @@ class K5BlockWitness:
         return K5BlockWitness(blocks(g), g.n, g.e)
 
 
+# Outcome kind -> the one field that an Outcome of that kind populates
+_OUTCOME_FIELD = {
+    "certificate": "certificate",
+    "k5-witness": "witness",
+    "hypothesis-failure": "failure",
+}
+
+
 @dataclass(frozen=True)
 class Outcome:
     """Trichotomy of the main theorem: certificate, K5-block witness, or
     a structured hypothesis-failure report."""
 
-    kind: str  # "certificate" | "k5-witness" | "hypothesis-failure"
+    kind: str  # a key of _OUTCOME_FIELD
     certificate: Optional[CyclePairCertificate] = None
     witness: Optional[K5BlockWitness] = None
     failure: Optional[HypothesisFailure] = None
 
     def __post_init__(self):
-        populated = [
-            x for x in (self.certificate, self.witness, self.failure) if x is not None
-        ]
-        if len(populated) != 1:
-            raise GraphError("Outcome must populate exactly one variant")
-
-    @staticmethod
-    def of_certificate(c: CyclePairCertificate) -> "Outcome":
-        return Outcome("certificate", certificate=c)
-
-    @staticmethod
-    def of_witness(w: K5BlockWitness) -> "Outcome":
-        return Outcome("k5-witness", witness=w)
-
-    @staticmethod
-    def of_failure(f: HypothesisFailure) -> "Outcome":
-        return Outcome("hypothesis-failure", failure=f)
+        populated = [f for f in _OUTCOME_FIELD.values() if getattr(self, f) is not None]
+        if populated != [_OUTCOME_FIELD.get(self.kind)]:
+            raise GraphError(f"Outcome {self.kind!r} must populate exactly its own variant")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +163,18 @@ def _map_cycle(c: Cycle, mapping, host: Graph) -> Cycle:
     return Cycle(host, tuple(mapping[v] for v in c.vertices))
 
 
+def _cycle_walk(nbrs, start: int) -> tuple:
+    """Vertex order of the cycle through start in a 2-regular graph given by
+    its neighbour lists, stepping first to start's smaller neighbour."""
+    order, prev, cur = [start], None, start
+    while True:
+        nxt = min(w for w in nbrs[cur] if w != prev)
+        if nxt == start:
+            return tuple(order)
+        order.append(nxt)
+        prev, cur = cur, nxt
+
+
 def odd_even_arcs(c: Cycle, u: int, v: int) -> tuple:
     """The odd-length and even-length arcs of an odd cycle between u and v."""
     a, b = c.arc(u, v), c.arc(v, u).reverse()
@@ -223,21 +229,9 @@ def quasi_diagonal(c: Cycle) -> QuasiDiagonalStructure:
     comps = []
     seen = set()
     for v in sorted(vs):
-        if v in seen:
-            continue
-        walk = [v]
-        seen.add(v)
-        prev = None
-        cur = v
-        while True:
-            nxts = [w for w in succ[cur] if w != prev]
-            nxt = min(nxts) if prev is None else nxts[0]
-            if nxt == v:
-                break
-            walk.append(nxt)
-            seen.add(nxt)
-            prev, cur = cur, nxt
-        comps.append(tuple(walk))
+        if v not in seen:
+            comps.append(_cycle_walk(succ, v))
+            seen.update(comps[-1])
     struct = QuasiDiagonalStructure(c, tuple(comps))
     if n % 4 == 0:
         _require(len(comps) == 1, "Qdi(C) must be a single cycle when l = 0 mod 4")
@@ -692,9 +686,8 @@ def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
                 break
         _require(pick is not None, "two independent B to D'-v edges exist")
         (b1, w1), (b2, w2) = pick
-        dprime_cycle = _map_cycle(
-            Cycle(fsub, _cycle_order(fsub, dprime)), fmap, g
-        )
+        ring = {v: [w for w in fsub.adj[v] if w in dprime.vertices] for v in dprime.vertices}
+        dprime_cycle = _map_cycle(Cycle(fsub, _cycle_walk(ring, min(ring))), fmap, g)
         arcs = [dprime_cycle.arc(w1, w2), dprime_cycle.arc(w2, w1).reverse()]
         if vcut is not None:
             arcs = [a for a in arcs if vcut not in a.vertices]
@@ -707,24 +700,6 @@ def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
         ceven = theta_even_cycle(theta)
     _require(not (ceven.vertex_set() & dcycle.vertex_set()), "even cycle disjoint from D")
     return pair_from_disjoint_odd_even(g, dcycle)
-
-
-def _cycle_order(sub: Graph, block) -> tuple:
-    """Vertex order of a block that is exactly a cycle."""
-    vs = sorted(block.vertices)
-    start = vs[0]
-    inblock = set(block.vertices)
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nbrs = [w for w in sub.adj[cur] if w in inblock and w != prev]
-        nxt = min(nbrs)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
 
 
 def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
@@ -835,9 +810,7 @@ def _long_arc_branch(g, outer: Cycle, inner: Cycle, e, match) -> CyclePairCertif
 # 3-connected pipeline
 
 
-def three_connected_pair(
-    g: Graph, oracle_guard: int = oracle.DEFAULT_GUARD
-) -> CyclePairCertificate:
+def three_connected_pair(g: Graph) -> CyclePairCertificate:
     """Two cycles of consecutive even lengths in a 3-connected graph, n >= 6."""
     if g.n < 6:
         raise HypothesisFailure("order", f"need n >= 6, got {g.n}")
@@ -846,14 +819,14 @@ def three_connected_pair(
     cut = connectivity_cut(g, 3)
     if cut is not None:
         raise HypothesisFailure("connectivity", "graph is not 3-connected", witness=cut)
-    return _three_connected_pair(g, oracle_guard)
+    return _three_connected_pair(g)
 
 
-def _three_connected_pair(g: Graph, oracle_guard: int) -> CyclePairCertificate:
+def _three_connected_pair(g: Graph) -> CyclePairCertificate:
     """three_connected_pair on a graph already known to be 3-connected, n >= 6."""
     bip, wit = is_bipartite(g)
     if bip:
-        found = oracle.bondy_vince_search(g, max(oracle_guard, g.n))
+        found = oracle.bondy_vince_search(g, g.n)
         _require(
             isinstance(found, CyclePairCertificate),
             "bipartite branch: near pair must be an even difference-2 pair",
@@ -1225,16 +1198,15 @@ def _lift_star_paths(h, x, y, cert: PathPairCertificate, rec, map1) -> PathPairC
 # main theorem and corollary
 
 
-def main_theorem(g: Graph, oracle_guard: int = oracle.DEFAULT_GUARD) -> Outcome:
+def main_theorem(g: Graph) -> Outcome:
     """Certificate or K5-block witness for any graph with e >= 5(n-1)/2."""
     if g.n == 0:
-        return Outcome.of_failure(HypothesisFailure("order", "empty graph"))
+        return Outcome("hypothesis-failure", failure=HypothesisFailure("order", "empty graph"))
     if 2 * g.e < 5 * (g.n - 1):
-        return Outcome.of_failure(
-            HypothesisFailure("density", f"e = {g.e} < 5(n-1)/2 = {5 * (g.n - 1) / 2}")
-        )
+        detail = f"e = {g.e} < 5(n-1)/2 = {5 * (g.n - 1) / 2}"
+        return Outcome("hypothesis-failure", failure=HypothesisFailure("density", detail))
     try:
-        return _solve(g, oracle_guard)
+        return _solve(g)
     except HypothesisFailure as exc:  # recursion established these hold
         raise InternalInvariantError(f"reduction hypothesis failed: {exc}") from exc
 
@@ -1243,33 +1215,33 @@ def _density_ok(g: Graph) -> bool:
     return 2 * g.e >= 5 * (g.n - 1)
 
 
-def _solve(g: Graph, guard: int) -> Outcome:
+def _solve(g: Graph) -> Outcome:
     _require(_density_ok(g), "recursion must preserve the density hypothesis")
 
     if g.n <= 5:
-        cert = oracle.find_consecutive_even_pair_bf(g, max(guard, g.n))
+        cert = oracle.find_consecutive_even_pair_bf(g, g.n)
         if cert is not None:
-            return Outcome.of_certificate(cert)
+            return Outcome("certificate", certificate=cert)
         from .generators import is_k5_block_tree
 
         _require(is_k5_block_tree(g), "n <= 5 density without certificate means K5 (or K1)")
-        return Outcome.of_witness(K5BlockWitness.build(g))
+        return Outcome("k5-witness", witness=K5BlockWitness.build(g))
 
     comps = components(g)
     if len(comps) > 1:
         best = max(comps, key=lambda c: 2 * _edges_within(g, c) - 5 * (len(c) - 1))
         sub, mapping = induced_subgraph(g, best)
-        out = _solve(sub, guard)
+        out = _solve(sub)
         _require(out.kind == "certificate", "slackest component cannot be extremal")
-        return _map_outcome(out, mapping, g)
+        return _map_outcome(out.certificate, mapping, g)
 
     deg_min = min(g.degree(v) for v in g.vertices)
     if deg_min <= 2:
         v = min(u for u in g.vertices if g.degree(u) == deg_min)
         sub, mapping = induced_subgraph(g, set(g.vertices) - {v})
-        out = _solve(sub, guard)
+        out = _solve(sub)
         _require(out.kind == "certificate", "low-degree removal cannot leave a witness")
-        return _map_outcome(out, mapping, g)
+        return _map_outcome(out.certificate, mapping, g)
 
     low = [
         (u, v)
@@ -1277,17 +1249,17 @@ def _solve(g: Graph, guard: int) -> Outcome:
         if g.degree(u) + g.degree(v) <= 6
     ]
     if low:
-        return _low_sum_edge(g, low[0], guard)
+        return _low_sum_edge(g, low[0])
 
     cut1 = connectivity_cut(g, 2)
     if cut1 is not None:
-        return _cut_vertex(g, next(iter(cut1)), guard)
+        return _cut_vertex(g, next(iter(cut1)))
 
     cut2 = connectivity_cut(g, 3)
     if cut2 is not None:
-        return _two_cut(g, cut2, guard)
+        return _two_cut(g, cut2)
 
-    return Outcome.of_certificate(_three_connected_pair(g, guard))
+    return Outcome("certificate", certificate=_three_connected_pair(g))
 
 
 def _edges_within(g: Graph, comp) -> int:
@@ -1295,21 +1267,20 @@ def _edges_within(g: Graph, comp) -> int:
     return sum(1 for u, v in g.edges if u in cs and v in cs)
 
 
-def _map_outcome(out: Outcome, mapping, host: Graph) -> Outcome:
-    c = out.certificate
-    return Outcome.of_certificate(
-        CyclePairCertificate.make(
-            _map_cycle(c.c1, mapping, host), _map_cycle(c.c2, mapping, host)
-        )
+def _map_outcome(c: CyclePairCertificate, mapping, host: Graph) -> Outcome:
+    """The certificate outcome for c, carried from a subgraph into host."""
+    cert = CyclePairCertificate.make(
+        _map_cycle(c.c1, mapping, host), _map_cycle(c.c2, mapping, host)
     )
+    return Outcome("certificate", certificate=cert)
 
 
-def _low_sum_edge(g: Graph, e, guard: int) -> Outcome:
+def _low_sum_edge(g: Graph, e) -> Outcome:
     u, v = e
     sub, mapping = induced_subgraph(g, set(g.vertices) - {u, v})
-    out = _solve(sub, guard)
+    out = _solve(sub)
     if out.kind == "certificate":
-        return _map_outcome(out, mapping, g)
+        return _map_outcome(out.certificate, mapping, g)
     # reinsertion: g - {u, v} is a K5-block graph; search the blocks around
     # u and v for the guaranteed pair (bounded, validator-accepted)
     nearby = {u, v}
@@ -1321,10 +1292,10 @@ def _low_sum_edge(g: Graph, e, guard: int) -> Outcome:
     sub2, map2 = induced_subgraph(g, nearby)
     cert = oracle.find_consecutive_even_pair_bf(sub2, sub2.n)
     _require(cert is not None, "reinserted edge must create a consecutive even pair")
-    return _map_outcome(Outcome.of_certificate(cert), map2, g)
+    return _map_outcome(cert, map2, g)
 
 
-def _cut_vertex(g: Graph, v: int, guard: int) -> Outcome:
+def _cut_vertex(g: Graph, v: int) -> Outcome:
     comps = components(g, frozenset([v]))
     side1 = set(comps[0]) | {v}
     side2 = (set(g.vertices) - set(comps[0])) | {v}
@@ -1333,15 +1304,15 @@ def _cut_vertex(g: Graph, v: int, guard: int) -> Outcome:
         sub, mapping = induced_subgraph(g, side)
         if not _density_ok(sub):
             continue
-        out = _solve(sub, guard)
+        out = _solve(sub)
         if out.kind == "certificate":
-            return _map_outcome(out, mapping, g)
+            return _map_outcome(out.certificate, mapping, g)
         witnesses.append(out)
     _require(len(witnesses) == 2, "both sides of an extremal cut are extremal")
-    return Outcome.of_witness(K5BlockWitness.build(g))
+    return Outcome("k5-witness", witness=K5BlockWitness.build(g))
 
 
-def _two_cut(g: Graph, cut, guard: int) -> Outcome:
+def _two_cut(g: Graph, cut) -> Outcome:
     x, y = sorted(cut)
     comps = sorted(components(g, frozenset([x, y])), key=lambda c: (len(c), c))
     small = set(comps[0])
@@ -1365,7 +1336,7 @@ def _two_cut(g: Graph, cut, guard: int) -> Outcome:
     h2m = h2.without_edge(x2, y2) if h2.has_edge(x2, y2) else h2
     bip, _ = is_bipartite(h2m)
     if not bip:
-        reps = oracle.xy_path_lengths(h2m, x2, y2, size_guard=max(guard, h2m.n))
+        reps = oracle.xy_path_lengths(h2m, x2, y2, size_guard=h2m.n)
         want = p1.length % 2  # cycle p1 + q is even iff the parities agree
         match = [reps[k] for k in sorted(reps) if k % 2 == want]
         _require(match, "non-bipartite side has x-y paths of both parities")
@@ -1374,20 +1345,20 @@ def _two_cut(g: Graph, cut, guard: int) -> Outcome:
             q = q.reverse()
         c1 = Cycle(g, p1.vertices + tuple(reversed(q.vertices))[1:-1])
         c2 = Cycle(g, p2.vertices + tuple(reversed(q.vertices))[1:-1])
-        return Outcome.of_certificate(CyclePairCertificate.make(c1, c2))
-    found = oracle.bondy_vince_search(h2m, max(guard, h2m.n))
+        return Outcome("certificate", certificate=CyclePairCertificate.make(c1, c2))
+    found = oracle.bondy_vince_search(h2m, h2m.n)
     _require(
         isinstance(found, CyclePairCertificate),
         "bipartite side yields an even difference-2 pair",
     )
-    return _map_outcome(Outcome.of_certificate(found), map2, g)
+    return _map_outcome(found, map2, g)
 
 
-def cycle_two_mod_four(g: Graph, oracle_guard: int = oracle.DEFAULT_GUARD) -> Cycle:
+def cycle_two_mod_four(g: Graph) -> Cycle:
     """A cycle of length 2 mod 4 in any graph with e >= 5n/2."""
     if 2 * g.e < 5 * g.n:
         raise HypothesisFailure("density", f"e = {g.e} < 5n/2 = {5 * g.n / 2}")
-    out = main_theorem(g, oracle_guard)
+    out = main_theorem(g)
     _require(out.kind == "certificate", "density above 5n/2 rules out the K5 exception")
     for c in (out.certificate.c1, out.certificate.c2):
         if c.length % 4 == 2:

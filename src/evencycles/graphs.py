@@ -8,8 +8,9 @@ reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -96,10 +97,6 @@ class Path:
         return len(self.vertices) - 1
 
     @property
-    def parity(self) -> int:
-        return self.length % 2
-
-    @property
     def start(self) -> int:
         return self.vertices[0]
 
@@ -153,9 +150,6 @@ class Cycle:
     def arc_length(self, u: int, v: int) -> int:
         i, j = self.index_of(u), self.index_of(v)
         return (j - i) % len(self.vertices)
-
-    def successor(self, v: int) -> int:
-        return self.vertices[(self.index_of(v) + 1) % len(self.vertices)]
 
     def chords(self) -> list:
         """Host-graph edges joining non-consecutive cycle vertices."""
@@ -612,45 +606,51 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
 
 
 # ---------------------------------------------------------------------------
-# disjoint paths (Menger via unit-vertex-capacity augmenting paths)
-
-_INF = 1 << 20
+# disjoint paths and fans (Menger via unit-vertex-capacity augmenting paths)
 
 
-def _max_flow_paths(g: Graph, a: frozenset, b: frozenset, k: int):
-    """Unit-vertex-capacity flow from set a to set b; k augmentations at most.
+def _menger(g: Graph, a: frozenset, b: frozenset, k: int, supply: int = 1, allowed=None):
+    """k paths from vertex set a to vertex set b, or a separator of size < k.
 
-    Node 2v is v_in, 2v+1 is v_out.  Returns (flow value, flow dict, arcs).
+    Vertex v splits into v_in = 2v and v_out = 2v + 1, joined by an arc of
+    capacity 1 (`supply` if v is in a).  The source 2n feeds every v_in of a
+    with `supply`, every v_out of b drains into the sink 2n + 1 with capacity
+    1, and every edge xy inside `allowed` (default: all vertices) gives the
+    uncapacitated arcs x_out -> y_in and y_out -> x_in, except those that
+    enter a or leave b.  At most k shortest augmenting paths, neighbours
+    taken in increasing order.
+
+    Returns (paths, None), the paths ordered by start vertex, running from a
+    to b with no inner vertex in a | b and sharing no vertex but a start of
+    supply > 1; or (None, separator), the vertices whose split arcs cross
+    the minimum cut, fewer than k of them.
     """
+    vs = g.vertices if allowed is None else frozenset(allowed)
     S, T = 2 * g.n, 2 * g.n + 1
     cap: dict = {}
 
     def add(x, y, c):
-        cap[(x, y)] = cap.get((x, y), 0) + c
-        cap.setdefault((y, x), 0)
+        cap[(x, y)] = c
+        cap[(y, x)] = 0
 
-    for v in g.vertices:
+    for v in vs:
+        add(2 * v, 2 * v + 1, supply if v in a else 1)
         if v in a:
-            add(S, 2 * v, 1)
+            add(S, 2 * v, supply)
         if v in b:
             add(2 * v + 1, T, 1)
-        add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        # endpoints in a only emit, endpoints in b only absorb
-        if u not in b and v not in a:
-            add(2 * u + 1, 2 * v, _INF)
-        if v not in b and u not in a:
-            add(2 * v + 1, 2 * u, _INF)
-
+    for x, y in g.edges:
+        if x in vs and y in vs:
+            if x not in b and y not in a:
+                add(2 * x + 1, 2 * y, math.inf)
+            if y not in b and x not in a:
+                add(2 * y + 1, 2 * x, math.inf)
     nbrs: dict = {}
-    for (x, y) in cap:
+    for x, y in sorted(cap):
         nbrs.setdefault(x, []).append(y)
-    for x in nbrs:
-        nbrs[x].sort()
 
-    flow = {arc: 0 for arc in cap}
-    value = 0
-    while value < k:
+    flow = dict.fromkeys(cap, 0)
+    for _ in range(k):
         parent = {S: None}
         queue = deque([S])
         while queue and T not in parent:
@@ -660,15 +660,32 @@ def _max_flow_paths(g: Graph, a: frozenset, b: frozenset, k: int):
                     parent[y] = x
                     queue.append(y)
         if T not in parent:
-            break
+            # the search reached exactly the source side of a minimum cut
+            return None, frozenset(
+                v
+                for v in vs
+                if (v in a or 2 * v in parent) and (v in b or 2 * v + 1 not in parent)
+            )
         y = T
         while parent[y] is not None:
             x = parent[y]
             flow[(x, y)] += 1
             flow[(y, x)] -= 1
             y = x
-        value += 1
-    return value, flow, cap, nbrs, S, T
+
+    paths = []
+    for s in sorted(a):
+        for _ in range(flow.get((S, 2 * s), 0)):
+            seq, x = [s], 2 * s + 1
+            while True:
+                y = next((y for y in nbrs[x] if y < S and flow[(x, y)] > 0), None)
+                if y is None:
+                    break
+                flow[(x, y)] -= 1
+                seq.append(y // 2)
+                x = y + 1
+            paths.append(Path(g, tuple(seq)))
+    return paths, None
 
 
 def disjoint_paths(g: Graph, a, b, k: int):
@@ -680,45 +697,7 @@ def disjoint_paths(g: Graph, a, b, k: int):
     a, b = frozenset(a), frozenset(b)
     if a & b:
         raise GraphError("disjoint_paths requires disjoint endpoint sets")
-    value, flow, cap, nbrs, S, T = _max_flow_paths(g, a, b, k)
-    if value >= k:
-        paths = []
-        starts = sorted(v for v in a if flow.get((S, 2 * v), 0) > 0)
-        for s in starts[:k]:
-            seq = [s]
-            x = 2 * s + 1
-            while True:
-                nxt = None
-                for y in nbrs.get(x, ()):
-                    if y != S and y != T and flow.get((x, y), 0) > 0:
-                        nxt = y
-                        break
-                if nxt is None:
-                    break
-                flow[(x, nxt)] -= 1
-                v = nxt // 2
-                if v != seq[-1]:
-                    seq.append(v)
-                x = 2 * v + 1
-            paths.append(Path(g, tuple(seq)))
-        return paths, None
-    reach = {S}
-    queue = deque([S])
-    while queue:
-        x = queue.popleft()
-        for y in nbrs.get(x, ()):
-            if y not in reach and cap[(x, y)] - flow[(x, y)] > 0:
-                reach.add(y)
-                queue.append(y)
-    sep = set()
-    for v in g.vertices:
-        if v in a and (S, 2 * v) in cap and S in reach and 2 * v not in reach:
-            sep.add(v)
-        elif 2 * v in reach and 2 * v + 1 not in reach:
-            sep.add(v)
-        elif v in b and (2 * v + 1, T) in cap and 2 * v + 1 in reach:
-            sep.add(v)
-    return None, frozenset(sep)
+    return _menger(g, a, b, k)
 
 
 def fan(g: Graph, u: int, targets, k: int, allowed=None):
@@ -728,84 +707,11 @@ def fan(g: Graph, u: int, targets, k: int, allowed=None):
     the targets.  Returns a list of Paths sorted by target, or None.
     """
     targets = frozenset(targets)
-    if allowed is None:
-        allowed = frozenset(g.vertices)
-    allowed = frozenset(allowed) | targets | {u}
-    S, T = 2 * g.n, 2 * g.n + 1
-    cap: dict = {}
-
-    def add(x, y, c):
-        cap[(x, y)] = cap.get((x, y), 0) + c
-        cap.setdefault((y, x), 0)
-
-    add(S, 2 * u + 1, k)
-    for v in allowed:
-        if v == u:
-            continue
-        add(2 * v, 2 * v + 1, 1)
-        if v in targets:
-            add(2 * v, T, 1)
-    for x, y in g.edges:
-        if x not in allowed or y not in allowed:
-            continue
-        if y != u and x not in targets:
-            add(2 * x + 1, 2 * y, 1)
-        if x != u and y not in targets:
-            add(2 * y + 1, 2 * x, 1)
-
-    nbrs: dict = {}
-    for (x, y) in cap:
-        nbrs.setdefault(x, []).append(y)
-    for x in nbrs:
-        nbrs[x].sort()
-    flow = {arc: 0 for arc in cap}
-    value = 0
-    while value < k:
-        parent = {S: None}
-        queue = deque([S])
-        while queue and T not in parent:
-            x = queue.popleft()
-            for y in nbrs.get(x, ()):
-                if y not in parent and cap[(x, y)] - flow[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if T not in parent:
-            return None
-        y = T
-        while parent[y] is not None:
-            x = parent[y]
-            flow[(x, y)] += 1
-            flow[(y, x)] -= 1
-            y = x
-        value += 1
-
-    paths = []
-    used_first = set()
-    for _ in range(k):
-        seq = [u]
-        x = 2 * u + 1
-        while True:
-            nxt = None
-            for y in nbrs.get(x, ()):
-                if y == T:
-                    continue
-                if flow.get((x, y), 0) > 0 and not (x == 2 * u + 1 and y in used_first):
-                    nxt = y
-                    break
-            if nxt is None:
-                break
-            if x == 2 * u + 1 and seq == [u]:
-                used_first.add(nxt)
-            flow[(x, nxt)] -= 1
-            v = nxt // 2
-            if v != seq[-1]:
-                seq.append(v)
-            if v in targets:
-                break
-            x = 2 * v + 1
-        paths.append(Path(g, tuple(seq)))
-    paths.sort(key=lambda p: p.end)
-    return paths
+    if u in targets:
+        raise GraphError("fan requires a centre that is not a target")
+    allowed = frozenset(g.vertices if allowed is None else allowed) | targets | {u}
+    paths, _ = _menger(g, frozenset([u]), targets, k, supply=k, allowed=allowed)
+    return None if paths is None else sorted(paths, key=lambda p: p.end)
 
 
 # ---------------------------------------------------------------------------
@@ -829,24 +735,13 @@ def is_bipartite(g: Graph):
                     parent[w] = v
                     queue.append(w)
                 elif color[w] == color[v]:
-                    # climb to the meeting point of the two tree paths
-                    anc_v = [v]
-                    while parent[anc_v[-1]] is not None:
-                        anc_v.append(parent[anc_v[-1]])
-                    pos = {x: i for i, x in enumerate(anc_v)}
-                    anc_w = [w]
-                    while anc_w[-1] not in pos:
-                        anc_w.append(parent[anc_w[-1]])
-                    meet = anc_w[-1]
-                    seq = list(reversed(anc_v[: pos[meet] + 1])) + anc_w[:-1]
-                    return False, Cycle(g, tuple(seq)).canonical()
+                    return False, Cycle(g, tree_path(parent, v, w)).canonical()
     return True, color
 
 
 def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
     """A shortest odd cycle (None if bipartite); the result is chordless."""
-    best = None  # (length, start vertex)
-    dists = {}
+    best = None  # (length, start vertex, parent map of its search)
     for s in g.vertices:
         # BFS in the bipartite double cover from (s, 0) to (s, 1)
         dist = {(s, 0): 0}
@@ -860,14 +755,11 @@ def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
                     dist[nxt] = dist[(v, p)] + 1
                     parent[nxt] = (v, p)
                     queue.append(nxt)
-        if (s, 1) in dist:
-            dists[s] = (dist, parent)
-            if best is None or dist[(s, 1)] < best[0]:
-                best = (dist[(s, 1)], s)
+        if (s, 1) in dist and (best is None or dist[(s, 1)] < best[0]):
+            best = (dist[(s, 1)], s, parent)
     if best is None:
         return None
-    length, s = best
-    _, parent = dists[s]
+    length, s, parent = best
     seq = []
     node = (s, 1)
     while node is not None:

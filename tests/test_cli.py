@@ -27,6 +27,26 @@ class TestFind:
         cert = cli.doc_to_certificate(doc, g)
         assert oracle.validate(cert, g)[0]
 
+    def test_text_and_json_output(self, tmp_path, capsys):
+        f = write_graph(tmp_path, complete_graph(7))
+        assert cli.main(["find", f]) == 0
+        assert capsys.readouterr().out == (
+            "certificate: lengths 4 and 6\n  cycle 1: 0 1 4 3\n  cycle 2: 0 1 4 5 6 3\n"
+        )
+        f = write_graph(tmp_path, complete_graph(8))
+        assert cli.main(["find", f, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"cycles": [[0, 1, 4, 3], [0, 1, 4, 5, 6, 3]], "graph": {"format": "auto", '
+            '"n": 8}, "kind": "cycle-pair", "lengths": [4, 6]}\n'
+        )
+
+    def test_no_guard_option(self, tmp_path, capsys):
+        # the finder has no size guard to set; argparse rejects the flag
+        f = write_graph(tmp_path, complete_graph(6))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["find", f, "--guard", "5"])
+        assert exc.value.code == 2
+
     def test_k5_witness(self, tmp_path, capsys):
         f = write_graph(tmp_path, complete_graph(5), fmt="graph6")
         assert cli.main(["find", f]) == 0

@@ -206,6 +206,19 @@ class TestThreeConnected:
         ok, why = oracle.validate(cert, g)
         assert ok, why
 
+    def test_stray_component_fan(self, monkeypatch):
+        # GP(6, 2), graph6 KhEKA?aCOT?i: the stabilizer fans a stray
+        # component of g - V(C) onto C; the certificate is pinned
+        calls = []
+        real_fan = finder.fan
+        monkeypatch.setattr(finder, "fan", lambda *a, **kw: calls.append(a) or real_fan(*a, **kw))
+        cert = three_connected_pair(generalized_petersen(6, 2))
+        assert len(calls) == 1
+        assert (cert.c1.vertices, cert.c2.vertices) == (
+            (0, 1, 2, 3, 4, 5),
+            (0, 1, 2, 3, 9, 7, 11, 5),
+        )
+
     def test_rejects_small(self):
         with pytest.raises(HypothesisFailure):
             three_connected_pair(complete_graph(5))
@@ -313,6 +326,13 @@ class TestOutcomeTypes:
         w = K5BlockWitness.build(complete_graph(5))
         with pytest.raises(GraphError):
             Outcome("both", witness=w, failure=HypothesisFailure("density"))
+        # the populated field must be the one that kind names
+        c = main_theorem(complete_graph(6)).certificate
+        with pytest.raises(GraphError):
+            Outcome("k5-witness", certificate=c)
+        with pytest.raises(GraphError):
+            Outcome("certificate", witness=w)
+        assert Outcome("certificate", certificate=c).certificate is c
 
     def test_witness_validation(self):
         with pytest.raises(GraphError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -275,6 +276,37 @@ class TestDisjointPaths:
         g = cycle_graph(5)
         assert fan(g, 0, {2, 3}, 3) is None
 
+    def test_fan_centre_is_not_a_target(self):
+        with pytest.raises(GraphError):
+            fan(complete_graph(5), 0, {0, 1, 2}, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.integers(min_value=1, max_value=4), st.data())
+    def test_fan_duality(self, g, k, data):
+        if g.n < 2:
+            return
+        u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        others = [v for v in g.vertices if v != u]
+        targets = set(data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+        allowed = data.draw(st.none() | st.sets(st.sampled_from(list(g.vertices))))
+        inner = set(g.vertices if allowed is None else allowed) - targets - {u}
+        paths = fan(g, u, targets, k, allowed)
+        if paths is not None:
+            assert len(paths) == k
+            assert [p.end for p in paths] == sorted(p.end for p in paths)
+            seen = set()
+            for p in paths:
+                assert p.start == u and p.end in targets
+                assert set(p.vertices[1:-1]) <= inner
+                assert not (set(p.vertices[1:]) & seen)
+                seen |= set(p.vertices[1:])
+        else:
+            assert any(
+                _fan_separator(g, u, targets, inner, set(x))
+                for size in range(k)
+                for x in itertools.combinations(others, size)
+            )
+
 
 class TestParity:
     def test_bipartite_coloring(self):
@@ -309,17 +341,22 @@ class TestParity:
         assert sorted(seen) == g.sorted_edges()
         assert len(seen) == len(set(seen))
 
-    @settings(max_examples=100, deadline=None)
-    @given(small_graphs(), st.integers(min_value=1, max_value=3))
-    def test_menger_duality(self, g, k):
-        if g.n < 3:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.integers(min_value=1, max_value=3), st.data())
+    def test_menger_duality(self, g, k, data):
+        # endpoint sets of size >= k, so that k paths are possible at all
+        if g.n < 2 * k:
             return
-        a, b = {0}, {g.n - 1}
-        if a & b:
-            return
+        order = data.draw(st.permutations(range(g.n)))
+        na = data.draw(st.integers(min_value=k, max_value=g.n - k))
+        nb = data.draw(st.integers(min_value=k, max_value=g.n - na))
+        a, b = set(order[:na]), set(order[na : na + nb])
         paths, sep = disjoint_paths(g, a, b, k)
         if paths is not None:
-            assert len(paths) == k
+            assert sep is None and len(paths) == k
+            for p in paths:
+                assert p.start in a and p.end in b
+                assert not set(p.vertices[1:-1]) & (a | b)
             used = [set(p.vertices) for p in paths]
             for i in range(k):
                 for j in range(i + 1, k):
@@ -329,3 +366,20 @@ class TestParity:
             for comp in components(g, sep):
                 cs = set(comp)
                 assert not (cs & (a - sep) and cs & (b - sep))
+
+
+def _fan_separator(g, u, targets, inner, x) -> bool:
+    """True iff x meets every path from u to targets - x whose inner vertices
+    lie in `inner` (brute force, independent of the flow code)."""
+    reached, stack = {u}, [u]
+    while stack:
+        v = stack.pop()
+        for w in g.adj[v]:
+            if w in x:
+                continue
+            if w in targets:
+                return False
+            if w in inner and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return True
