@@ -9,6 +9,7 @@ bug, never a wrong answer.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,7 @@ from .graphs import (
     theta_even_cycle,
     tree_path,
 )
+from .generators import is_k5_block_tree
 from .oracle import CyclePairCertificate, PathPairCertificate
 
 
@@ -1097,8 +1099,7 @@ def _paths_case_four_cycle(h, x, y, four) -> PathPairCertificate:
             p2 = Path(h, (x, far, a) + p.vertices)
             return PathPairCertificate.make(x, y, p1, p2)
     gsub, mapping = induced_subgraph(h, set(h.vertices) - fset)
-    inv = {orig: i for i, orig in enumerate(mapping)}
-    sub_cert = _rec_two_paths(gsub, inv[x], inv[a])
+    sub_cert = _rec_two_paths(gsub, mapping.index(x), mapping.index(a))
     q1 = _map_path(sub_cert.p1, mapping, h)
     q2 = _map_path(sub_cert.p2, mapping, h)
     _require(
@@ -1118,7 +1119,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
     inv1 = {orig: i for i, orig in enumerate(map1)}
     gstar, rec = contract(gminus, {inv1[v] for v in xs})
     xstar = rec.contracted_vertex
-    ystar = _contracted_id(rec, inv1[y])
+    ystar = rec.vertex_map[inv1[y]]
     gplus = gstar if gstar.has_edge(xstar, ystar) else gstar.with_edge(xstar, ystar)
 
     if connectivity_cut(gplus, 2) is None and is_connected(gplus):
@@ -1133,8 +1134,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
     bblock = next(b for b in dec.blocks if ystar in b.vertices)
     if len(bblock.vertices) >= 3:
         bsub, mapb = induced_subgraph(gstar, bblock.vertices)
-        invb = {orig: i for i, orig in enumerate(mapb)}
-        bx, by = invb[xstar], invb[ystar]
+        bx, by = mapb.index(xstar), mapb.index(ystar)
         bplus = bsub if bsub.has_edge(bx, by) else bsub.with_edge(bx, by)
         sub_cert = _rec_two_paths(bplus, bx, by)
         lifted = PathPairCertificate.make(
@@ -1169,7 +1169,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
     g1, mapg1 = induced_subgraph(h, keep)
     invg1 = {orig: i for i, orig in enumerate(mapg1)}
     g1c, rec2 = contract(g1, {invg1[v] for v in xs if v != u1})
-    u1c = _contracted_id(rec2, invg1[u1])
+    u1c = rec2.vertex_map[invg1[u1]]
     u2c = rec2.contracted_vertex
     gplus2 = g1c if g1c.has_edge(u1c, u2c) else g1c.with_edge(u1c, u2c)
     sub_cert = _rec_two_paths(gplus2, u1c, u2c)
@@ -1179,10 +1179,6 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
         ph = _map_path(lifted, mapg1, h).reverse()  # x_i ... u1
         out.append(Path(h, (x,) + ph.vertices + (y,)))
     return PathPairCertificate.make(x, y, out[0], out[1])
-
-
-def _contracted_id(rec, old_id: int) -> int:
-    return rec.vertex_map[old_id]
 
 
 def _lift_star_paths(h, x, y, cert: PathPairCertificate, rec, map1) -> PathPairCertificate:
@@ -1199,132 +1195,133 @@ def _lift_star_paths(h, x, y, cert: PathPairCertificate, rec, map1) -> PathPairC
 
 
 def main_theorem(g: Graph) -> Outcome:
-    """Certificate or K5-block witness for any graph with e >= 5(n-1)/2."""
+    """Certificate or K5-block witness for any graph with e >= 5(n-1)/2.
+
+    The reduction is one loop over vertex sets of g (`_reduce`), so the
+    call stack does not grow with the input."""
     if g.n == 0:
         return Outcome("hypothesis-failure", failure=HypothesisFailure("order", "empty graph"))
     if 2 * g.e < 5 * (g.n - 1):
         detail = f"e = {g.e} < 5(n-1)/2 = {5 * (g.n - 1) / 2}"
         return Outcome("hypothesis-failure", failure=HypothesisFailure("density", detail))
-    try:
-        return _solve(g)
-    except HypothesisFailure as exc:  # recursion established these hold
-        raise InternalInvariantError(f"reduction hypothesis failed: {exc}") from exc
+    return _reduce(g)
 
 
-def _density_ok(g: Graph) -> bool:
-    return 2 * g.e >= 5 * (g.n - 1)
+def _slack(g: Graph, s: set) -> int:
+    """2e - 5(n - 1) for the subgraph of g induced by the vertex set s."""
+    return sum(w in s for v in s for w in g.adj[v]) - 5 * (len(s) - 1)
 
 
-def _solve(g: Graph) -> Outcome:
-    _require(_density_ok(g), "recursion must preserve the density hypothesis")
+def _reduce(g: Graph) -> Outcome:
+    """The reduction behind main_theorem, as one loop over vertex sets s of g.
 
-    if g.n <= 5:
-        cert = oracle.find_consecutive_even_pair_bf(g, g.n)
-        if cert is not None:
-            return Outcome("certificate", certificate=cert)
-        from .generators import is_k5_block_tree
-
-        _require(is_k5_block_tree(g), "n <= 5 density without certificate means K5 (or K1)")
-        return Outcome("k5-witness", witness=K5BlockWitness.build(g))
-
-    comps = components(g)
-    if len(comps) > 1:
-        best = max(comps, key=lambda c: 2 * _edges_within(g, c) - 5 * (len(c) - 1))
-        sub, mapping = induced_subgraph(g, best)
-        out = _solve(sub)
-        _require(out.kind == "certificate", "slackest component cannot be extremal")
-        return _map_outcome(out.certificate, mapping, g)
-
-    deg_min = min(g.degree(v) for v in g.vertices)
-    if deg_min <= 2:
-        v = min(u for u in g.vertices if g.degree(u) == deg_min)
-        sub, mapping = induced_subgraph(g, set(g.vertices) - {v})
-        out = _solve(sub)
-        _require(out.kind == "certificate", "low-degree removal cannot leave a witness")
-        return _map_outcome(out.certificate, mapping, g)
-
-    low = [
-        (u, v)
-        for u, v in g.sorted_edges()
-        if g.degree(u) + g.degree(v) <= 6
-    ]
-    if low:
-        return _low_sum_edge(g, low[0])
-
-    cut1 = connectivity_cut(g, 2)
-    if cut1 is not None:
-        return _cut_vertex(g, next(iter(cut1)))
-
-    cut2 = connectivity_cut(g, 3)
-    if cut2 is not None:
-        return _two_cut(g, cut2)
-
-    return Outcome("certificate", certificate=_three_connected_pair(g))
-
-
-def _edges_within(g: Graph, comp) -> int:
-    cs = set(comp)
-    return sum(1 for u, v in g.edges if u in cs and v in cs)
-
-
-def _map_outcome(c: CyclePairCertificate, mapping, host: Graph) -> Outcome:
-    """The certificate outcome for c, carried from a subgraph into host."""
-    cert = CyclePairCertificate.make(
-        _map_cycle(c.c1, mapping, host), _map_cycle(c.c2, mapping, host)
-    )
-    return Outcome("certificate", certificate=cert)
-
-
-def _low_sum_edge(g: Graph, e) -> Outcome:
-    u, v = e
-    sub, mapping = induced_subgraph(g, set(g.vertices) - {u, v})
-    out = _solve(sub)
-    if out.kind == "certificate":
-        return _map_outcome(out.certificate, mapping, g)
-    # reinsertion: g - {u, v} is a K5-block graph; search the blocks around
-    # u and v for the guaranteed pair (bounded, validator-accepted)
-    nearby = {u, v}
-    nbrs = set(g.adj[u]) | set(g.adj[v])
-    for blk in out.witness.decomposition.blocks:
-        blk_orig = {mapping[w] for w in blk.vertices}
-        if blk_orig & nbrs:
-            nearby |= blk_orig
-    sub2, map2 = induced_subgraph(g, nearby)
-    cert = oracle.find_consecutive_even_pair_bf(sub2, sub2.n)
-    _require(cert is not None, "reinserted edge must create a consecutive even pair")
-    return _map_outcome(cert, map2, g)
-
-
-def _cut_vertex(g: Graph, v: int) -> Outcome:
-    comps = components(g, frozenset([v]))
-    side1 = set(comps[0]) | {v}
-    side2 = (set(g.vertices) - set(comps[0])) | {v}
-    witnesses = []
-    for side in (side1, side2):
-        sub, mapping = induced_subgraph(g, side)
-        if not _density_ok(sub):
+    induced_subgraph numbers G[s] by s in sorted order, so G[s] is the same
+    however s was reached, and a certificate found in it is lifted to g
+    once.  no_witness is the invariant a K5-block witness for G[s] would
+    break.  A low-sum edge uv, or a cut vertex with sides a and b, pushes a
+    frame resumed only when the part below ends in a witness: "edge" then
+    searches the blocks around uv, "cut" goes on to b, "join" builds the
+    witness for G[a | b]."""
+    stack = []  # (no_witness of the frame's own set, kind, vertex pair or other side)
+    s, no_witness = frozenset(g.vertices), None
+    while True:
+        h, ids = induced_subgraph(g, s)
+        _require(2 * h.e >= 5 * (h.n - 1), "recursion must preserve the density hypothesis")
+        if h.n > 5:
+            comps = components(h)
+            if len(comps) > 1:
+                best = max(comps, key=lambda c: _slack(h, set(c)))
+                s, no_witness = {ids[v] for v in best}, "slackest component cannot be extremal"
+                continue
+            keep = _peel(h)
+            if len(keep) < h.n:
+                s, no_witness = {ids[v] for v in keep}, "low-degree removal cannot leave a witness"
+                continue
+            low = [(u, v) for u, v in h.sorted_edges() if h.degree(u) + h.degree(v) <= 6]
+            if low:
+                u, v = ids[low[0][0]], ids[low[0][1]]
+                stack.append((no_witness, "edge", (u, v)))
+                s, no_witness = s - {u, v}, None
+                continue
+            cut = connectivity_cut(h, 2)
+            if cut is None:
+                cut = connectivity_cut(h, 3)
+                cert = _two_cut(h, cut) if cut is not None else _three_connected_pair(h)
+                return Outcome("certificate", certificate=_lift(cert, ids, g))
+            first = {ids[w] for w in components(h, cut)[0]}
+            a, b = first | {ids[next(iter(cut))]}, s - first
+            if _slack(g, a) >= 0:
+                stack.append((no_witness, "cut", b))
+                s, no_witness = a, None
+            else:  # a is sparse, so only b can give a certificate
+                _require(_slack(g, b) >= 0, "both sides of an extremal cut are extremal")
+                s, no_witness = b, "both sides of an extremal cut are extremal"
             continue
-        out = _solve(sub)
-        if out.kind == "certificate":
-            return _map_outcome(out.certificate, mapping, g)
-        witnesses.append(out)
-    _require(len(witnesses) == 2, "both sides of an extremal cut are extremal")
-    return Outcome("k5-witness", witness=K5BlockWitness.build(g))
+        cert = oracle.find_consecutive_even_pair_bf(h, h.n)
+        if cert is not None:
+            return Outcome("certificate", certificate=_lift(cert, ids, g))
+        _require(is_k5_block_tree(h), "n <= 5 density without certificate means K5 (or K1)")
+        wit = K5BlockWitness.build(h)
+        while True:  # hand the witness for G[s] down the stack
+            _require(no_witness is None, no_witness)
+            if not stack:
+                return Outcome("k5-witness", witness=wit)
+            no_witness, kind, other = stack.pop()
+            if kind == "edge":  # the pair uv creates is in the blocks around it
+                nbrs = set(g.adj[other[0]]) | set(g.adj[other[1]])
+                blks = ({ids[w] for w in b.vertices} for b in wit.decomposition.blocks)
+                sub, ids = induced_subgraph(g, set(other).union(*(b for b in blks if b & nbrs)))
+                cert = oracle.find_consecutive_even_pair_bf(sub, sub.n)
+                _require(cert is not None, "reinserted edge must create a consecutive even pair")
+                return Outcome("certificate", certificate=_lift(cert, ids, g))
+            if kind == "cut":
+                _require(_slack(g, other) >= 0, "both sides of an extremal cut are extremal")
+                stack.append((no_witness, "join", s))
+                s, no_witness = other, None
+                break
+            s = s | other
+            h, ids = induced_subgraph(g, s)
+            wit = K5BlockWitness.build(h)
 
 
-def _two_cut(g: Graph, cut) -> Outcome:
+def _peel(h: Graph) -> set:
+    """The vertices of the connected graph h left by deleting its smallest
+    vertex of least degree while that degree is <= 2 and n > 5, up to the
+    first deletion that may disconnect h (degree 2, neighbours apart)."""
+    keep = set(h.vertices)
+    deg = [h.degree(v) for v in h.vertices]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    while len(keep) > 5:
+        d, v = heapq.heappop(heap)
+        if v not in keep or d != deg[v]:
+            continue  # an entry of a deleted vertex or of an old degree
+        if d > 2:
+            break
+        keep.remove(v)
+        nbrs = [w for w in h.adj[v] if w in keep]
+        for w in nbrs:
+            deg[w] -= 1
+            heapq.heappush(heap, (deg[w], w))
+        if d == 2 and not h.has_edge(*nbrs):
+            break
+    return keep
+
+
+def _lift(c: CyclePairCertificate, ids, g: Graph) -> CyclePairCertificate:
+    """c, found in G[s] with ids[i] the id in g of its vertex i, in g."""
+    return CyclePairCertificate.make(_map_cycle(c.c1, ids, g), _map_cycle(c.c2, ids, g))
+
+
+def _two_cut(g: Graph, cut) -> CyclePairCertificate:
     x, y = sorted(cut)
     comps = sorted(components(g, frozenset([x, y])), key=lambda c: (len(c), c))
     small = set(comps[0])
-    h2set = small | {x, y}
-    h1set = (set(g.vertices) - small)
-    h1, map1 = induced_subgraph(g, h1set)
-    h2, map2 = induced_subgraph(g, h2set)
-    inv1 = {orig: i for i, orig in enumerate(map1)}
-    inv2 = {orig: i for i, orig in enumerate(map2)}
+    h1, map1 = induced_subgraph(g, set(g.vertices) - small)
+    h2, map2 = induced_subgraph(g, small | {x, y})
 
     try:
-        ppc = two_paths_diff_two(h1, inv1[x], inv1[y])
+        ppc = two_paths_diff_two(h1, map1.index(x), map1.index(y))
     except HypothesisFailure as exc:
         raise InternalInvariantError(f"H1 must satisfy the path theorem: {exc}") from exc
     p1 = _map_path(ppc.p1, map1, g)
@@ -1332,7 +1329,7 @@ def _two_cut(g: Graph, cut) -> Outcome:
     if p1.start != x:
         p1, p2 = p1.reverse(), p2.reverse()
 
-    x2, y2 = inv2[x], inv2[y]
+    x2, y2 = map2.index(x), map2.index(y)
     h2m = h2.without_edge(x2, y2) if h2.has_edge(x2, y2) else h2
     bip, _ = is_bipartite(h2m)
     if not bip:
@@ -1345,13 +1342,13 @@ def _two_cut(g: Graph, cut) -> Outcome:
             q = q.reverse()
         c1 = Cycle(g, p1.vertices + tuple(reversed(q.vertices))[1:-1])
         c2 = Cycle(g, p2.vertices + tuple(reversed(q.vertices))[1:-1])
-        return Outcome("certificate", certificate=CyclePairCertificate.make(c1, c2))
+        return CyclePairCertificate.make(c1, c2)
     found = oracle.bondy_vince_search(h2m, h2m.n)
     _require(
         isinstance(found, CyclePairCertificate),
         "bipartite side yields an even difference-2 pair",
     )
-    return _map_outcome(found, map2, g)
+    return _lift(found, map2, g)
 
 
 def cycle_two_mod_four(g: Graph) -> Cycle:

@@ -342,8 +342,8 @@ def induced_subgraph(g: Graph, s) -> tuple:
         if not (0 <= v < g.n):
             raise GraphError(f"unknown vertex id {v}")
     idx = {v: i for i, v in enumerate(s)}
-    edges = [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx]
-    return Graph.build(len(s), edges), tuple(s)
+    edges = [(i, idx[w]) for i, v in enumerate(s) for w in g.adj[v] if w > v and w in idx]
+    return Graph(len(s), frozenset(edges)), tuple(s)
 
 
 @dataclass(frozen=True)
@@ -743,19 +743,22 @@ def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
     """A shortest odd cycle (None if bipartite); the result is chordless."""
     best = None  # (length, start vertex, parent map of its search)
     for s in g.vertices:
-        # BFS in the bipartite double cover from (s, 0) to (s, 1)
+        # BFS in the double cover from (s, 0) until (s, 1) or the best length
         dist = {(s, 0): 0}
         parent = {(s, 0): None}
         queue = deque([(s, 0)])
-        while queue:
+        while queue and (s, 1) not in dist:
             v, p = queue.popleft()
+            d = dist[(v, p)] + 1
+            if best is not None and d >= best[0]:
+                break
             for w in g.adj[v]:
                 nxt = (w, 1 - p)
                 if nxt not in dist:
-                    dist[nxt] = dist[(v, p)] + 1
+                    dist[nxt] = d
                     parent[nxt] = (v, p)
                     queue.append(nxt)
-        if (s, 1) in dist and (best is None or dist[(s, 1)] < best[0]):
+        if (s, 1) in dist:
             best = (dist[(s, 1)], s, parent)
     if best is None:
         return None

@@ -1,3 +1,8 @@
+import json
+import pathlib
+import random
+import sys
+
 import pytest
 
 from evencycles import finder, oracle
@@ -266,6 +271,37 @@ class TestTwoPaths:
         assert cert.lengths[1] - cert.lengths[0] == 2
 
 
+def _clique(vs) -> list:
+    return [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+
+
+def k5_path(blocks: int) -> Graph:
+    """K5 blocks in a row, block i on 4i..4i+4: one cut-vertex split per block."""
+    edges = [e for i in range(blocks) for e in _clique(range(4 * i, 4 * i + 5))]
+    return Graph.build(4 * blocks + 1, edges)
+
+
+def peel_graph(k: int, m: int, seed: int = 1) -> Graph:
+    """K_k plus m vertices of degree 2, each joined to two random clique vertices."""
+    rng = random.Random(seed)
+    edges = _clique(range(k))
+    for t in range(m):
+        edges += [(k + t, w) for w in rng.sample(range(k), 2)]
+    return Graph.build(k + m, edges)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "main_theorem_golden.json").read_text()
+)
+
+
 class TestMainTheorem:
     def test_k6_certificate(self):
         out = main_theorem(complete_graph(6))
@@ -317,6 +353,61 @@ class TestMainTheorem:
         out = main_theorem(g)
         assert out.kind == "certificate"
         assert_valid_pair(out.certificate, g)
+
+    @pytest.mark.parametrize(
+        "g, kind",
+        [(k5_path(120), "k5-witness"), (peel_graph(20, 150), "certificate")],
+        ids=["k5-path-120", "k20-plus-150"],
+    )
+    def test_depth_does_not_grow_with_the_input(self, g, kind):
+        # 120 cut vertices or 150 peeled vertices, with 100 frames to spare
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            out = main_theorem(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.kind == kind
+        if kind == "certificate":
+            assert oracle.validate(out.certificate, g)[0]
+        else:
+            assert (out.witness.n, out.witness.e) == (g.n, g.e)
+
+    def test_large_peel_graph(self):
+        g = peel_graph(60, 1200)
+        out = main_theorem(g)
+        assert out.kind == "certificate"
+        assert oracle.validate(out.certificate, g)[0]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+    def test_golden_outcomes(self, case):
+        # one input per reduction branch, with the exact cycles or witness size
+        out = main_theorem(Graph.build(case["n"], case["edges"]))
+        want = case["outcome"]
+        if want["kind"] == "certificate":
+            got = [list(out.certificate.c1.vertices), list(out.certificate.c2.vertices)]
+            assert (out.kind, got) == ("certificate", [want["c1"], want["c2"]])
+        else:
+            assert (out.kind, out.witness.n, out.witness.e) == (want["kind"], want["n"], want["e"])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (6, _clique(range(5)) + [(0, 5)], "low-degree removal cannot leave a witness"),
+            (6, _clique(range(5)), "slackest component cannot be extremal"),
+            (10, _clique(range(5)) + _clique(range(4, 9)) + [(0, 9)], "low-degree removal"),
+        ],
+        ids=["peeled", "component", "cut-after-peel"],
+    )
+    def test_witness_below_a_tail_step(self, monkeypatch, n, edges, message):
+        # Below the density bound, so a valid reduction never gets here: with
+        # the density check waived, the witness left after a peel or a
+        # component choice must contradict that step.
+        require = finder._require
+        waived = lambda ok, what: require(ok or "density" in what, what)
+        monkeypatch.setattr(finder, "_require", waived)
+        with pytest.raises(InternalInvariantError, match=message):
+            finder._reduce(Graph.build(n, edges))
 
 
 class TestOutcomeTypes:
