@@ -197,11 +197,8 @@ SWEEP_COLUMNS = [
 def _connectivity_class(g: Graph) -> str:
     if g.n == 0 or not is_connected(g):
         return "disconnected"
-    if g.n > 2 and connectivity_cut(g, 2) is not None:
-        return "connected"
-    if g.n > 3 and connectivity_cut(g, 3) is not None:
-        return "2-connected"
-    return "3-connected"
+    cut = connectivity_cut(g, 3)  # the smallest cut: a cut vertex, else a pair
+    return "3-connected" if cut is None else ("connected", "2-connected")[len(cut) - 1]
 
 
 def _sweep_one(task) -> dict:

@@ -1198,7 +1198,9 @@ def main_theorem(g: Graph) -> Outcome:
     """Certificate or K5-block witness for any graph with e >= 5(n-1)/2.
 
     The reduction is one loop over vertex sets of g (`_reduce`), so the
-    call stack does not grow with the input."""
+    call stack does not grow with the input, and it splits a graph with a
+    cut vertex into its blocks at once, so a tree of K5 blocks costs one
+    block decomposition."""
     if g.n == 0:
         return Outcome("hypothesis-failure", failure=HypothesisFailure("order", "empty graph"))
     if 2 * g.e < 5 * (g.n - 1):
@@ -1218,12 +1220,13 @@ def _reduce(g: Graph) -> Outcome:
     induced_subgraph numbers G[s] by s in sorted order, so G[s] is the same
     however s was reached, and a certificate found in it is lifted to g
     once.  no_witness is the invariant a K5-block witness for G[s] would
-    break.  A low-sum edge uv, or a cut vertex with sides a and b, pushes a
-    frame resumed only when the part below ends in a witness: "edge" then
-    searches the blocks around uv, "cut" goes on to b, "join" builds the
-    witness for G[a | b]."""
-    stack = []  # (no_witness of the frame's own set, kind, vertex pair or other side)
-    s, no_witness = frozenset(g.vertices), None
+    break.  At a cut vertex the slack of G[s] is the sum of the slacks
+    2e - 5(n - 1) of its blocks, so some block is dense: a dense block other
+    than K5 is reduced next, and if there is none every block is a K5.  A
+    witness is the end of the search unless a low-sum edge uv was removed on
+    the way; the last such edge then gives a certificate in the blocks
+    around it."""
+    s, no_witness, edge = frozenset(g.vertices), None, None
     while True:
         h, ids = induced_subgraph(g, s)
         _require(2 * h.e >= 5 * (h.n - 1), "recursion must preserve the density hypothesis")
@@ -1239,49 +1242,39 @@ def _reduce(g: Graph) -> Outcome:
                 continue
             low = [(u, v) for u, v in h.sorted_edges() if h.degree(u) + h.degree(v) <= 6]
             if low:
-                u, v = ids[low[0][0]], ids[low[0][1]]
-                stack.append((no_witness, "edge", (u, v)))
-                s, no_witness = s - {u, v}, None
+                edge = ids[low[0][0]], ids[low[0][1]]
+                s, no_witness = s - set(edge), None
                 continue
-            cut = connectivity_cut(h, 2)
-            if cut is None:
-                cut = connectivity_cut(h, 3)
-                cert = _two_cut(h, cut) if cut is not None else _three_connected_pair(h)
+            cut = connectivity_cut(h, 3)
+            if cut is None or len(cut) == 2:
+                cert = _three_connected_pair(h) if cut is None else _two_cut(h, cut)
                 return Outcome("certificate", certificate=_lift(cert, ids, g))
-            first = {ids[w] for w in components(h, cut)[0]}
-            a, b = first | {ids[next(iter(cut))]}, s - first
-            if _slack(g, a) >= 0:
-                stack.append((no_witness, "cut", b))
-                s, no_witness = a, None
-            else:  # a is sparse, so only b can give a certificate
-                _require(_slack(g, b) >= 0, "both sides of an extremal cut are extremal")
-                s, no_witness = b, "both sides of an extremal cut are extremal"
-            continue
-        cert = oracle.find_consecutive_even_pair_bf(h, h.n)
-        if cert is not None:
-            return Outcome("certificate", certificate=_lift(cert, ids, g))
-        _require(is_k5_block_tree(h), "n <= 5 density without certificate means K5 (or K1)")
-        wit = K5BlockWitness.build(h)
-        while True:  # hand the witness for G[s] down the stack
-            _require(no_witness is None, no_witness)
-            if not stack:
-                return Outcome("k5-witness", witness=wit)
-            no_witness, kind, other = stack.pop()
-            if kind == "edge":  # the pair uv creates is in the blocks around it
-                nbrs = set(g.adj[other[0]]) | set(g.adj[other[1]])
-                blks = ({ids[w] for w in b.vertices} for b in wit.decomposition.blocks)
-                sub, ids = induced_subgraph(g, set(other).union(*(b for b in blks if b & nbrs)))
-                cert = oracle.find_consecutive_even_pair_bf(sub, sub.n)
-                _require(cert is not None, "reinserted edge must create a consecutive even pair")
+            dec = blocks(h)
+            dense = (b for b in dec.blocks if 2 * len(b.edges) >= 5 * (len(b.vertices) - 1))
+            other = next((b for b in dense if not b.is_k5()), None)
+            if other is not None:
+                s = {ids[v] for v in other.vertices}
+                no_witness = "a dense block other than K5 cannot be extremal"
+                continue
+            only_k5 = all(b.is_k5() for b in dec.blocks)
+            _require(only_k5, "a dense graph with no dense non-K5 block has only K5 blocks")
+            wit = K5BlockWitness(dec, h.n, h.e)
+        else:
+            cert = oracle.find_consecutive_even_pair_bf(h, h.n)
+            if cert is not None:
                 return Outcome("certificate", certificate=_lift(cert, ids, g))
-            if kind == "cut":
-                _require(_slack(g, other) >= 0, "both sides of an extremal cut are extremal")
-                stack.append((no_witness, "join", s))
-                s, no_witness = other, None
-                break
-            s = s | other
-            h, ids = induced_subgraph(g, s)
+            _require(is_k5_block_tree(h), "n <= 5 density without certificate means K5 (or K1)")
             wit = K5BlockWitness.build(h)
+        _require(no_witness is None, no_witness)
+        if edge is None:
+            return Outcome("k5-witness", witness=wit)
+        # the pair that uv creates is in the blocks of G[s] around it
+        nbrs = set(g.adj[edge[0]]) | set(g.adj[edge[1]])
+        blks = ({ids[w] for w in b.vertices} for b in wit.decomposition.blocks)
+        sub, ids = induced_subgraph(g, set(edge).union(*(b for b in blks if b & nbrs)))
+        cert = oracle.find_consecutive_even_pair_bf(sub, sub.n)
+        _require(cert is not None, "reinserted edge must create a consecutive even pair")
+        return Outcome("certificate", certificate=_lift(cert, ids, g))
 
 
 def _peel(h: Graph) -> set:

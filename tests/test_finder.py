@@ -28,6 +28,7 @@ from evencycles.generators import (
     complete_graph,
     cycle_graph,
     gen_k5_block_tree,
+    is_k5_block_tree,
     petersen_graph,
     prism_graph,
     wheel_graph,
@@ -290,6 +291,30 @@ def peel_graph(k: int, m: int, seed: int = 1) -> Graph:
     return Graph.build(k + m, edges)
 
 
+def glued_union(seed: int) -> Graph:
+    """K3-K7 pieces, some short of an edge or two, each glued to the graph so
+    far at one or two shared vertices, plus a few degree-2 vertices; about
+    one in five is a tree of K5 blocks.  Odd seeds relabel the vertices."""
+    rng = random.Random(seed)
+    k5_tree = rng.random() < 0.2
+    n, edges = 1, []
+    for _ in range(rng.randint(1, 5)):
+        k = 5 if k5_tree else rng.randint(3, 7)
+        shared = rng.sample(range(n), 1 if k5_tree else min(n, rng.randint(1, 2)))
+        piece = _clique(shared + list(range(n, n + k - len(shared))))
+        n += k - len(shared)
+        if not k5_tree and rng.random() < 0.3:
+            piece = rng.sample(piece, len(piece) - rng.randint(1, 2))
+        edges += piece
+    for _ in range(0 if k5_tree else rng.randint(0, 2)):
+        edges += [(n, w) for w in rng.sample(range(n), 2)]
+        n += 1
+    if seed % 2:
+        perm = rng.sample(range(n), n)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return Graph.build(n, edges)
+
+
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -373,6 +398,29 @@ class TestMainTheorem:
         else:
             assert (out.witness.n, out.witness.e) == (g.n, g.e)
 
+    def test_k5_path_is_split_once(self, monkeypatch):
+        # all 120 blocks come from one decomposition of one G[s]
+        calls = []
+        for name in ("blocks", "induced_subgraph"):
+            f = getattr(finder, name)
+            monkeypatch.setattr(finder, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        g = k5_path(120)
+        out = main_theorem(g)
+        assert sorted(calls) == ["blocks", "induced_subgraph"]
+        assert (out.kind, out.witness.n, out.witness.e) == ("k5-witness", g.n, g.e)
+
+    def test_glued_unions(self):
+        # the witness exactly on K5-block trees, every certificate valid
+        kinds = set()
+        for seed in range(200):
+            g = glued_union(seed)
+            out = main_theorem(g)
+            kinds.add(out.kind)
+            assert (out.kind == "k5-witness") == is_k5_block_tree(g), seed
+            if out.kind == "certificate":
+                assert oracle.validate(out.certificate, g)[0], seed
+        assert kinds == {"certificate", "k5-witness", "hypothesis-failure"}
+
     def test_large_peel_graph(self):
         g = peel_graph(60, 1200)
         out = main_theorem(g)
@@ -396,13 +444,15 @@ class TestMainTheorem:
             (6, _clique(range(5)) + [(0, 5)], "low-degree removal cannot leave a witness"),
             (6, _clique(range(5)), "slackest component cannot be extremal"),
             (10, _clique(range(5)) + _clique(range(4, 9)) + [(0, 9)], "low-degree removal"),
+            (12, sorted(complete_bipartite(4, 4).edges) + _clique(range(7, 12)), "only K5 blocks"),
         ],
-        ids=["peeled", "component", "cut-after-peel"],
+        ids=["peeled", "component", "cut-after-peel", "sparse-block"],
     )
     def test_witness_below_a_tail_step(self, monkeypatch, n, edges, message):
         # Below the density bound, so a valid reduction never gets here: with
         # the density check waived, the witness left after a peel or a
-        # component choice must contradict that step.
+        # component choice must contradict that step, and a K5 beside a
+        # sparse block must not pass for a tree of K5 blocks.
         require = finder._require
         waived = lambda ok, what: require(ok or "density" in what, what)
         monkeypatch.setattr(finder, "_require", waived)
