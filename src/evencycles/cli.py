@@ -7,12 +7,12 @@ report), 2 input error, 3 internal-invariant error or any other crash.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 import time
 import traceback
-from multiprocessing import Pool
 
 from . import codecs, finder, generators, oracle
 from .graphs import Cycle, Graph, GraphError, Path, connectivity_cut, is_connected
@@ -255,23 +255,24 @@ def _sweep_corpus(source: str):
 
 def cmd_sweep(args) -> int:
     lines = _sweep_corpus(args.corpus)
-    tasks = [(i, g6, args.check_oracle) for i, g6 in enumerate(lines)]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            records = list(pool.imap(_sweep_one, tasks))
-    else:
-        records = [_sweep_one(t) for t in tasks]
-    sink = open(args.csv, "w", newline="", encoding="ascii") if args.csv else sys.stdout
-    try:
+    tasks = ((i, g6, args.check_oracle) for i, g6 in enumerate(lines))
+    disagreements = 0
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1:
+            from multiprocessing import Pool  # only here: it imports pickle and sockets
+
+            records = stack.enter_context(Pool(args.jobs)).imap(_sweep_one, tasks)
+        else:
+            records = map(_sweep_one, tasks)
+        sink = sys.stdout
+        if args.csv:
+            sink = stack.enter_context(open(args.csv, "w", newline="", encoding="ascii"))
         writer = csv.DictWriter(sink, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for rec in records:
             writer.writerow(rec)
-    finally:
-        if args.csv:
-            sink.close()
-    disagreements = sum(1 for r in records if r["oracle_agrees"] == "false")
-    print(f"swept {len(records)} graphs; disagreements: {disagreements}")
+            disagreements += rec["oracle_agrees"] == "false"
+    print(f"swept {len(lines)} graphs; disagreements: {disagreements}")
     return EXIT_OK if disagreements == 0 else EXIT_INTERNAL
 
 

@@ -35,6 +35,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("negative order")
+        if not isinstance(self.edges, frozenset):
+            # a list or tuple could repeat an edge, which `e` and `adj` would count twice
+            kind = type(self.edges).__name__
+            raise GraphError(f"edges must be a frozenset, not {kind}; use Graph.build")
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise GraphError(f"bad edge ({u}, {v}) for order {self.n}")

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +176,28 @@ class TestSweep:
         assert cli.main(["sweep", "enum:5:density", "--jobs", "2", "--csv", str(b)]) == 0
         strip = lambda rows: [r[:-1] for r in rows]  # drop the wall-time column
         assert strip(self._read(a)) == strip(self._read(b))
+
+    def test_sweep_streams_rows(self, tmp_path, capsys, monkeypatch):
+        # rows already done are on disk when a later graph crashes the sweep
+        sweep_one = cli._sweep_one
+
+        def crash_on_third(task):
+            if task[0] == 2:
+                raise RuntimeError("boom")
+            return sweep_one(task)
+
+        monkeypatch.setattr(cli, "_sweep_one", crash_on_third)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "enum:6:density", "--csv", str(out)]) == 3
+        rows = self._read(out)
+        assert rows[0] == cli.SWEEP_COLUMNS and [r[0] for r in rows[1:]] == ["0", "1"]
+
+    def test_import_leaves_multiprocessing_out(self):
+        code = "import sys, evencycles.cli; print('multiprocessing' in sys.modules)"
+        src = pathlib.Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert run.stdout.strip() == "False", run.stderr
 
     def test_sweep_file_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.g6"

@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evencycles.generators import (
     GeneratorSpec,
+    _all_graphs,
+    _is_canonical,
     are_isomorphic,
     canonical_columns,
     complete_bipartite,
@@ -12,6 +16,7 @@ from evencycles.generators import (
     enumerate_small,
     gen_k5_block_tree,
     gen_named,
+    graph_from_columns,
     is_k5_block_tree,
     petersen_graph,
     prism_graph,
@@ -90,7 +95,7 @@ class TestCanonicalForm:
 class TestEnumeration:
     def test_unlabeled_counts(self):
         # published counts of unlabeled simple graphs
-        expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+        expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_small(n)) == count
 
@@ -119,6 +124,38 @@ class TestEnumeration:
             list(enumerate_small(9))
         with pytest.raises(GraphError):
             list(enumerate_small(5, "no-such-tag"))
+
+
+def identity_columns(g: Graph) -> tuple:
+    """Column tuple of g in its own vertex order (graph6 bit order)."""
+    return tuple(
+        sum(1 << (j - 1 - i) for i in range(j) if g.has_edge(i, j)) for j in range(1, g.n)
+    )
+
+
+class TestOrderlyGeneration:
+    def test_order_8_corpus_is_pinned(self):
+        # sha256 of repr(_all_graphs(8)) as built by minimising every extension
+        # with canonical_columns
+        digest = hashlib.sha256(repr(_all_graphs(8)).encode()).hexdigest()
+        assert digest == "dee690a989a538c434b856d667ef245e58fc950e01d91bc92f85f2e0c6547a49"
+
+    def test_tuples_are_canonical_fixed_points(self):
+        for n in range(8):
+            for cols in _all_graphs(n):
+                assert canonical_columns(graph_from_columns(n, cols)) == cols
+
+    def test_every_labelled_graph_lands_in_the_corpus(self):
+        for n in range(6):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            forms = set()
+            for mask in range(1 << len(pairs)):
+                g = Graph.build(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+                bits = [sum(1 << w for w in g.adj[v]) for v in g.vertices]
+                own, canon = identity_columns(g), canonical_columns(g)
+                assert n < 2 or _is_canonical(n, bits, own) == (own == canon)
+                forms.add(canon)
+            assert forms == set(_all_graphs(n))
 
 
 class TestK5BlockTreePredicate:

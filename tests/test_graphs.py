@@ -63,6 +63,16 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph.build(3, [(0, 3)])
 
+    def test_edges_must_be_a_frozenset(self):
+        k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        # K4 listed three times once counted as 18 edges, passed main_theorem's
+        # density check and then broke an internal invariant
+        for edges in (k4 * 3, k4, tuple(k4), set(k4)):
+            with pytest.raises(GraphError, match="frozenset"):
+                Graph(4, edges)
+        assert Graph(4, frozenset(k4)) == Graph.build(4, k4 * 3)
+        assert Graph.build(4, k4 * 3).e == 6
+
     def test_edge_edits(self):
         g = Graph.build(3, [(0, 1)])
         assert g.with_edge(1, 2).e == 2
