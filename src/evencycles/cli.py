@@ -124,6 +124,11 @@ def cmd_find(args) -> int:
 
 def cmd_paths(args) -> int:
     g = _load_graph(args.file, args.format)
+    for name, v in (("x", args.x), ("y", args.y)):
+        if not 0 <= v < g.n:
+            raise InputError(f"terminal --{name} {v} is not a vertex of a graph of order {g.n}")
+    if args.x == args.y:
+        raise InputError(f"terminals --x and --y are both {args.x}")
     try:
         cert = finder.two_paths_diff_two(g, args.x, args.y)
     except finder.HypothesisFailure as exc:
@@ -296,7 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_find)
 
-    p = sub.add_parser("paths", help="two x-y paths differing in length by two")
+    p = sub.add_parser(
+        "paths",
+        help="two x-y paths differing in length by two",
+        description="Two x-y paths of g - xy whose lengths differ by two. Needs g + xy "
+        "2-connected and degree >= 3 off x and y, and every edge avoiding x and y "
+        "of degree sum >= 7 unless g - xy is bipartite.",
+    )
     _add_graph_input(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)

@@ -10,6 +10,7 @@ bug, never a wrong answer.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,7 @@ from .graphs import (
     GraphError,
     Path,
     ThetaGraph,
+    _menger,
     bfs_path,
     blocks,
     components,
@@ -826,14 +828,11 @@ def three_connected_pair(g: Graph) -> CyclePairCertificate:
 
 def _three_connected_pair(g: Graph) -> CyclePairCertificate:
     """three_connected_pair on a graph already known to be 3-connected, n >= 6."""
-    bip, wit = is_bipartite(g)
-    if bip:
-        found = oracle.bondy_vince_search(g, g.n)
-        _require(
-            isinstance(found, CyclePairCertificate),
-            "bipartite branch: near pair must be an even difference-2 pair",
-        )
-        return found
+    if is_bipartite(g)[0]:
+        # x-y paths of lengths k, k + 2 (k odd) close with xy to even cycles
+        x, y = min(g.edges)
+        ppc = _path_theorem(g, x, y, "a bipartite 3-connected graph")
+        return _certify(g, Cycle(g, ppc.p1.vertices), Cycle(g, ppc.p2.vertices))
 
     d = shortest_odd_cycle(g)
     rest = frozenset(g.vertices) - d.vertex_set()
@@ -1020,6 +1019,10 @@ def _check_path_hypotheses(g: Graph, x: int, y: int):
         if x in (u, v) or y in (u, v):
             continue
         if g.degree(u) + g.degree(v) < 7:
+            # Bondy-Vince: two x-y paths differ by one or two, and by two
+            # when g - xy is bipartite, since then all have one parity
+            if is_bipartite(g.without_edge(x, y))[0]:
+                return
             raise HypothesisFailure(
                 "edge degree sum", f"edge ({u}, {v}) has degree sum < 7"
             )
@@ -1033,13 +1036,14 @@ def _paths_base_case(h: Graph, x: int, y: int) -> PathPairCertificate:
     raise InternalInvariantError("base case admits two x-y paths differing by two")
 
 
-def _rec_two_paths(g: Graph, x: int, y: int) -> PathPairCertificate:
+def _path_theorem(
+    g: Graph, x: int, y: int, where: str = "a recursive instance"
+) -> PathPairCertificate:
+    """two_paths_diff_two on an instance the proof shows meets its hypotheses."""
     try:
         return two_paths_diff_two(g, x, y)
     except HypothesisFailure as exc:
-        raise InternalInvariantError(
-            f"recursive instance violates the induction hypothesis: {exc}"
-        ) from exc
+        raise InternalInvariantError(f"{where} must satisfy the path theorem: {exc}") from exc
 
 
 def two_paths_diff_two(g: Graph, x: int, y: int) -> PathPairCertificate:
@@ -1047,7 +1051,10 @@ def two_paths_diff_two(g: Graph, x: int, y: int) -> PathPairCertificate:
 
     Hypotheses (validated, HypothesisFailure otherwise): g + xy 2-connected,
     every vertex besides x, y has degree >= 3, and every edge avoiding
-    {x, y} has degree sum >= 7.
+    {x, y} has degree sum >= 7.  The degree-sum condition is waived when
+    g - xy is bipartite: by the Bondy-Vince path lemma two x-y paths then
+    differ by one or two, and since all x-y paths of a bipartite graph have
+    one parity, they differ by two.
     """
     _check_path_hypotheses(g, x, y)
     h = g.without_edge(x, y) if g.has_edge(x, y) else g
@@ -1099,7 +1106,7 @@ def _paths_case_four_cycle(h, x, y, four) -> PathPairCertificate:
             p2 = Path(h, (x, far, a) + p.vertices)
             return PathPairCertificate.make(x, y, p1, p2)
     gsub, mapping = induced_subgraph(h, set(h.vertices) - fset)
-    sub_cert = _rec_two_paths(gsub, mapping.index(x), mapping.index(a))
+    sub_cert = _path_theorem(gsub, mapping.index(x), mapping.index(a))
     q1 = _map_path(sub_cert.p1, mapping, h)
     q2 = _map_path(sub_cert.p2, mapping, h)
     _require(
@@ -1123,7 +1130,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
     gplus = gstar if gstar.has_edge(xstar, ystar) else gstar.with_edge(xstar, ystar)
 
     if connectivity_cut(gplus, 2) is None and is_connected(gplus):
-        sub_cert = _rec_two_paths(gplus, xstar, ystar)
+        sub_cert = _path_theorem(gplus, xstar, ystar)
         return _lift_star_paths(h, x, y, sub_cert, rec, map1)
 
     dec = blocks(gstar)
@@ -1136,7 +1143,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
         bsub, mapb = induced_subgraph(gstar, bblock.vertices)
         bx, by = mapb.index(xstar), mapb.index(ystar)
         bplus = bsub if bsub.has_edge(bx, by) else bsub.with_edge(bx, by)
-        sub_cert = _rec_two_paths(bplus, bx, by)
+        sub_cert = _path_theorem(bplus, bx, by)
         lifted = PathPairCertificate.make(
             xstar,
             ystar,
@@ -1172,7 +1179,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
     u1c = rec2.vertex_map[invg1[u1]]
     u2c = rec2.contracted_vertex
     gplus2 = g1c if g1c.has_edge(u1c, u2c) else g1c.with_edge(u1c, u2c)
-    sub_cert = _rec_two_paths(gplus2, u1c, u2c)
+    sub_cert = _path_theorem(gplus2, u1c, u2c)
     out = []
     for p in (sub_cert.p1, sub_cert.p2):
         lifted, _ = lift_path(rec2, p)  # in g1 ids, from u1 to some x_i
@@ -1307,41 +1314,101 @@ def _lift(c: CyclePairCertificate, ids, g: Graph) -> CyclePairCertificate:
 
 
 def _two_cut(g: Graph, cut) -> CyclePairCertificate:
+    """Certificate from x-y paths on the two sides of the 2-cut {x, y}.
+
+    Both sides H1 (g minus the smallest component of g - {x, y}) and H2
+    (that component with x and y) meet the path theorem's hypotheses, so
+    each has x-y paths of lengths k and k + 2.  An x-y path of the parity of
+    k on the other side closes them into two even cycles of lengths
+    differing by two.  A side with an odd cycle has x-y paths of both
+    parities (`_parity_path`).  If neither side has one, the pair of one side
+    closes with a path of the other when their parities agree, and else the
+    edge xy, if present, closes the pair of odd parity.  Only two bipartite
+    sides of opposite parities and no edge xy are left to the oracle."""
     x, y = sorted(cut)
     comps = sorted(components(g, frozenset([x, y])), key=lambda c: (len(c), c))
     small = set(comps[0])
-    h1, map1 = induced_subgraph(g, set(g.vertices) - small)
-    h2, map2 = induced_subgraph(g, small | {x, y})
+    sides = [induced_subgraph(g, set(g.vertices) - small), induced_subgraph(g, small | {x, y})]
 
-    try:
-        ppc = two_paths_diff_two(h1, map1.index(x), map1.index(y))
-    except HypothesisFailure as exc:
-        raise InternalInvariantError(f"H1 must satisfy the path theorem: {exc}") from exc
-    p1 = _map_path(ppc.p1, map1, g)
-    p2 = _map_path(ppc.p2, map1, g)
-    if p1.start != x:
-        p1, p2 = p1.reverse(), p2.reverse()
+    def pair(i):
+        h, ids = sides[i]
+        ppc = _path_theorem(h, ids.index(x), ids.index(y), f"side H{i + 1} of a 2-cut")
+        return _map_path(ppc.p1, ids, g), _map_path(ppc.p2, ids, g)
 
-    x2, y2 = map2.index(x), map2.index(y)
-    h2m = h2.without_edge(x2, y2) if h2.has_edge(x2, y2) else h2
-    bip, _ = is_bipartite(h2m)
-    if not bip:
-        reps = oracle.xy_path_lengths(h2m, x2, y2, size_guard=h2m.n)
-        want = p1.length % 2  # cycle p1 + q is even iff the parities agree
-        match = [reps[k] for k in sorted(reps) if k % 2 == want]
-        _require(match, "non-bipartite side has x-y paths of both parities")
-        q = _map_path(match[0], map2, g)
-        if q.start != x:
-            q = q.reverse()
-        c1 = Cycle(g, p1.vertices + tuple(reversed(q.vertices))[1:-1])
-        c2 = Cycle(g, p2.vertices + tuple(reversed(q.vertices))[1:-1])
-        return CyclePairCertificate.make(c1, c2)
+    def cut_free(i):
+        """Side i minus the edge xy, and the ids of x and y in it."""
+        h, ids = sides[i]
+        hx, hy = ids.index(x), ids.index(y)
+        return (h.without_edge(hx, hy) if h.has_edge(hx, hy) else h), hx, hy
+
+    def close(p, q1, q2):
+        return _certify(g, cycle_from_paths(p, q1), cycle_from_paths(p, q2))
+
+    for i, j in ((0, 1), (1, 0)):
+        hm, hx, hy = cut_free(j)
+        if not is_bipartite(hm)[0]:
+            p1, p2 = pair(i)
+            q = _parity_path(hm, hx, hy, p1.length % 2)
+            return close(_map_path(q, sides[j][1], g), p1, p2)
+    (p1, p2), (q1, q2) = pair(0), pair(1)
+    if p1.length % 2 == q1.length % 2:
+        return close(p1, q1, q2)
+    if g.has_edge(x, y):  # an x-y path of length 1 on neither side closes the odd pair
+        return close(Path(g, (x, y)), *((p1, p2) if p1.length % 2 else (q1, q2)))
+    h2m = cut_free(1)[0]
     found = oracle.bondy_vince_search(h2m, h2m.n)
     _require(
         isinstance(found, CyclePairCertificate),
         "bipartite side yields an even difference-2 pair",
     )
-    return _lift(found, map2, g)
+    return _lift(found, sides[1][1], g)
+
+
+def _parity_path(h: Graph, x: int, y: int, parity: int) -> Path:
+    """An x-y path of the given parity in h - xy, for h + xy 2-connected and
+    h - xy not bipartite (the easy case of LaPaugh-Papadimitriou).
+
+    A shortest x-y walk of that parity is taken if it is a path, and then it
+    is a shortest such path.  Otherwise two disjoint paths from {x, y} to a
+    shortest odd cycle D of h - xy end at distinct vertices a, b of D, and
+    the two a-b arcs of the odd cycle D have opposite parities: one of them
+    joins the paths into an x-y path of the wanted parity.  A terminal on D
+    is its own path, and no path passes through a terminal, since flow may
+    not enter {x, y}."""
+    h = h.without_edge(x, y) if h.has_edge(x, y) else h
+    walk = _parity_walk(h, x, y, parity)
+    if walk is not None and len(set(walk)) == len(walk):
+        return Path(h, walk)
+    d = shortest_odd_cycle(h)
+    if d is None:
+        raise GraphError("h - xy is bipartite: its x-y paths all have one parity")
+    paths, _ = _menger(h, frozenset([x, y]), d.vertex_set(), 2)
+    _require(paths is not None, "h + xy is 2-connected: two disjoint {x, y}-D paths")
+    px, py = paths if paths[0].start == x else paths[::-1]
+    for arc in (d.arc(px.end, py.end), d.arc(py.end, px.end).reverse()):
+        if (px.length + arc.length + py.length) % 2 == parity:
+            return Path(h, px.vertices + arc.vertices[1:] + py.vertices[::-1][1:])
+    raise InternalInvariantError("the two arcs of an odd cycle have opposite parities")
+
+
+def _parity_walk(h: Graph, x: int, y: int, parity: int) -> Optional[tuple]:
+    """Vertices of a shortest x-y walk of the given parity, or None: a
+    breadth-first search of the bipartite double cover from (x, 0)."""
+    parent = {(x, 0): None}
+    queue = deque([(x, 0)])
+    while queue and (y, parity) not in parent:
+        v, p = node = queue.popleft()
+        for w in h.adj[v]:
+            if (w, 1 - p) not in parent:
+                parent[(w, 1 - p)] = node
+                queue.append((w, 1 - p))
+    if (y, parity) not in parent:
+        return None
+    walk, node = [], (y, parity)
+    while node is not None:
+        walk.append(node[0])
+        node = parent[node]
+    return tuple(reversed(walk))
 
 
 def cycle_two_mod_four(g: Graph) -> Cycle:

@@ -92,6 +92,17 @@ class TestPaths:
         f = write_graph(tmp_path, cycle_graph(6))
         assert cli.main(["paths", f, "--x", "0", "--y", "3"]) == 1
 
+    def test_terminal_out_of_range_is_input_error(self, tmp_path, capsys):
+        f = write_graph(tmp_path, complete_graph(5))
+        assert cli.main(["paths", f, "--x", "0", "--y", "99"]) == 2
+        assert cli.main(["paths", f, "--x", "-1", "--y", "2"]) == 2
+        assert "--y 99 is not a vertex" in capsys.readouterr().err
+
+    def test_equal_terminals_are_input_error(self, tmp_path, capsys):
+        f = write_graph(tmp_path, complete_graph(5))
+        assert cli.main(["paths", f, "--x", "2", "--y", "2"]) == 2
+        assert "both 2" in capsys.readouterr().err
+
 
 class TestSpectrumModcheck:
     def test_spectrum(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import random
@@ -27,13 +28,24 @@ from evencycles.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    enumerate_small,
     gen_k5_block_tree,
     is_k5_block_tree,
     petersen_graph,
     prism_graph,
     wheel_graph,
 )
-from evencycles.graphs import Cycle, Graph, GraphError, Path, blocks
+from evencycles.graphs import (
+    Cycle,
+    Graph,
+    GraphError,
+    Path,
+    blocks,
+    connectivity_cut,
+    is_bipartite,
+    is_connected,
+    shortest_odd_cycle,
+)
 
 
 def generalized_petersen(n: int, k: int) -> Graph:
@@ -271,6 +283,26 @@ class TestTwoPaths:
         cert = two_paths_diff_two(g, 0, 1)
         assert cert.lengths[1] - cert.lengths[0] == 2
 
+    @pytest.mark.parametrize(
+        "g, x, y",
+        [
+            (generalized_petersen(4, 1), 0, 1),  # the cube Q3: every degree sum is 6
+            (complete_bipartite(3, 3).with_edge(0, 1), 0, 1),  # g is not bipartite, g - xy is
+            (complete_bipartite(3, 3), 0, 3),
+        ],
+        ids=["Q3", "K33-plus-xy", "K33-edge"],
+    )
+    def test_bipartite_waiver(self, g, x, y):
+        # an edge avoiding {x, y} has degree sum 6, which the waiver admits
+        # because g - xy is bipartite
+        h = g.without_edge(x, y)
+        assert is_bipartite(h)[0]
+        assert any(g.degree(u) + g.degree(v) < 7 for u, v in g.edges if not {u, v} & {x, y})
+        cert = two_paths_diff_two(g, x, y)
+        assert oracle.validate(cert, h)[0]
+        reps = oracle.xy_path_lengths(h, x, y)
+        assert cert.lengths[0] in reps and cert.lengths[1] in reps
+
 
 def _clique(vs) -> list:
     return [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
@@ -496,3 +528,169 @@ class TestCycleTwoModFour:
         c = cycle_two_mod_four(g)
         assert c.length % 4 == 2
         assert c.length in oracle.cycle_spectrum(g).lengths
+
+
+def hypercube(d: int) -> Graph:
+    return Graph.build(1 << d, [(u, u ^ (1 << i)) for u in range(1 << d) for i in range(d)])
+
+
+def glued_cliques(a: int, b: int) -> Graph:
+    """K_a and K_b sharing the vertices 0 and 1, so {0, 1} is a 2-cut."""
+    return Graph.build(a + b - 2, _clique(range(a)) + _clique([0, 1, *range(a, a + b - 2)]))
+
+
+def _biclique(left, right) -> list:
+    return [(u, v) for u in left for v in right]
+
+
+class TestTwoCut:
+    """One input per way `_two_cut` closes its cycles, on the 2-cut {0, 1}.
+    The side H2 is the one with the smaller interior."""
+
+    K33 = _biclique([0, 8, 9], [1, 10, 11])  # x, y in different parts: odd x-y paths
+
+    @pytest.mark.parametrize(
+        "edges, parity_paths, oracle_calls",
+        [
+            (sorted(glued_cliques(8, 6).edges), 1, 0),  # H2 - xy is not bipartite
+            (_clique(range(8)) + K33, 1, 0),  # H2 bipartite, H1 - xy not
+            (_biclique([0, 2, 3, 4], [1, 5, 6, 7]) + K33, 0, 0),  # both odd
+            (_biclique([0, 1, 2, 3], [4, 5, 6, 7]) + K33, 0, 0),  # opposite, with xy
+            (_biclique([0, 1, 2, 3], [4, 5, 6, 7]) + K33[1:], 0, 1),  # opposite, no xy
+        ],
+        ids=["parity-path-in-H2", "parity-path-in-H1", "same-parity", "edge-xy", "oracle"],
+    )
+    def test_bipartite_sides(self, monkeypatch, edges, parity_paths, oracle_calls):
+        g = Graph.build(12, edges)
+        calls = []
+        for host, name in ((finder, "_parity_path"), (finder.oracle, "bondy_vince_search")):
+            f = getattr(host, name)
+            monkeypatch.setattr(host, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        cert = finder._two_cut(g, frozenset([0, 1]))
+        assert_valid_pair(cert, g)
+        assert calls.count("_parity_path") == parity_paths
+        assert calls.count("bondy_vince_search") == oracle_calls
+
+
+class TestParityPath:
+    def test_every_small_instance(self, monkeypatch):
+        # every graph of order <= 7 and terminals x < y with g + xy
+        # 2-connected and g - xy not bipartite: both parities, each a simple
+        # x-y path avoiding the edge xy, once as `_parity_path` runs and once
+        # with the shortest-walk step off, so that the odd-cycle
+        # construction runs on every instance
+        real_walk = finder._parity_walk
+        on_d = [0, 0]  # instances with one, and with both, terminals on D
+        checked = 0
+        for n in range(3, 8):
+            for g in enumerate_small(n):
+                for x in range(n):
+                    for y in range(x + 1, n):
+                        gp, h = g.with_edge(x, y), g.without_edge(x, y)
+                        if not is_connected(gp) or connectivity_cut(gp, 2) is not None:
+                            continue
+                        d = shortest_odd_cycle(h)
+                        if d is None:
+                            continue
+                        terminals_on_d = len({x, y} & d.vertex_set())
+                        if terminals_on_d:
+                            on_d[terminals_on_d - 1] += 1
+                        reps = oracle.xy_path_lengths(h, x, y)
+                        for walk in (real_walk, lambda *a: None):
+                            monkeypatch.setattr(finder, "_parity_walk", walk)
+                            for parity in (0, 1):
+                                p = finder._parity_path(g, x, y, parity)
+                                vs = p.vertices
+                                assert (vs[0], vs[-1]) == (x, y)
+                                assert len(set(vs)) == len(vs)
+                                assert all(g.has_edge(a, b) for a, b in zip(vs, vs[1:]))
+                                assert all({a, b} != {x, y} for a, b in zip(vs, vs[1:]))
+                                assert p.length % 2 == parity and p.length in reps
+                        checked += 1
+        assert (checked, on_d) == (11876, [7902, 79])
+
+    def test_rejects_bipartite(self):
+        with pytest.raises(GraphError):
+            finder._parity_path(complete_bipartite(3, 3), 0, 3, 0)
+
+
+class TestNoExhaustiveFallback:
+    """The bipartite and 2-cut branches construct their answers: the oracle's
+    enumerations may run only on the bounded n <= 5 cases."""
+
+    @pytest.fixture(autouse=True)
+    def bounded_oracle(self, monkeypatch):
+        for name in ("bondy_vince_search", "xy_path_lengths"):
+            f = getattr(oracle, name)
+
+            def guarded(g, *a, f=f, name=name, **kw):
+                if g.n > 5:
+                    raise AssertionError(f"oracle.{name} on a graph of order {g.n}")
+                return f(g, *a, **kw)
+
+            monkeypatch.setattr(finder.oracle, name, guarded)
+
+    @pytest.mark.parametrize(
+        "g",
+        [hypercube(d) for d in (5, 6, 7)]
+        + [complete_bipartite(4, m) for m in range(5, 41)]
+        + [glued_cliques(a, a) for a in range(5, 21)],
+        ids=[f"Q{d}" for d in (5, 6, 7)]
+        + [f"K4,{m}" for m in range(5, 41)]
+        + [f"glued-K{a}" for a in range(5, 21)],
+    )
+    def test_main_theorem(self, g):
+        out = main_theorem(g)
+        assert out.kind == "certificate"
+        assert oracle.validate(out.certificate, g)[0]
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 20, 30, 50, 100])
+    def test_bipartite_generalized_petersen(self, n):
+        # GP(n, k) with n even and k odd is bipartite; n = 100 has order 200
+        for k in range(1, (n + 1) // 2, 2):
+            g = generalized_petersen(n, k)
+            assert is_bipartite(g)[0]
+            cert = three_connected_pair(g)
+            assert oracle.validate(cert, g)[0], (n, k)
+
+
+class TestOracleCallSites:
+    # the oracle's exhaustive searches the finder may call, and where
+    ALLOWED = {
+        "xy_path_lengths": {"_paths_base_case"},  # n <= 5
+        "find_consecutive_even_pair_bf": {"_reduce"},  # n <= 5, and the reinserted edge
+        "bondy_vince_search": {"_two_cut"},  # two bipartite sides of opposite parities
+    }
+
+    def test_oracle_calls_are_on_the_allow_list(self):
+        tree = ast.parse(pathlib.Path(finder.__file__).read_text())
+        sites = set()
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if (
+                    isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "oracle"
+                ):
+                    sites.add((child.attr, where))
+                visit(child, where)
+
+        visit(tree, "<module>")
+        stray = {
+            (fn, where)
+            for fn, where in sites
+            if fn != "validate" and where not in self.ALLOWED.get(fn, ())
+        }
+        assert not stray
+        assert {fn for fn, _ in sites} >= {"validate", *self.ALLOWED}
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+            for alias in node.names
+        }
+        assert imported == {"CyclePairCertificate", "PathPairCertificate"}
