@@ -10,7 +10,6 @@ bug, never a wrong answer.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +21,7 @@ from .graphs import (
     GraphError,
     Path,
     ThetaGraph,
+    _double_cover_walk,
     _menger,
     bfs_path,
     blocks,
@@ -1394,21 +1394,7 @@ def _parity_path(h: Graph, x: int, y: int, parity: int) -> Path:
 def _parity_walk(h: Graph, x: int, y: int, parity: int) -> Optional[tuple]:
     """Vertices of a shortest x-y walk of the given parity, or None: a
     breadth-first search of the bipartite double cover from (x, 0)."""
-    parent = {(x, 0): None}
-    queue = deque([(x, 0)])
-    while queue and (y, parity) not in parent:
-        v, p = node = queue.popleft()
-        for w in h.adj[v]:
-            if (w, 1 - p) not in parent:
-                parent[(w, 1 - p)] = node
-                queue.append((w, 1 - p))
-    if (y, parity) not in parent:
-        return None
-    walk, node = [], (y, parity)
-    while node is not None:
-        walk.append(node[0])
-        node = parent[node]
-    return tuple(reversed(walk))
+    return _double_cover_walk(h, x, y, parity)
 
 
 def cycle_two_mod_four(g: Graph) -> Cycle:

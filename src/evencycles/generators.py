@@ -95,11 +95,18 @@ def prism_graph() -> Graph:
     return Graph.build(6, edges)
 
 
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle on 0..n-1, spokes i ~ n+i, inner n+i ~ n+(i+k) mod n."""
+    if not 1 <= k < n / 2:
+        raise GraphError(f"GP({n}, {k}) needs 1 <= k < n/2")
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph.build(2 * n, edges)
+
+
 def petersen_graph() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.build(10, edges)
+    return generalized_petersen(5, 2)
 
 
 _FAMILIES = {

@@ -156,15 +156,15 @@ class Cycle:
         return (j - i) % len(self.vertices)
 
     def chords(self) -> list:
-        """Host-graph edges joining non-consecutive cycle vertices."""
+        """Host-graph edges joining non-consecutive cycle vertices, sorted."""
         vs = self.vertices
         k = len(vs)
         pos = {v: i for i, v in enumerate(vs)}
+        adj = self.graph.adj
         out = []
-        for a, b in self.graph.sorted_edges():
-            if a in pos and b in pos:
-                d = (pos[b] - pos[a]) % k
-                if d not in (1, k - 1):
+        for a in sorted(vs):
+            for b in adj[a]:
+                if b > a and b in pos and (pos[b] - pos[a]) % k not in (1, k - 1):
                     out.append((a, b))
         return out
 
@@ -743,38 +743,96 @@ def is_bipartite(g: Graph):
     return True, color
 
 
-def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
-    """A shortest odd cycle (None if bipartite); the result is chordless."""
-    best = None  # (length, start vertex, parent map of its search)
-    for s in g.vertices:
-        # BFS in the double cover from (s, 0) until (s, 1) or the best length
-        dist = {(s, 0): 0}
-        parent = {(s, 0): None}
-        queue = deque([(s, 0)])
-        while queue and (s, 1) not in dist:
-            v, p = queue.popleft()
-            d = dist[(v, p)] + 1
-            if best is not None and d >= best[0]:
-                break
-            for w in g.adj[v]:
-                nxt = (w, 1 - p)
-                if nxt not in dist:
-                    dist[nxt] = d
-                    parent[nxt] = (v, p)
-                    queue.append(nxt)
-        if (s, 1) in dist:
-            best = (dist[(s, 1)], s, parent)
-    if best is None:
+def _double_cover_walk(g: Graph, s: int, t: int, parity: int) -> Optional[tuple]:
+    """Vertices of a shortest s-t walk of the given length parity, or None.
+
+    A breadth-first search of the bipartite double cover from (s, 0) to
+    (t, parity), with node (v, p) numbered 2v + p.  Neighbours are taken in
+    increasing order and each node keeps the first node that reached it as
+    its parent, so the walk is the same on every run.
+    """
+    src, dst = 2 * s, 2 * t + parity
+    adj = g.adj
+    parent = [-1] * (2 * g.n)
+    parent[src] = src
+    queue = deque([src])
+    while queue and parent[dst] < 0:
+        node = queue.popleft()
+        flip = (node & 1) ^ 1
+        for w in adj[node >> 1]:
+            nxt = 2 * w + flip
+            if parent[nxt] < 0:
+                parent[nxt] = node
+                queue.append(nxt)
+    if parent[dst] < 0:
         return None
-    length, s, parent = best
-    seq = []
-    node = (s, 1)
-    while node is not None:
-        seq.append(node[0])
+    walk, node = [t], dst
+    while node != src:
         node = parent[node]
-    seq = seq[:-1]  # drop the duplicate start
-    cyc = Cycle(g, tuple(reversed(seq))).canonical()
-    if cyc.length != length or cyc.length % 2 == 0:
+        walk.append(node >> 1)
+    return tuple(reversed(walk))
+
+
+def _odd_walk_length(g: Graph, s: int, bound: int, level: list) -> Optional[int]:
+    """Length of a shortest odd closed walk through s if it is below bound.
+
+    That length is 2d + 1 for the first breadth-first level d from s with
+    an edge inside it: such an edge closes a walk of length 2d + 1, and a
+    closed walk with no such edge changes level at every step, so it is
+    even.  The search stops at that level, or at the first level d with
+    2d + 1 >= bound.  `level` is -1 on every vertex on entry and on return.
+    """
+    adj = g.adj
+    level[s] = 0
+    queue = [s]  # also the vertices to reset
+    try:
+        for v in queue:
+            d = level[v]
+            if 2 * d + 1 >= bound:
+                return None
+            for w in adj[v]:
+                if level[w] < 0:
+                    level[w] = d + 1
+                    queue.append(w)
+                elif level[w] == d:
+                    return 2 * d + 1
+        return None
+    finally:
+        for v in queue:
+            level[v] = -1
+
+
+def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
+    """A shortest odd cycle (None if bipartite); the result is chordless.
+
+    The cycle is chosen at the smallest vertex s on a shortest odd cycle: it
+    is the walk from (s, 0) to (s, 1) that the breadth-first search of the
+    bipartite double cover gives (`_double_cover_walk`), in canonical form.
+
+    Cost: one `is_bipartite` pass answers a bipartite g.  Otherwise each
+    start s runs a plain breadth-first search that stops at the first level
+    d holding an edge, as a shortest odd closed walk through s has length
+    2d + 1 (`_odd_walk_length`), or once 2d + 1 reaches the shortest length
+    found so far (at first, the length of the odd cycle `is_bipartite`
+    returned).  So no start searches past radius (L - 1) / 2, for L the
+    length of a shortest odd cycle, a triangle ends the loop over starts,
+    and only the chosen s gets the double-cover search.  O(n(n + m)) in the
+    worst case, O(n + m) when vertex 0 lies on a triangle.
+    """
+    ok, witness = is_bipartite(g)
+    if ok:
+        return None
+    level = [-1] * g.n
+    best, start = witness.length + 1, None
+    for s in g.vertices:
+        length = _odd_walk_length(g, s, best, level)
+        if length is not None:
+            best, start = length, s
+            if best == 3:
+                break
+    walk = _double_cover_walk(g, start, start, 1)
+    cyc = Cycle(g, walk[1:]).canonical()
+    if cyc.length != best or cyc.length % 2 == 0:
         raise GraphError("internal: shortest odd closed walk is not simple")
     if cyc.chords():
         raise GraphError("internal: shortest odd cycle has a chord")

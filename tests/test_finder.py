@@ -30,6 +30,7 @@ from evencycles.generators import (
     cycle_graph,
     enumerate_small,
     gen_k5_block_tree,
+    generalized_petersen,
     is_k5_block_tree,
     petersen_graph,
     prism_graph,
@@ -48,12 +49,9 @@ from evencycles.graphs import (
 )
 
 
-def generalized_petersen(n: int, k: int) -> Graph:
-    """GP(n, k): outer cycle on 0..n-1, spokes i ~ n+i, inner n+i ~ n+(i+k) mod n."""
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, n + i) for i in range(n)]
-    edges += [(n + i, n + (i + k) % n) for i in range(n)]
-    return Graph.build(2 * n, edges)
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "main_theorem_golden.json").read_text())
+THREE_CONNECTED_GOLDEN = json.loads((DATA / "three_connected_golden.json").read_text())
 
 
 def assert_valid_pair(cert, g):
@@ -237,6 +235,14 @@ class TestThreeConnected:
             (0, 1, 2, 3, 9, 7, 11, 5),
         )
 
+    def test_generalized_petersen_golden(self):
+        # the exact cycles on every non-bipartite GP(n, k) with n <= 25
+        for case in THREE_CONNECTED_GOLDEN:
+            cert = three_connected_pair(generalized_petersen(case["n"], case["k"]))
+            got = [list(cert.c1.vertices), list(cert.c2.vertices)]
+            assert got == [case["c1"], case["c2"]], (case["n"], case["k"])
+        assert len(THREE_CONNECTED_GOLDEN) == 108
+
     def test_rejects_small(self):
         with pytest.raises(HypothesisFailure):
             three_connected_pair(complete_graph(5))
@@ -352,11 +358,6 @@ def _stack_depth() -> int:
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     return depth
-
-
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "main_theorem_golden.json").read_text()
-)
 
 
 class TestMainTheorem:

@@ -16,6 +16,7 @@ from evencycles.generators import (
     enumerate_small,
     gen_k5_block_tree,
     gen_named,
+    generalized_petersen,
     graph_from_columns,
     is_k5_block_tree,
     petersen_graph,
@@ -55,6 +56,13 @@ class TestFamilies:
         assert pet.n == 10 and all(pet.degree(v) == 3 for v in pet.vertices)
         th = theta_graph(1, 2, 4)
         assert th.degree(0) == 3 and th.degree(1) == 3
+
+    def test_generalized_petersen(self):
+        gp = generalized_petersen(12, 5)
+        assert gp.n == 24 and gp.e == 36 and all(gp.degree(v) == 3 for v in gp.vertices)
+        for n, k in ((6, 0), (6, 3), (7, 4)):
+            with pytest.raises(GraphError):
+                generalized_petersen(n, k)
 
     def test_theta_rejects_double_trivial(self):
         with pytest.raises(GraphError):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evencycles import graphs, oracle
 from evencycles.generators import (
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_small,
+    generalized_petersen,
     petersen_graph,
     wheel_graph,
 )
@@ -102,6 +105,16 @@ class TestPathCycle:
         g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         c = Cycle(g, (0, 1, 2, 3))
         assert c.chords() == [(0, 2)]
+        # the host's sorted edges joining cycle vertices two or more steps apart
+        g = complete_graph(9)
+        c = Cycle(g, (6, 2, 8, 0, 5, 3))
+        pos = {v: i for i, v in enumerate(c.vertices)}
+        want = [
+            (a, b)
+            for a, b in g.sorted_edges()
+            if a in pos and b in pos and (pos[b] - pos[a]) % 6 not in (1, 5)
+        ]
+        assert c.chords() == want and len(want) == 9
 
     def test_cycle_from_paths(self):
         g = complete_graph(4)
@@ -376,6 +389,94 @@ class TestParity:
             for comp in components(g, sep):
                 cs = set(comp)
                 assert not (cs & (a - sep) and cs & (b - sep))
+
+
+def shortest_odd_cycle_all_starts(g: Graph):
+    """Reference for shortest_odd_cycle: a breadth-first search of the
+    bipartite double cover from (s, 0) for every start s, each to the best
+    length so far; the cycle is the walk of the first start to reach the
+    minimum, in canonical form."""
+    best = None  # (length, start vertex, parent map of its search)
+    for s in g.vertices:
+        dist = {(s, 0): 0}
+        parent = {(s, 0): None}
+        queue = [(s, 0)]
+        for v, p in queue:
+            if (s, 1) in dist:
+                break
+            d = dist[(v, p)] + 1
+            if best is not None and d >= best[0]:
+                break
+            for w in g.adj[v]:
+                if (w, 1 - p) not in dist:
+                    dist[(w, 1 - p)] = d
+                    parent[(w, 1 - p)] = (v, p)
+                    queue.append((w, 1 - p))
+        if (s, 1) in dist:
+            best = (dist[(s, 1)], s, parent)
+    if best is None:
+        return None
+    _, s, parent = best
+    seq, node = [], parent[(s, 1)]
+    while node is not None:
+        seq.append(node[0])
+        node = parent[node]
+    return Cycle(g, tuple(reversed(seq))).canonical()
+
+
+class TestShortestOddCycle:
+    """shortest_odd_cycle returns exactly the cycle the all-starts reference finds."""
+
+    def assert_matches_reference(self, g):
+        got, want = shortest_odd_cycle(g), shortest_odd_cycle_all_starts(g)
+        assert (got and got.vertices) == (want and want.vertices), g.sorted_edges()
+        return got
+
+    def test_graphs_to_order_7(self):
+        # disconnected graphs included; the length is the smallest odd one
+        # in the oracle's cycle spectrum
+        checked = 0
+        for n in range(8):
+            for g in enumerate_small(n):
+                got = self.assert_matches_reference(g)
+                odd = [k for k in oracle.cycle_spectrum(g).lengths if k % 2]
+                assert (got and got.length) == (min(odd) if odd else None)
+                checked += 1
+        assert checked == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044  # OEIS A000088
+
+    @pytest.mark.parametrize("n", range(3, 26))
+    def test_generalized_petersen(self, n):
+        for k in range(1, (n + 1) // 2):
+            self.assert_matches_reference(generalized_petersen(n, k))
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(2, 60)
+            p = rng.choice([1.5, 3, 6, 10]) / n
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            self.assert_matches_reference(Graph.build(n, edges))
+
+    def test_complete_graphs(self):
+        for n in range(3, 41):
+            assert self.assert_matches_reference(complete_graph(n)).vertices == (0, 1, 2)
+
+    def test_starts_searched(self, monkeypatch):
+        # a triangle at vertex 0 ends the search at the first start, and a
+        # bipartite graph is answered without any
+        starts = []
+        real = graphs._odd_walk_length
+        monkeypatch.setattr(
+            graphs, "_odd_walk_length", lambda g, s, *a: starts.append(s) or real(g, s, *a)
+        )
+        for n in (3, 10, 40):
+            starts.clear()
+            assert shortest_odd_cycle(complete_graph(n)).vertices == (0, 1, 2)
+            assert starts == [0]
+        for g in (cycle_graph(8), complete_bipartite(5, 7), generalized_petersen(10, 3)):
+            starts.clear()
+            assert shortest_odd_cycle(g) is None
+            assert starts == []
 
 
 def _fan_separator(g, u, targets, inner, x) -> bool:
