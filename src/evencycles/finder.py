@@ -828,13 +828,13 @@ def three_connected_pair(g: Graph) -> CyclePairCertificate:
 
 def _three_connected_pair(g: Graph) -> CyclePairCertificate:
     """three_connected_pair on a graph already known to be 3-connected, n >= 6."""
-    if is_bipartite(g)[0]:
-        # x-y paths of lengths k, k + 2 (k odd) close with xy to even cycles
+    d = shortest_odd_cycle(g)
+    if d is None:
+        # bipartite: x-y paths of lengths k, k + 2 (k odd) close with xy to even cycles
         x, y = min(g.edges)
         ppc = _path_theorem(g, x, y, "a bipartite 3-connected graph")
         return _certify(g, Cycle(g, ppc.p1.vertices), Cycle(g, ppc.p2.vertices))
 
-    d = shortest_odd_cycle(g)
     rest = frozenset(g.vertices) - d.vertex_set()
     if _has_even_cycle(g, rest):
         return pair_from_disjoint_odd_even(g, d)
@@ -1129,7 +1129,7 @@ def _paths_case_contract(h, x, y) -> PathPairCertificate:
     ystar = rec.vertex_map[inv1[y]]
     gplus = gstar if gstar.has_edge(xstar, ystar) else gstar.with_edge(xstar, ystar)
 
-    if connectivity_cut(gplus, 2) is None and is_connected(gplus):
+    if connectivity_cut(gplus, 2) is None:
         sub_cert = _path_theorem(gplus, xstar, ystar)
         return _lift_star_paths(h, x, y, sub_cert, rec, map1)
 

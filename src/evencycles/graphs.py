@@ -579,17 +579,176 @@ def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
     return best
 
 
+_EOS = (0, -1, 0)  # end-of-stack mark on the triple stack; its a matches no vertex
+
+
+def _has_separation_pair(g: Graph) -> bool:
+    """Whether the 2-connected simple graph g has a separation pair.
+
+    Hopcroft-Tarjan ("Dividing a graph into triconnected components",
+    SIAM J. Comput. 1973), as corrected by Gutwenger-Mutzel ("A linear time
+    implementation of SPQR-trees", GD 2000), up to the first split.  A
+    depth-first search gives the palm tree with preorder numbers, lowpt1,
+    lowpt2 and subtree sizes ND; the arcs out of each vertex are ordered by
+    phi; the path finder renumbers the vertices so that the children visited
+    first get the highest numbers, marks the arcs that start a path and the
+    first frond into each vertex (high); the path search then runs the
+    type-1 and type-2 checks on its triple stack (h, a, b).  The graph is
+    unchanged until the first split, so the search returns at the first
+    pair it finds and needs no split components, edge stack or multi-edge
+    case.  A vertex of degree 2 has its two neighbours as a pair (n >= 4),
+    and with none the degree-2 check of the path search never fires.
+    O(n + m).
+    """
+    n, adj = g.n, g.adj
+    if n < 4:
+        return False
+    if any(len(ns) == 2 for ns in adj):
+        return True
+
+    # palm tree: preorder numbers 1..n, then low points and ND bottom-up
+    num, parent = [0] * n, [-1] * n
+    order = [0]
+    num[0] = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if num[w] == 0:
+                parent[w] = v
+                num[w] = len(order) + 1
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+    low1, low2, nd = num[:], num[:], [1] * n
+    for v in reversed(order):
+        l1, l2 = low1[v], low2[v]
+        for w in adj[v]:
+            if parent[w] == v:
+                nd[v] += nd[w]
+                vals = (low1[w], low2[w])
+            elif num[w] < num[v] and w != parent[v]:
+                vals = (num[w],)
+            else:
+                continue
+            for x in vals:
+                if x < l1:
+                    l1, l2 = x, l1
+                elif l1 < x < l2:
+                    l2 = x
+        low1[v], low2[v] = l1, l2
+
+    # arcs out of each vertex, bucket-sorted by phi
+    buckets = [[] for _ in range(3 * n + 3)]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == v:
+                buckets[3 * low1[w] + (2 if low2[w] >= num[v] else 0)].append((v, w))
+            elif num[w] < num[v] and w != parent[v]:
+                buckets[3 * num[w] + 1].append((v, w))
+    arcs = [[] for _ in range(n)]
+    for bucket in buckets:
+        for v, w in bucket:
+            arcs[v].append(w)
+
+    # path finder: new numbers, path starts and high, all indexed by new number
+    new = [0] * n
+    new[0], count = 1, n
+    starts = [[] for _ in range(n + 1)]
+    high = [0] * (n + 1)
+    new_path = True
+    stack = [(0, iter(arcs[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            starts[new[v]].append(new_path)
+            new_path = False
+            if parent[w] == v:
+                new[w] = count - nd[w] + 1
+                stack.append((w, iter(arcs[w])))
+                break
+            if high[new[w]] == 0:
+                high[new[w]] = new[v]
+            new_path = True
+        else:
+            stack.pop()
+            count -= 1
+    out, up, size = [()] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    lo1, lo2 = [0] * (n + 1), [0] * (n + 1)
+    for v in order:
+        i = new[v]
+        out[i] = tuple(new[w] for w in arcs[v])
+        up[i] = new[parent[v]] if v else 0
+        size[i] = nd[v]
+        lo1[i] = new[order[low1[v] - 1]]  # a low point is an ancestor, renumbered
+        lo2[i] = new[order[low2[v] - 1]]
+
+    # path search on the new numbers, the root being 1 with the one child 2
+    ts = [_EOS]
+    pos = [0] * (n + 1)
+    stack = [1]
+    while stack:
+        v = stack[-1]
+        k = pos[v]
+        if k < len(out[v]):
+            w = out[v][k]
+            pos[v] = k + 1
+            tree = up[w] == v
+            if starts[v][k]:
+                # the triples with a above the path's lowest end merge into one
+                a = lo1[w] if tree else w
+                y, b = 0, None
+                while ts[-1][1] > a:
+                    h, _, b = ts.pop()
+                    y = max(y, h)
+                if tree:
+                    last = w + size[w] - 1
+                    ts.append((last, a, v) if b is None else (max(y, last), a, b))
+                    ts.append(_EOS)
+                else:
+                    ts.append((v, a, v) if b is None else (y, a, b))
+            if tree:
+                stack.append(w)
+            continue
+        stack.pop()
+        if not stack:
+            break
+        w, v = v, stack[-1]
+        k = pos[v] - 1
+        # type 2: {a, b} = {v, b} for the top triple, unless b is a child of v
+        while v != 1 and ts[-1][1] == v:
+            if up[ts[-1][2]] != v:
+                return True
+            ts.pop()
+        # type 1: {lowpt1(w), v} cuts off the subtree of w
+        if lo2[w] >= v and lo1[w] < v and (up[v] != 1 or k < len(out[v]) - 1):
+            return True
+        if starts[v][k]:
+            while ts.pop() is not _EOS:
+                pass
+        while ts[-1] is not _EOS:
+            h, a, b = ts[-1]
+            if a == v or b == v or high[v] <= h:
+                break
+            ts.pop()
+    return False
+
+
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
     for graphs with more than k vertices.  Supports k <= 3.
 
     The cut returned is the smallest one in lexicographic order: the
     smallest cut vertex, else the smallest pair {u, v} with u < v.  For
-    k = 3 that is {u, smallest cut vertex of g - u} for the first u whose
-    g - u has one: a cut {w, u} with w < u would have shown up at w, which
-    is also why u = n - 1 needs no scan.  So there is one depth-first scan
-    of g and one of g - u for each u < n - 1, n scans in all, at O(n + m)
-    each: O(n(n + m)).
+    k = 3, a 2-connected g is first tested for any separation pair in
+    O(n + m) (`_has_separation_pair`), and None is returned when it has
+    none.  Otherwise the pair is {u, smallest cut vertex of g - u} for the
+    first u whose g - u has one: a cut {w, u} with w < u would have shown
+    up at w, which is also why u = n - 1 needs no scan.  Each scan of g - u
+    is one depth-first search, so the cost is O(n + m) when no pair exists
+    and O((u + 1)(n + m)) when u is the smaller vertex of the smallest pair.
     """
     if k > 3:
         raise GraphError("connectivity_cut supports k <= 3 only")
@@ -600,7 +759,7 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     c = _min_cut_vertex(g)
     if c is not None:
         return frozenset([c])
-    if k == 2:
+    if k == 2 or not _has_separation_pair(g):
         return None
     for u in range(g.n - 1):
         c = _min_cut_vertex(g, u)

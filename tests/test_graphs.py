@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import networkx as nx
+except ImportError:  # the networkx cross-checks are skipped without it
+    nx = None
+
 from evencycles import graphs, oracle
 from evencycles.generators import (
     complete_bipartite,
@@ -222,6 +227,50 @@ def smallest_cut_by_pairs(g: Graph, k: int):
     return None
 
 
+def has_pair_by_scans(g: Graph) -> bool:
+    """Reference for _has_separation_pair: some g - u has a cut vertex."""
+    return any(graphs._min_cut_vertex(g, u) is not None for u in g.vertices)
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def glued_on_pair(g1: Graph, x1: int, y1: int, g2: Graph, x2: int, y2: int) -> Graph:
+    """g1 and a copy of g2 on new vertices, with x2, y2 identified with x1, y1."""
+    ids, fresh = {x2: x1, y2: y1}, iter(range(g1.n, g1.n + g2.n))
+    for v in g2.vertices:
+        if v not in ids:
+            ids[v] = next(fresh)
+    edges = set(g1.edges) | {(ids[u], ids[v]) for u, v in g2.edges}
+    return Graph.build(g1.n + g2.n - 2, edges)
+
+
+def random_graph(n: int, p: float, rng) -> Graph:
+    return Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def three_core(g: Graph) -> Graph:
+    """The largest component of the 3-core of g, renumbered."""
+    alive = set(g.vertices)
+    low = [v for v in g.vertices if g.degree(v) < 3]
+    deg = [g.degree(v) for v in g.vertices]
+    while low:
+        v = low.pop()
+        if v in alive:
+            alive.discard(v)
+            for w in g.adj[v]:
+                deg[w] -= 1
+                if deg[w] < 3:
+                    low.append(w)
+    core, _ = induced_subgraph(g, alive)
+    if core.n == 0:
+        return core
+    biggest = max(components(core), key=len)
+    return induced_subgraph(core, biggest)[0]
+
+
 def glued_cliques(a: int, b: int) -> Graph:
     """K_a on 0..a-1 and K_b on a-2..a+b-3, sharing the 2-cut {a-2, a-1}."""
     first = range(a)
@@ -243,10 +292,7 @@ class TestConnectivityCut:
         for n in range(1, 8):
             for g in enumerate_small(n, "connected"):
                 self.assert_matches_reference(g)
-                perm = rng.sample(range(n), n)
-                self.assert_matches_reference(
-                    Graph.build(n, [(perm[u], perm[v]) for u, v in g.edges])
-                )
+                self.assert_matches_reference(relabelled(g, rng))
                 checked += 1
         assert checked == 1 + 1 + 2 + 6 + 21 + 112 + 853  # OEIS A001349
 
@@ -268,6 +314,94 @@ class TestConnectivityCut:
         self.assert_matches_reference(g)
         assert connectivity_cut(g, 2) is None
         assert connectivity_cut(g, 3) == frozenset([a - 2, a - 1])
+
+    def assert_pair_test_agrees(self, g, rng, cut_reference=True):
+        """The linear test, the scan reference and the cut itself agree on g
+        and on three relabellings of it (each gives another DFS order)."""
+        want = has_pair_by_scans(g)
+        if nx is not None and g.n <= 120:
+            assert (nx.node_connectivity(nx.Graph(list(g.edges))) >= 3) == (not want)
+        for h in [g] + [relabelled(g, rng) for _ in range(3)]:
+            assert graphs._has_separation_pair(h) == want, h.sorted_edges()
+            if cut_reference:
+                assert connectivity_cut(h, 3) == smallest_cut_by_pairs(h, 3), h.sorted_edges()
+        return want
+
+    def test_pair_test_on_2_connected_graphs_to_order_8(self):
+        rng = random.Random(8)
+        counts = {False: 0, True: 0}
+        for n in range(3, 9):
+            for g in enumerate_small(n, "min-degree-2"):
+                if not is_connected(g) or connectivity_cut(g, 2) is not None:
+                    continue
+                want = has_pair_by_scans(g)
+                for h in (g, relabelled(g, rng), relabelled(g, rng), relabelled(g, rng)):
+                    assert graphs._has_separation_pair(h) == want, h.sorted_edges()
+                counts[want] += 1
+        # OEIS A002218 (2-connected) and A006290 (3-connected), orders 3..8
+        assert counts[False] == 1 + 1 + 3 + 17 + 136 + 2388
+        assert counts[False] + counts[True] == 1 + 3 + 10 + 56 + 468 + 7123
+
+    def test_pair_test_on_planted_pairs(self):
+        rng = random.Random(9)
+        seen = set()
+        for a in range(4, 9):
+            for b in range(4, 9):
+                # rim vertices 1 and 3 of a wheel are not adjacent
+                seen.add(self.assert_pair_test_agrees(
+                    glued_on_pair(wheel_graph(a), 1, 3, wheel_graph(b), 1, 3), rng))
+        for n, k in [(5, 2), (6, 1), (7, 2), (8, 3), (9, 2), (10, 3)]:
+            gp = generalized_petersen(n, k)
+            # outer vertices 0 and 2 are not adjacent
+            seen.add(self.assert_pair_test_agrees(glued_on_pair(gp, 0, 2, gp, 0, 2), rng))
+            seen.add(self.assert_pair_test_agrees(
+                glued_on_pair(gp, 0, 2, wheel_graph(n), 1, 3), rng))
+        assert seen == {True}
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_pair_test_on_generalized_petersen_minus_an_edge(self, n):
+        rng = random.Random(n)
+        for k in range(1, (n + 1) // 2):
+            gp = generalized_petersen(n, k)
+            self.assert_pair_test_agrees(gp, rng)
+            for u, v in ((0, 1), (0, n), (n, n + k)):
+                # both leave a vertex of degree 2, so a pair
+                self.assert_pair_test_agrees(gp.without_edge(u, v), rng)
+                subdivided = Graph.build(
+                    2 * n + 1, (gp.edges - {(u, v)}) | {(u, 2 * n), (v, 2 * n)}
+                )
+                self.assert_pair_test_agrees(subdivided, rng)
+
+    @pytest.mark.parametrize("rungs", range(2, 15))
+    def test_pair_test_on_ladders(self, rungs):
+        ladder = Graph.build(
+            2 * rungs,
+            [(i, i + 1) for i in range(rungs - 1)]
+            + [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+            + [(i, rungs + i) for i in range(rungs)],
+        )
+        assert self.assert_pair_test_agrees(ladder, random.Random(rungs))
+
+    def test_pair_test_on_seeded_random_cores(self):
+        # the 2-connected 3-cores of sparse G(n, p) have minimum degree 3, so
+        # the test runs in full; gluing two of them plants a pair
+        rng = random.Random(10)
+        seen = set()
+        for n in (20, 40, 60, 100, 200, 300):
+            for c in (4, 6, 10):
+                core = three_core(random_graph(n, c / n, rng))
+                if core.n < 6 or connectivity_cut(core, 2) is not None:
+                    continue
+                small = core.n <= 40
+                seen.add(self.assert_pair_test_agrees(core, rng, cut_reference=small))
+                x, y = next((0, v) for v in range(1, core.n) if not core.has_edge(0, v))
+                glued = glued_on_pair(core, x, y, core, x, y)
+                seen.add(self.assert_pair_test_agrees(glued, rng, cut_reference=small))
+        assert seen == {False, True}
+
+    def test_long_prism_needs_no_recursion(self):
+        # GP(5000, 1) has 10^4 vertices and a depth-first path through all
+        assert connectivity_cut(generalized_petersen(5000, 1), 3) is None
 
 
 class TestDisjointPaths:
