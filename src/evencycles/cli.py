@@ -346,10 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, GuardExceeded) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphError as exc:
+    except (InputError, GuardExceeded, GraphError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except finder.HypothesisFailure as exc:

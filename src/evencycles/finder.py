@@ -1,7 +1,9 @@
 """Certifying algorithms extracted from the constructive proofs.
 
 The original arguments run by minimal counterexample; here each one is a
-recursion over the structures the argument exposes.  Whenever the argument
+construction over the structures the argument exposes, and the two that
+hand a smaller instance to themselves, the main theorem (`_reduce`) and the
+path theorem (`two_paths_diff_two`), are each one loop.  Whenever the argument
 guarantees an object exists, the code asserts it and raises
 InternalInvariantError if it is absent: on valid input such an error is a
 bug, never a wrong answer.
@@ -23,6 +25,7 @@ from .graphs import (
     ThetaGraph,
     _double_cover_walk,
     _menger,
+    _min_cut_vertex,
     bfs_path,
     blocks,
     components,
@@ -61,6 +64,13 @@ class HypothesisFailure(Exception):
 def _require(cond: bool, what: str):
     if not cond:
         raise InternalInvariantError(what)
+
+
+def _certify(g, c1: Cycle, c2: Cycle) -> CyclePairCertificate:
+    cert = CyclePairCertificate.make(c1, c2)
+    ok, why = oracle.validate(cert, g)
+    _require(ok, f"explicit construction invalid: {why}")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -149,9 +159,13 @@ def _first_cycle_of_parity(g: Graph, allowed, parity: int) -> Optional[Cycle]:
 
 
 def _has_even_cycle(g: Graph, allowed) -> bool:
+    """Whether the subgraph of g induced by `allowed` has an even cycle."""
+    return _has_even_block(blocks(induced_subgraph(g, allowed)[0]))
+
+
+def _has_even_block(dec: BlockDecomposition) -> bool:
     """Block criterion: some block has e > v, or is a cycle of even length."""
-    sub, _ = induced_subgraph(g, allowed)
-    for b in blocks(sub).blocks:
+    for b in dec.blocks:
         if len(b.edges) > len(b.vertices):
             return True
         if len(b.edges) == len(b.vertices) and len(b.vertices) % 2 == 0:
@@ -417,10 +431,7 @@ def combine_quasi_diagonal(b: Cycle, d: Cycle, connectors) -> CyclePairCertifica
     _require(chosen is not None, "one d-arc must give the connector the right parity")
     c1 = cycle_from_paths(chosen, b.arc(s1, s2))
     c2 = cycle_from_paths(chosen, b.arc(s2, s1))
-    cert = CyclePairCertificate.make(c1, c2)
-    ok, why = oracle.validate(cert, g)
-    _require(ok, f"combine produced an invalid certificate: {why}")
-    return cert
+    return _certify(g, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +511,7 @@ def _pair_tree_attachment(g, c, d, qd, chord, fset) -> CyclePairCertificate:
     _require(total % 2 == 0, "parity identity: sum of attachment cycles is even")
     for ci, ci_long in cycles:
         if ci.length % 2 == 0:
-            cert = CyclePairCertificate.make(ci, ci_long)
-            ok, why = oracle.validate(cert, g)
-            _require(ok, f"tree-attachment certificate invalid: {why}")
-            return cert
+            return _certify(g, ci, ci_long)
     raise InternalInvariantError("parity identity guarantees an even attachment cycle")
 
 
@@ -633,15 +641,21 @@ def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
     """Certificate from an odd cycle b such that g - V(b) is not bipartite."""
     if b.length % 2 != 1:
         raise GraphError("need an odd b")
-    fset = frozenset(g.vertices) - b.vertex_set()
-    fsub, fmap = induced_subgraph(g, fset)
+    fsub, fmap = induced_subgraph(g, frozenset(g.vertices) - b.vertex_set())
     dsub = shortest_odd_cycle(fsub)
     if dsub is None:
         raise GraphError("g - V(b) is bipartite: no odd cycle disjoint from b")
-
-    if _has_even_cycle(g, fset):
+    fdec = blocks(fsub)
+    if _has_even_block(fdec):
         return pair_from_disjoint_odd_even(g, b)
+    return _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub)
 
+
+def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
+    """pair_from_two_disjoint_odd given F = g - V(b) as fsub (fmap[i] the id
+    in g of its vertex i), its blocks fdec, none of them even, and an odd
+    cycle dsub of F."""
+    fset = frozenset(fmap)
     dcycle = _map_cycle(dsub, fmap, g)
 
     if fset == dcycle.vertex_set() and fsub.e == dcycle.length:
@@ -649,7 +663,6 @@ def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
 
     # some end-block of F other than D yields a theta on B, hence an even
     # cycle disjoint from D
-    fdec = blocks(fsub)
     dverts_sub = frozenset(dsub.vertices)
     cand = sorted(
         (sorted(blk.vertices), blk)
@@ -745,10 +758,7 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
         u, v, w = b.vertices[:3]
         c4 = Cycle(g, (u, v, match[v], match[u]))
         c6 = Cycle(g, (u, v, w, match[w], match[v], match[u]))
-        cert = CyclePairCertificate.make(c4, c6)
-        ok, why = oracle.validate(cert, g)
-        _require(ok, f"all-short ladder certificate invalid: {why}")
-        return cert
+        return _certify(g, c4, c6)
 
     for lens, outer, inner in ((b_lens, b, d), (d_lens, d, b)):
         for e, val in sorted(lens.items()):
@@ -768,10 +778,7 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
         if short:
             e = short[0]
             c4 = Cycle(g, (e[0], e[1], match[e[1]], match[e[0]]))
-            cert = CyclePairCertificate.make(c4, c6)
-            ok, why = oracle.validate(cert, g)
-            _require(ok, f"mixed ladder certificate invalid: {why}")
-            return cert
+            return _certify(g, c4, c6)
 
     _require(
         all(val == 3 for val in b_lens.values()) and all(val == 3 for val in d_lens.values()),
@@ -790,10 +797,7 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
         _require(u not in bo_vb.vertex_set(), "both long arcs through u and v is impossible")
         seq = bo_vb.vertices if bo_vb.start == v else tuple(reversed(bo_vb.vertices))
         c8 = Cycle(g, seq + (bb, a, uprime, u))
-    cert = CyclePairCertificate.make(c6, c8)
-    ok, why = oracle.validate(cert, g)
-    _require(ok, f"cubic ladder certificate invalid: {why}")
-    return cert
+    return _certify(g, c6, c8)
 
 
 def _long_arc_branch(g, outer: Cycle, inner: Cycle, e, match) -> CyclePairCertificate:
@@ -835,12 +839,13 @@ def _three_connected_pair(g: Graph) -> CyclePairCertificate:
         ppc = _path_theorem(g, x, y, "a bipartite 3-connected graph")
         return _certify(g, Cycle(g, ppc.p1.vertices), Cycle(g, ppc.p2.vertices))
 
-    rest = frozenset(g.vertices) - d.vertex_set()
-    if _has_even_cycle(g, rest):
+    sub, ids = induced_subgraph(g, frozenset(g.vertices) - d.vertex_set())
+    dec = blocks(sub)
+    if _has_even_block(dec):
         return pair_from_disjoint_odd_even(g, d)
-    sub, _ = induced_subgraph(g, rest)
-    if not is_bipartite(sub)[0]:
-        return pair_from_two_disjoint_odd(g, d)
+    dsub = shortest_odd_cycle(sub)
+    if dsub is not None:
+        return _two_disjoint_odd(g, d, sub, ids, dec, dsub)
 
     # g - V(D) is a forest
     comps = sorted(components(g, d.vertex_set()), key=lambda c: (-len(c), c))
@@ -873,13 +878,6 @@ def _theta_into_tree(g, v: int, ws, comp) -> Cycle:
 def _tree_leaves(g, comp) -> list:
     cs = set(comp)
     return sorted(v for v in comp if len([w for w in g.adj[v] if w in cs]) <= 1)
-
-
-def _certify(g, c4: Cycle, c6: Cycle) -> CyclePairCertificate:
-    cert = CyclePairCertificate.make(c4, c6)
-    ok, why = oracle.validate(cert, g)
-    _require(ok, f"explicit construction invalid: {why}")
-    return cert
 
 
 def _triangle_case(g, d: Cycle, comps) -> CyclePairCertificate:
@@ -1003,29 +1001,36 @@ def _long_odd_case(g, d: Cycle, fcomp) -> CyclePairCertificate:
 
 
 # ---------------------------------------------------------------------------
-# two x-y paths differing by two (recursive proof of the 2-cut theorem)
+# two x-y paths differing by two (the 2-cut theorem as one reduction loop)
 
 
-def _check_path_hypotheses(g: Graph, x: int, y: int):
+def _two_connected(g: Graph) -> bool:
+    return g.n >= 3 and is_connected(g) and _min_cut_vertex(g) is None
+
+
+def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
+    """g - xy, once (g, x, y) is checked against the hypotheses of
+    two_paths_diff_two; HypothesisFailure names the first one violated."""
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise HypothesisFailure("terminals", f"bad terminal pair ({x}, {y})")
-    gp = g.with_edge(x, y)
-    if g.n < 3 or not is_connected(gp) or connectivity_cut(gp, 2) is not None:
+    if not _two_connected(g.with_edge(x, y)):
         raise HypothesisFailure("2-connectivity", "g + xy is not 2-connected")
     for v in g.vertices:
         if v not in (x, y) and g.degree(v) < 3:
             raise HypothesisFailure("minimum degree", f"vertex {v} has degree {g.degree(v)}")
+    h = g.without_edge(x, y) if g.has_edge(x, y) else g
     for u, v in g.sorted_edges():
         if x in (u, v) or y in (u, v):
             continue
         if g.degree(u) + g.degree(v) < 7:
             # Bondy-Vince: two x-y paths differ by one or two, and by two
             # when g - xy is bipartite, since then all have one parity
-            if is_bipartite(g.without_edge(x, y))[0]:
-                return
+            if is_bipartite(h)[0]:
+                return h
             raise HypothesisFailure(
                 "edge degree sum", f"edge ({u}, {v}) has degree sum < 7"
             )
+    return h
 
 
 def _paths_base_case(h: Graph, x: int, y: int) -> PathPairCertificate:
@@ -1036,9 +1041,7 @@ def _paths_base_case(h: Graph, x: int, y: int) -> PathPairCertificate:
     raise InternalInvariantError("base case admits two x-y paths differing by two")
 
 
-def _path_theorem(
-    g: Graph, x: int, y: int, where: str = "a recursive instance"
-) -> PathPairCertificate:
+def _path_theorem(g: Graph, x: int, y: int, where: str) -> PathPairCertificate:
     """two_paths_diff_two on an instance the proof shows meets its hypotheses."""
     try:
         return two_paths_diff_two(g, x, y)
@@ -1055,29 +1058,36 @@ def two_paths_diff_two(g: Graph, x: int, y: int) -> PathPairCertificate:
     g - xy is bipartite: by the Bondy-Vince path lemma two x-y paths then
     differ by one or two, and since all x-y paths of a bipartite graph have
     one parity, they differ by two.
+
+    The minimal-counterexample proof runs as one loop over instances
+    (h, x, y), h = g - xy: a step finds the two paths, or hands on a smaller
+    instance that meets the hypotheses by construction with the lift of its
+    paths into h.  Only the input is checked, and only the lifted
+    certificate is validated.
     """
-    _check_path_hypotheses(g, x, y)
-    h = g.without_edge(x, y) if g.has_edge(x, y) else g
-    swapped = False
-    if h.degree(y) < h.degree(x):
-        x, y = y, x
-        swapped = True
-    cert = _two_paths_normalized(h, x, y)
-    if swapped:
-        cert = PathPairCertificate.make(y, x, cert.p1, cert.p2)
-    ok, why = oracle.validate(cert, h)
+    h0 = h = _check_path_hypotheses(g, x, y)
+    x0, y0 = x, y
+    lifts = []  # (x of the smaller instance, its lift), outermost first
+    while True:
+        if h.degree(y) < h.degree(x):
+            x, y = y, x
+        if h.n <= 5:
+            step = _paths_base_case(h, x, y)
+        else:
+            four = _four_cycle_through(h, x, y)
+            step = _paths_case_four_cycle(h, x, y, four) if four else _paths_case_contract(h, x, y)
+        if isinstance(step, PathPairCertificate):
+            break
+        sub, x, y, lift = step
+        lifts.append((x, lift))
+        h = sub.without_edge(x, y) if sub.has_edge(x, y) else sub
+    paths = (step.p1, step.p2)
+    for start, lift in reversed(lifts):
+        paths = [lift(p if p.start == start else p.reverse()) for p in paths]
+    cert = PathPairCertificate.make(x0, y0, *paths)
+    ok, why = oracle.validate(cert, h0)
     _require(ok, f"path-pair certificate invalid: {why}")
     return cert
-
-
-def _two_paths_normalized(h: Graph, x: int, y: int) -> PathPairCertificate:
-    if h.n <= 5:
-        return _paths_base_case(h, x, y)
-
-    four = _four_cycle_through(h, x, y)
-    if four is not None:
-        return _paths_case_four_cycle(h, x, y, four)
-    return _paths_case_contract(h, x, y)
 
 
 def _four_cycle_through(h: Graph, x: int, y: int):
@@ -1091,12 +1101,14 @@ def _four_cycle_through(h: Graph, x: int, y: int):
     return None
 
 
-def _paths_case_four_cycle(h, x, y, four) -> PathPairCertificate:
+def _paths_case_four_cycle(h, x, y, four):
+    """The 4-cycle x x1 a x2 of h - y, with F the component of y in
+    h - {x, x1, a, x2}: the two paths if x1 or x2 sees F, else the instance
+    (h - F, x, a), whose paths go on to y through F.  F attaches to x and a
+    only then, so h - F keeps the degree of every other vertex."""
     x1, a, x2 = four
-    cset = {x, x1, a, x2}
-    comps = components(h, frozenset(cset))
-    fcomp = next(c for c in comps if y in c)
-    fset = set(fcomp)
+    comps = components(h, frozenset((x, x1, a, x2)))
+    fset = set(next(c for c in comps if y in c))
     outside = frozenset(set(h.vertices) - fset)
     for near, far in ((x1, x2), (x2, x1)):
         if any(w in fset for w in h.adj[near]):
@@ -1105,96 +1117,66 @@ def _paths_case_four_cycle(h, x, y, four) -> PathPairCertificate:
             p1 = Path(h, (x,) + p.vertices)
             p2 = Path(h, (x, far, a) + p.vertices)
             return PathPairCertificate.make(x, y, p1, p2)
-    gsub, mapping = induced_subgraph(h, set(h.vertices) - fset)
-    sub_cert = _path_theorem(gsub, mapping.index(x), mapping.index(a))
-    q1 = _map_path(sub_cert.p1, mapping, h)
-    q2 = _map_path(sub_cert.p2, mapping, h)
-    _require(
-        any(w in fset for w in h.adj[a]),
-        "2-connectivity forces a to attach to the component of y",
-    )
     p = bfs_path(h, {a}, {y}, outside - {a})
-    _require(p is not None, "a reaches y through F")
-    p1 = Path(h, q1.vertices + p.vertices[1:])
-    p2 = Path(h, q2.vertices + p.vertices[1:])
-    return PathPairCertificate.make(x, y, p1, p2)
+    _require(p is not None, "2-connectivity forces a to reach y through F")
+    sub, ids = induced_subgraph(h, outside)
+    sx, sa = ids.index(x), ids.index(a)
+    _require(_two_connected(sub.with_edge(sx, sa)), "h - F plus the edge xa is 2-connected")
+    return sub, sx, sa, lambda q: Path(h, tuple(ids[v] for v in q.vertices) + p.vertices[1:])
 
 
-def _paths_case_contract(h, x, y) -> PathPairCertificate:
+def _paths_case_contract(h, x, y):
+    """Contract x and X = N(x) into x* and hand on (G*, x*, y*) if G* + x*y*
+    is 2-connected, else the block of y*, else the endgame.  No vertex but y
+    has two neighbours in X, or h has a 4-cycle through x, so every other
+    vertex keeps its degree; X is independent if h is bipartite."""
     xs = sorted(h.adj[x])
-    gminus, map1 = induced_subgraph(h, set(h.vertices) - {x})
-    inv1 = {orig: i for i, orig in enumerate(map1)}
-    gstar, rec = contract(gminus, {inv1[v] for v in xs})
-    xstar = rec.contracted_vertex
-    ystar = rec.vertex_map[inv1[y]]
-    gplus = gstar if gstar.has_edge(xstar, ystar) else gstar.with_edge(xstar, ystar)
+    gstar, rec = contract(h, {x, *xs})
+    xstar, ystar = rec.contracted_vertex, rec.vertex_map[y]
 
-    if connectivity_cut(gplus, 2) is None:
-        sub_cert = _path_theorem(gplus, xstar, ystar)
-        return _lift_star_paths(h, x, y, sub_cert, rec, map1)
+    def lift(q):  # an x*-y* path of G* to an x-y path of h through X
+        return Path(h, (x,) + lift_path(rec, q)[0].vertices)
 
-    dec = blocks(gstar)
+    gplus = gstar.with_edge(xstar, ystar)
+    if _two_connected(gplus):
+        return gstar, xstar, ystar, lift
+
+    # G* + x*y* is h + xy with the connected set {x} + X contracted, so x*
+    # is its only cut vertex; G* itself may have more on the way to y*
+    dec = blocks(gplus)
     _require(
         dec.cut_vertices == frozenset([xstar]),
         "x* is the only cut vertex of the contracted graph",
     )
     bblock = next(b for b in dec.blocks if ystar in b.vertices)
-    if len(bblock.vertices) >= 3:
-        bsub, mapb = induced_subgraph(gstar, bblock.vertices)
+    if len(bblock.vertices) >= 3:  # a block of 3 or more vertices is 2-connected
+        bsub, mapb = induced_subgraph(gplus, bblock.vertices)
         bx, by = mapb.index(xstar), mapb.index(ystar)
-        bplus = bsub if bsub.has_edge(bx, by) else bsub.with_edge(bx, by)
-        sub_cert = _path_theorem(bplus, bx, by)
-        lifted = PathPairCertificate.make(
-            xstar,
-            ystar,
-            _map_path(sub_cert.p1, mapb, gstar),
-            _map_path(sub_cert.p2, mapb, gstar),
-        )
-        return _lift_star_paths(h, x, y, lifted, rec, map1)
+        return bsub, bx, by, lambda q: lift(_map_path(q, mapb, gstar))
 
     # B = x*y endgame: N(y) = X = N(x); route through another block
-    _require(
-        sorted(h.adj[y]) == xs,
-        "endgame forces N(y) = N(x) = X",
-    )
-    others = sorted(
-        (sorted(b.vertices), b) for b in dec.blocks if b.vertices != bblock.vertices
-    )
+    _require(sorted(h.adj[y]) == xs, "endgame forces N(y) = N(x) = X")
+    others = sorted((sorted(b.vertices), b) for b in dec.blocks if b.vertices != bblock.vertices)
     _require(others, "G* has a block besides x*y")
     dprime = others[0][1]
     _require(
         len(dprime.vertices) >= 3,
         "a K2 block besides x*y would hide a degree-1 vertex",
     )
-    dverts_h = {map1[rec.original_of(v)] for v in dprime.vertices if v != xstar}
-    attach = sorted(
-        v for v in xs if any(w in dverts_h for w in h.adj[v])
-    )
+    dverts_h = {rec.original_of(v) for v in dprime.vertices if v != xstar}
+    attach = sorted(v for v in xs if any(w in dverts_h for w in h.adj[v]))
     _require(len(attach) >= 2, "at least two X-vertices see the block D")
     u1 = attach[0]
-    keep = set(xs) | dverts_h
-    g1, mapg1 = induced_subgraph(h, keep)
-    invg1 = {orig: i for i, orig in enumerate(mapg1)}
-    g1c, rec2 = contract(g1, {invg1[v] for v in xs if v != u1})
-    u1c = rec2.vertex_map[invg1[u1]]
-    u2c = rec2.contracted_vertex
-    gplus2 = g1c if g1c.has_edge(u1c, u2c) else g1c.with_edge(u1c, u2c)
-    sub_cert = _path_theorem(gplus2, u1c, u2c)
-    out = []
-    for p in (sub_cert.p1, sub_cert.p2):
-        lifted, _ = lift_path(rec2, p)  # in g1 ids, from u1 to some x_i
-        ph = _map_path(lifted, mapg1, h).reverse()  # x_i ... u1
-        out.append(Path(h, (x,) + ph.vertices + (y,)))
-    return PathPairCertificate.make(x, y, out[0], out[1])
+    g1, mapg1 = induced_subgraph(h, set(xs) | dverts_h)
+    g1c, rec2 = contract(g1, {mapg1.index(v) for v in xs if v != u1})
+    u1c, u2c = rec2.vertex_map[mapg1.index(u1)], rec2.contracted_vertex
+    _require(_two_connected(g1c.with_edge(u1c, u2c)), "the endgame instance is 2-connected")
 
+    def lift_end(q):  # a u1-X path of the block D plus X, closed by x and y
+        ph = _map_path(lift_path(rec2, q)[0], mapg1, h).reverse()  # x_i ... u1
+        return Path(h, (x,) + ph.vertices + (y,))
 
-def _lift_star_paths(h, x, y, cert: PathPairCertificate, rec, map1) -> PathPairCertificate:
-    out = []
-    for p in (cert.p1, cert.p2):
-        lifted, _ = lift_path(rec, p)  # path in g - x from some x_i to y
-        ph = _map_path(lifted, map1, h)
-        out.append(Path(h, (x,) + ph.vertices))
-    return PathPairCertificate.make(x, y, out[0], out[1])
+    return g1c, u1c, u2c, lift_end
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import pathlib
 import random
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from evencycles import finder, oracle
+from evencycles.codecs import decode_graph6, encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
     InternalInvariantError,
@@ -52,6 +54,7 @@ from evencycles.graphs import (
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "main_theorem_golden.json").read_text())
 THREE_CONNECTED_GOLDEN = json.loads((DATA / "three_connected_golden.json").read_text())
+TWO_PATHS_GOLDEN = json.loads((DATA / "two_paths_golden.json").read_text())
 
 
 def assert_valid_pair(cert, g):
@@ -284,10 +287,61 @@ class TestTwoPaths:
             two_paths_diff_two(g, 4, 5)
         assert exc.value.name == "edge degree sum"
 
-    def test_deeper_recursion(self):
-        g = complete_bipartite(3, 4)
-        cert = two_paths_diff_two(g, 0, 1)
+    def test_three_reductions_check_hypotheses_once(self, monkeypatch):
+        # the order-8 graph GJ\{K[ with terminals (0, 7) contracts three
+        # times before the base case; only the input is checked
+        calls = []
+        for name in ("_check_path_hypotheses", "contract"):
+            f = getattr(finder, name)
+            monkeypatch.setattr(finder, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        cert = two_paths_diff_two(decode_graph6("GJ\\{K["), 0, 7)
+        assert (calls.count("contract"), calls.count("_check_path_hypotheses")) == (3, 1)
         assert cert.lengths[1] - cert.lengths[0] == 2
+
+    def test_depth_does_not_grow_with_the_input(self, monkeypatch):
+        # the rung (0, n) of the prism GP(n, 1) takes n - 4 contraction
+        # steps, and each runs at the same stack depth
+        depths, step = [], finder._paths_case_contract
+        monkeypatch.setattr(
+            finder, "_paths_case_contract", lambda *a: depths.append(_stack_depth()) or step(*a)
+        )
+        n = 300
+        g = generalized_petersen(n, 1)
+        cert = two_paths_diff_two(g, 0, n)
+        assert cert.lengths == (n - 1, n + 1) and oracle.validate(cert, g)[0]
+        assert len(depths) == n - 4 and len(set(depths)) == 1
+
+    def test_cut_vertex_of_the_contraction_on_the_way_to_y(self):
+        # the terminal 11 has degree 2, so the loop starts from x = 11;
+        # contracting it with N(x) = {5, 10} leaves G* with a cut vertex 0
+        # between x* and y = 12, which the edge x*y* bridges
+        g = decode_graph6("LQbTPTOSGG_`i_")
+        cert = two_paths_diff_two(g, 12, 11)
+        assert not g.has_edge(12, 11) and oracle.validate(cert, g)[0]
+        assert cert.lengths == (4, 6)
+
+    def test_golden_digest(self):
+        # every terminal pair x < y of every graph of order <= 7, as one
+        # digest of the paths or of the name of the failed hypothesis
+        golden = TWO_PATHS_GOLDEN
+        lines = [
+            _path_outcome(g, x, y)
+            for n in range(1, golden["max_order"] + 1)
+            for g in enumerate_small(n)
+            for x in range(n)
+            for y in range(x + 1, n)
+        ]
+        digest = hashlib.sha256("".join(s + "\n" for s in lines).encode()).hexdigest()
+        solved = sum(s.endswith(")") for s in lines)
+        assert (len(lines), solved, digest) == (golden["instances"], golden["solved"], golden["sha256"])
+
+    @pytest.mark.parametrize(
+        "case", TWO_PATHS_GOLDEN["cases"], ids=[c["name"] for c in TWO_PATHS_GOLDEN["cases"]]
+    )
+    def test_golden_multi_level(self, case):
+        # one instance per kind of reduction step, with the exact paths
+        cert = two_paths_diff_two(decode_graph6(case["graph6"]), case["x"], case["y"])
+        assert [list(cert.p1.vertices), list(cert.p2.vertices)] == [case["p1"], case["p2"]]
 
     @pytest.mark.parametrize(
         "g, x, y",
@@ -308,6 +362,14 @@ class TestTwoPaths:
         assert oracle.validate(cert, h)[0]
         reps = oracle.xy_path_lengths(h, x, y)
         assert cert.lengths[0] in reps and cert.lengths[1] in reps
+
+
+def _path_outcome(g: Graph, x: int, y: int) -> str:
+    try:
+        c = two_paths_diff_two(g, x, y)
+    except HypothesisFailure as exc:
+        return f"{encode_graph6(g)} {x} {y} {exc.name}"
+    return f"{encode_graph6(g)} {x} {y} {c.p1.vertices} {c.p2.vertices}"
 
 
 def _clique(vs) -> list:
