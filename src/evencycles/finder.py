@@ -119,58 +119,59 @@ class Outcome:
 
 
 # ---------------------------------------------------------------------------
-# bounded deterministic cycle search (finder-local; the oracle stays independent)
+# even cycles built from blocks and ears, in O(n + m)
 
 
-def _cycles_of_length(g: Graph, length: int, allowed):
-    """Simple cycles of exactly `length` inside `allowed`, each once, sorted-first."""
-    allowed = sorted(set(allowed))
-    aset = set(allowed)
-    for root in allowed:
-        path = [root]
-        on_path = {root}
-
-        def extend():
-            v = path[-1]
-            if len(path) == length:
-                if g.has_edge(v, root) and path[1] < path[-1]:
-                    yield tuple(path)
-                return
-            for w in g.adj[v]:
-                if w <= root or w not in aset or w in on_path:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                yield from extend()
-                path.pop()
-                on_path.remove(w)
-
-        yield from extend()
+def _even_cycle(g: Graph, allowed) -> Optional[Cycle]:
+    """An even cycle of g inside `allowed`, or None if g[allowed] has none."""
+    sub, ids = induced_subgraph(g, allowed)
+    return _block_even_cycle(g, ids, blocks(sub))
 
 
-def _first_cycle_of_parity(g: Graph, allowed, parity: int) -> Optional[Cycle]:
-    """Shortest cycle of the given parity within `allowed` (deterministic)."""
-    allowed = set(allowed)
-    start = 3 if parity == 1 else 4
-    for length in range(start, len(allowed) + 1, 2):
-        for vs in _cycles_of_length(g, length, allowed):
-            return Cycle(g, vs)
-    return None
+def _block_even_cycle(g: Graph, ids, dec: BlockDecomposition) -> Optional[Cycle]:
+    """An even cycle of g in the first block of dec that holds one, or None;
+    dec holds the blocks of an induced subgraph whose vertex i is ids[i] in g.
+
+    C is a shortest cycle through the block's smallest edge.  Unless C is
+    the whole block, a short ear of C (a chord, or else the path closed by
+    the first edge that a search from V(C) finds between two of its trees)
+    makes a theta with C, and a theta holds an even cycle."""
+    # a block has e >= v - 1, and holds an even cycle iff e > v or e = v is even
+    blk = next((b for b in dec.blocks if len(b.edges) - len(b.vertices) >= len(b.vertices) % 2), None)
+    if blk is None:
+        return None
+    inside = {ids[v] for v in blk.vertices}
+    a, b = (ids[v] for v in min(blk.edges))
+    outside = set(g.vertices) - inside
+    p = bfs_path(g, [w for w in g.adj[a] if w in inside and w != b], {b}, outside | {a})
+    c = Cycle(g, (a,) + p.vertices)
+    if len(blk.edges) == len(blk.vertices):
+        return c
+    chords = c.chords()
+    if chords:
+        return _ear_even_cycle(c, Path(g, chords[0]))
+    root, parent, queue = {v: v for v in c.vertices}, {}, list(c.vertices)
+    for v in queue:  # the queue grows while it is read: a breadth-first search
+        for w in g.adj[v]:
+            if w not in inside:
+                continue
+            if w not in root:
+                root[w], parent[w] = root[v], v
+                queue.append(w)
+            elif root[w] != root[v] and (v in parent or w in parent):  # not both on C
+                left, right = [v], [w]  # each walked back to its root on C
+                for seq in (left, right):
+                    while seq[-1] in parent:
+                        seq.append(parent[seq[-1]])
+                return _ear_even_cycle(c, Path(g, tuple(left[::-1] + right)))
+    raise InternalInvariantError("C misses a vertex of its 2-connected block, so it has an ear")
 
 
-def _has_even_cycle(g: Graph, allowed) -> bool:
-    """Whether the subgraph of g induced by `allowed` has an even cycle."""
-    return _has_even_block(blocks(induced_subgraph(g, allowed)[0]))
-
-
-def _has_even_block(dec: BlockDecomposition) -> bool:
-    """Block criterion: some block has e > v, or is a cycle of even length."""
-    for b in dec.blocks:
-        if len(b.edges) > len(b.vertices):
-            return True
-        if len(b.edges) == len(b.vertices) and len(b.vertices) % 2 == 0:
-            return True
-    return False
+def _ear_even_cycle(c: Cycle, p: Path) -> Cycle:
+    """The even cycle in c plus the path p, which joins two vertices of c
+    and is otherwise disjoint from it."""
+    u, v = p.start, p.end
+    return theta_even_cycle(ThetaGraph.build(u, v, [c.arc(u, v), c.arc(v, u), p]))
 
 
 def _map_path(p: Path, mapping, host: Graph) -> Path:
@@ -289,10 +290,29 @@ def _stabilize_violation(g: Graph, c: Cycle):
 
 
 def _even_proper_subcycle(g: Graph, c: Cycle) -> Cycle:
-    for length in range(4, c.length, 2):
-        for vs in _cycles_of_length(g, length, c.vertex_set()):
-            return Cycle(g, vs)
-    raise InternalInvariantError("no even cycle on a proper subset of a bad cycle")
+    """A shorter even cycle on V(C), for an even C of length >= 6 with a
+    chord that splits it into odd arcs, which closes either arc, or with
+    two chords, which then split C into even arcs.  Crossing chords cut C
+    into four arcs of one parity, and each pair of opposite arcs closes with
+    both chords into an even cycle, one of them shorter than C.  Otherwise
+    C with an arc of each chord, holding no end of the other, replaced by
+    that chord is even and shorter."""
+    chords = c.chords()
+    for a, b in chords:
+        if c.arc_length(a, b) % 2:
+            return Cycle(g, c.arc(a, b).vertices)
+    (a1, b1), (a2, b2) = chords[:2]
+    for s, t in ((a1, b1), (b1, a1)):
+        i = c.index_of(s)
+        vs = c.vertices[i:] + c.vertices[:i]  # from s, with t at j
+        j = vs.index(t)
+        p, q = sorted((vs.index(a2), vs.index(b2)))
+        if 0 < p < j < q:
+            pair = (vs[: p + 1] + vs[j : q + 1][::-1], vs[p : j + 1] + (s,) + vs[q:][::-1])
+            return Cycle(g, min(pair, key=len))
+        if q <= j:  # the second chord lies on the arc s..t, so skip t..s and p..q
+            return Cycle(g, vs[: p + 1] + vs[q : j + 1])
+    raise InternalInvariantError("two chords cross, or one lies on an arc of the other")
 
 
 def _fix_disconnected(g: Graph, c: Cycle, d: frozenset) -> Cycle:
@@ -324,10 +344,8 @@ def _fix_disconnected(g: Graph, c: Cycle, d: frozenset) -> Cycle:
         else:
             raise InternalInvariantError("attachment vertex not interior to any arc")
         p0, p1, p2 = by_end[v0], by_end[v1], by_end[v2]
-        path_a = p1
-        path_b = Path(g, p0.vertices + c.arc(v0, v1).vertices[1:])
-        path_c = Path(g, p2.vertices + tuple(reversed(c.arc(v1, v2).vertices))[1:])
-        return theta_even_cycle(ThetaGraph.build(u, v1, [path_a, path_b, path_c]))
+        around = Cycle(g, p0.vertices + c.arc(v0, v2).vertices[1:] + p2.vertices[-2:0:-1])
+        return _ear_even_cycle(around, p1)
     _require(attach == set(ends), "N_C(F) must equal the three fan endpoints")
     v0, v1, v2 = order
     trip = [(v0, v1, v2), (v1, v2, v0), (v2, v0, v1)]
@@ -351,9 +369,15 @@ def stabilize_even_cycle(g: Graph, d) -> Cycle:
     d = frozenset(d)
     if not d or not is_connected(induced_subgraph(g, d)[0]):
         raise GraphError("d must be a nonempty connected vertex set")
-    c = _first_cycle_of_parity(g, set(g.vertices) - d, 0)
+    c = _even_cycle(g, set(g.vertices) - d)
     if c is None:
         raise GraphError("g - V(d) contains no even cycle")
+    return _stabilize_even_cycle(g, d, c)
+
+
+def _stabilize_even_cycle(g: Graph, d: frozenset, c: Cycle) -> Cycle:
+    """stabilize_even_cycle from the even cycle c avoiding the connected set d."""
+    _require(c.length % 2 == 0 and not c.vertex_set() & d, "the start is even and avoids d")
     while True:
         kind = _stabilize_violation(g, c)
         if kind is None:
@@ -442,7 +466,12 @@ def pair_from_disjoint_odd_even(g: Graph, d: Cycle) -> CyclePairCertificate:
     """Certificate from an odd cycle d such that g - V(d) has an even cycle."""
     if d.length % 2 != 1:
         raise GraphError("d must be an odd cycle")
-    c = stabilize_even_cycle(g, d.vertex_set())
+    return _pair_from_disjoint_odd_even(g, d, stabilize_even_cycle(g, d.vertex_set()))
+
+
+def _pair_from_disjoint_odd_even(g: Graph, d: Cycle, start: Cycle) -> CyclePairCertificate:
+    """pair_from_disjoint_odd_even from an even cycle `start` that avoids d."""
+    c = _stabilize_even_cycle(g, d.vertex_set(), start)
     fset = frozenset(g.vertices) - c.vertex_set()
 
     if c.length == 4:
@@ -583,9 +612,9 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
     if b.vertex_set() & d.vertex_set() != {u}:
         raise GraphError("cycles must share exactly the vertex u")
     dminus = d.vertex_set() - {u}
-    c = stabilize_even_cycle(g, dminus)
+    c = _stabilize_even_cycle(g, dminus, b)
     if u not in c.vertex_set():
-        return pair_from_disjoint_odd_even(g, d)
+        return _pair_from_disjoint_odd_even(g, d, c)
 
     fset = frozenset(g.vertices) - c.vertex_set()
     qd = quasi_diagonal(c)
@@ -616,25 +645,15 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
         forb = set(g.vertices) - fset
         qpath = bfs_path(g, {v}, dminus, frozenset(forb - dminus))
         _require(qpath is not None, "F is connected and contains d - u")
-        w = qpath.end
-        stem = Path(g, (u, u3) + qpath.vertices)
-        theta = ThetaGraph.build(u, w, [d.arc(u, w), d.arc(w, u), stem])
-        ceven = theta_even_cycle(theta)
+        ceven = _ear_even_cycle(d, Path(g, (u, u3) + qpath.vertices))
         tri = Cycle(g, (u1, u2, u4))
         _require(not (ceven.vertex_set() & tri.vertex_set()), "even cycle misses the chord triangle")
-        return pair_from_disjoint_odd_even(g, tri)
+        return _pair_from_disjoint_odd_even(g, tri, ceven)
     raise InternalInvariantError("a C-neighbor of u must reach F")
 
 
 # ---------------------------------------------------------------------------
 # two disjoint odd cycles (cubic endgame)
-
-
-def _theta_from_vertex_fan(g, b: Cycle, v: int, u1: int, u2: int) -> Cycle:
-    """Even cycle in b + {u1 v, u2 v}."""
-    stem = Path(g, (u1, v, u2))
-    theta = ThetaGraph.build(u1, u2, [b.arc(u1, u2), b.arc(u2, u1), stem])
-    return theta_even_cycle(theta)
 
 
 def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
@@ -646,8 +665,9 @@ def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
     if dsub is None:
         raise GraphError("g - V(b) is bipartite: no odd cycle disjoint from b")
     fdec = blocks(fsub)
-    if _has_even_block(fdec):
-        return pair_from_disjoint_odd_even(g, b)
+    c = _block_even_cycle(g, fmap, fdec)
+    if c is not None:
+        return _pair_from_disjoint_odd_even(g, b, c)
     return _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub)
 
 
@@ -677,7 +697,7 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
         v = fmap[noncut[0]]
         bn = sorted(w for w in g.adj[v] if w in bset)
         _require(len(bn) >= 2, "3-connectivity gives the end-block vertex two B-neighbors")
-        ceven = _theta_from_vertex_fan(g, b, v, bn[0], bn[1])
+        ceven = _ear_even_cycle(b, Path(g, (bn[0], v, bn[1])))
     else:
         _require(
             len(dprime.edges) == len(dprime.vertices) and len(dprime.vertices) % 2 == 1,
@@ -711,12 +731,9 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
         else:
             arcs = sorted(arcs, key=lambda a: (a.length, a.vertices))[:1]
         _require(len(arcs) >= 1, "D' - v contains a w1-w2 path")
-        mid = arcs[0]
-        stem = Path(g, (b1,) + mid.vertices + (b2,))
-        theta = ThetaGraph.build(b1, b2, [b.arc(b1, b2), b.arc(b2, b1), stem])
-        ceven = theta_even_cycle(theta)
+        ceven = _ear_even_cycle(b, Path(g, (b1,) + arcs[0].vertices + (b2,)))
     _require(not (ceven.vertex_set() & dcycle.vertex_set()), "even cycle disjoint from D")
-    return pair_from_disjoint_odd_even(g, dcycle)
+    return _pair_from_disjoint_odd_even(g, dcycle, ceven)
 
 
 def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
@@ -725,12 +742,12 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
     for u in sorted(bset):
         dn = sorted(w for w in g.adj[u] if w in dset)
         if len(dn) >= 2:
-            ceven = _theta_from_vertex_fan(g, d, u, dn[0], dn[1])
+            ceven = _ear_even_cycle(d, Path(g, (dn[0], u, dn[1])))
             return pair_from_shared_vertex(g, ceven, b, u)
     for y in sorted(dset):
         bn = sorted(w for w in g.adj[y] if w in bset)
         if len(bn) >= 2:
-            ceven = _theta_from_vertex_fan(g, b, y, bn[0], bn[1])
+            ceven = _ear_even_cycle(b, Path(g, (bn[0], y, bn[1])))
             return pair_from_shared_vertex(g, ceven, d, y)
 
     match = {}
@@ -810,8 +827,9 @@ def _long_arc_branch(g, outer: Cycle, inner: Cycle, e, match) -> CyclePairCertif
     dstar = Cycle(g, de.vertices + (v, u))
     _require(dstar.length % 2 == 1, "shifted cycle is odd")
     region = (set(do.vertices) | outer.vertex_set()) - {u, v, match[u], match[v]}
-    _require(_has_even_cycle(g, region), "complement region contains a theta-graph")
-    return pair_from_disjoint_odd_even(g, dstar)
+    c = _even_cycle(g, region)
+    _require(c is not None, "complement region contains a theta-graph")
+    return _pair_from_disjoint_odd_even(g, dstar, c)
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +859,9 @@ def _three_connected_pair(g: Graph) -> CyclePairCertificate:
 
     sub, ids = induced_subgraph(g, frozenset(g.vertices) - d.vertex_set())
     dec = blocks(sub)
-    if _has_even_block(dec):
-        return pair_from_disjoint_odd_even(g, d)
+    c = _block_even_cycle(g, ids, dec)
+    if c is not None:
+        return _pair_from_disjoint_odd_even(g, d, c)
     dsub = shortest_odd_cycle(sub)
     if dsub is not None:
         return _two_disjoint_odd(g, d, sub, ids, dec, dsub)
@@ -910,11 +929,12 @@ def _triangle_case(g, d: Cycle, comps) -> CyclePairCertificate:
         u1, u2 = fcomp
         nd = set(un) | {w for w in g.adj[u2 if u == u1 else u1] if w in d.vertex_set()}
         _require(nd == {v1, v2, v3}, "K2 component covers the whole triangle")
+        # u1, u2 each miss at most one triangle vertex, and not the same one
         u3 = comps[1][0]
-        region = {u1, u2, u3, v1, v2, v3}
-        for vs in _cycles_of_length(g, 6, region):
-            return _certify(g, c4, Cycle(g, vs))
-        raise InternalInvariantError("bounded search: C6 on the six-vertex region")
+        va, vb = sorted(w for w in g.adj[u3] if w in d.vertex_set())[:2]
+        (vc,) = {v1, v2, v3} - {va, vb}
+        ui, uj = (u1, u2) if g.has_edge(va, u1) and g.has_edge(u2, vc) else (u2, u1)
+        return _certify(g, c4, Cycle(g, (u3, va, ui, uj, vc, vb)))
     if size in (3, 4):
         u1, u2 = leaves[0], leaves[1]
         parent = spanning_tree(g, fcomp)

@@ -12,7 +12,7 @@ from evencycles import cli, finder, oracle
 from evencycles.codecs import encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
-    _has_even_cycle,
+    _even_cycle,
     _stabilize_violation,
     cycle_two_mod_four,
     main_theorem,
@@ -176,7 +176,7 @@ def test_criterion_7_structural_suites(three_connected_factory):
     for seed in range(1000):
         g = three_connected_factory(seed)
         v = random.Random(seed).randrange(g.n)
-        if not _has_even_cycle(g, set(g.vertices) - {v}):
+        if _even_cycle(g, set(g.vertices) - {v}) is None:
             continue
         c = stabilize_even_cycle(g, {v})
         assert _stabilize_violation(g, c) is None
@@ -185,7 +185,7 @@ def test_criterion_7_structural_suites(three_connected_factory):
         stabilized += 1
         # drive the full combination (parity identity asserted inside)
         odd = shortest_odd_cycle(g)
-        if odd is not None and _has_even_cycle(g, set(g.vertices) - odd.vertex_set()):
+        if odd is not None and _even_cycle(g, set(g.vertices) - odd.vertex_set()) is not None:
             cert = pair_from_disjoint_odd_even(g, odd)
             ok, why = oracle.validate(cert, g)
             assert ok, why

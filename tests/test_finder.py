@@ -114,6 +114,18 @@ class TestStabilize:
         with pytest.raises(GraphError):
             stabilize_even_cycle(g, {0})  # K3 remains, no even cycle
 
+    @pytest.mark.parametrize(
+        "n, chords",
+        [(6, [(0, 3)]), (6, [(0, 2), (1, 3)]), (8, [(0, 6), (2, 4)]), (6, [(0, 2), (0, 4)])],
+        ids=["odd-arc chord", "crossing chords", "nested chords", "chords sharing an end"],
+    )
+    def test_even_proper_subcycle(self, n, chords):
+        g = Graph.build(n, [(i, (i + 1) % n) for i in range(n)] + chords)
+        c = Cycle(g, tuple(range(n)))
+        sub = finder._even_proper_subcycle(g, c)
+        assert isinstance(sub, Cycle) and sub.length % 2 == 0
+        assert sub.vertex_set() < c.vertex_set()
+
     def test_seeded_instances(self, three_connected_factory):
         import random
 
@@ -121,7 +133,7 @@ class TestStabilize:
         for seed in range(200):
             g = three_connected_factory(seed)
             v = random.Random(seed).randrange(g.n)
-            if not finder._has_even_cycle(g, set(g.vertices) - {v}):
+            if finder._even_cycle(g, set(g.vertices) - {v}) is None:
                 continue
             c = stabilize_even_cycle(g, {v})
             assert finder._stabilize_violation(g, c) is None
@@ -226,17 +238,67 @@ class TestThreeConnected:
         assert ok, why
 
     def test_stray_component_fan(self, monkeypatch):
-        # GP(6, 2), graph6 KhEKA?aCOT?i: the stabilizer fans a stray
+        # graph6 Jne{vwJnhW? (order 11): the stabilizer fans a stray
         # component of g - V(C) onto C; the certificate is pinned
         calls = []
         real_fan = finder.fan
         monkeypatch.setattr(finder, "fan", lambda *a, **kw: calls.append(a) or real_fan(*a, **kw))
-        cert = three_connected_pair(generalized_petersen(6, 2))
+        cert = three_connected_pair(decode_graph6("Jne{vwJnhW?"))
         assert len(calls) == 1
         assert (cert.c1.vertices, cert.c2.vertices) == (
-            (0, 1, 2, 3, 4, 5),
-            (0, 1, 2, 3, 9, 7, 11, 5),
+            (1, 2, 5, 3),
+            (1, 2, 10, 4, 5, 3),
         )
+
+    def test_triangle_with_a_k2_component(self, monkeypatch):
+        # graph6 E]}g: g - V(D) for the triangle D is a K2 and a K1, and the
+        # C6 runs through both
+        sizes, real = [], finder._triangle_case
+        monkeypatch.setattr(
+            finder, "_triangle_case", lambda g, d, comps: sizes.append(len(comps[0])) or real(g, d, comps)
+        )
+        g = decode_graph6("E]}g")
+        assert_valid_pair(three_connected_pair(g), g)
+        assert sizes == [2]
+
+    def test_triangle_necklace(self):
+        # a hub triangle {0, 1, 2} and a ring of k triangles (s_i, a_i,
+        # s_i+1), a_i joined to hub i mod 3 and s_i to hub i + 1 mod 3: a
+        # 3-connected graph with far too many cycles to list
+        k = 200
+        s, a = (lambda i: 3 + 2 * (i % k)), (lambda i: 4 + 2 * i)
+        edges = [(0, 1), (1, 2), (0, 2)]
+        for i in range(k):
+            edges += [(s(i), a(i)), (a(i), s(i + 1)), (s(i), s(i + 1))]
+            edges += [(a(i), i % 3), (s(i), (i + 1) % 3)]
+        g = Graph.build(2 * k + 3, edges)
+        cert = three_connected_pair(g)
+        assert oracle.validate(cert, g)[0]
+
+    def test_every_branch_runs(self, monkeypatch):
+        names = (
+            "_pair_tree_attachment",
+            "_pair_b_branches",
+            "_fix_disconnected",
+            "_even_proper_subcycle",
+            "_cubic_endgame",
+            "_long_arc_branch",
+            "_triangle_case",
+            "_long_odd_case",
+        )
+        ran = set()
+        for name in names:
+            f = getattr(finder, name)
+            monkeypatch.setattr(finder, name, lambda *a, f=f, name=name: ran.add(name) or f(*a))
+        for s in ("Jne{vwJnhW?", "G@Q^Fs", "E]}g", "G?NNf_"):
+            g = decode_graph6(s)
+            assert oracle.validate(three_connected_pair(g), g)[0], s
+        for n in range(7, 16, 2):
+            # the outer rim of GP(n, 2) is an odd cycle, and so is the inner one
+            g = generalized_petersen(n, 2)
+            cert = pair_from_two_disjoint_odd(g, Cycle(g, tuple(range(n))))
+            assert oracle.validate(cert, g)[0], n
+        assert ran == set(names)
 
     def test_generalized_petersen_golden(self):
         # the exact cycles on every non-bipartite GP(n, k) with n <= 25
@@ -715,6 +777,13 @@ class TestNoExhaustiveFallback:
             assert is_bipartite(g)[0]
             cert = three_connected_pair(g)
             assert oracle.validate(cert, g)[0], (n, k)
+
+
+class TestNoEnumeration:
+    def test_finder_lists_nothing(self):
+        # the finder builds every cycle it uses; no generator lists them
+        tree = ast.parse(pathlib.Path(finder.__file__).read_text())
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Yield, ast.YieldFrom))]
 
 
 class TestOracleCallSites:
