@@ -24,8 +24,8 @@ from .graphs import (
     Path,
     ThetaGraph,
     _double_cover_walk,
+    _cut_search,
     _menger,
-    _min_cut_vertex,
     bfs_path,
     blocks,
     components,
@@ -324,15 +324,11 @@ def _fix_disconnected(g: Graph, c: Cycle, d: frozenset) -> Cycle:
     u = h[0]
     paths = fan(g, u, c.vertex_set(), 3, allowed=set(h) | c.vertex_set())
     _require(paths is not None, "3-connected graph must fan a stray component onto C")
-    ends = sorted(p.end for p in paths)
     by_end = {p.end: p for p in paths}
-    order = [v for v in c.vertices if v in set(ends)]  # cyclic order along C
-    attach = {
-        v
-        for v in c.vertices
-        if any(w in set(fcomp) for w in g.adj[v])
-    }
-    extra = sorted(attach - set(ends))
+    order = [v for v in c.vertices if v in by_end]  # cyclic order along C
+    fset = set(fcomp)
+    attach = {v for v in c.vertices if any(w in fset for w in g.adj[v])}
+    extra = sorted(attach - by_end.keys())
     if extra:
         # rotate labels so the extra attachment lies on the excluded arc [v2, v0]
         v = extra[0]
@@ -346,7 +342,7 @@ def _fix_disconnected(g: Graph, c: Cycle, d: frozenset) -> Cycle:
         p0, p1, p2 = by_end[v0], by_end[v1], by_end[v2]
         around = Cycle(g, p0.vertices + c.arc(v0, v2).vertices[1:] + p2.vertices[-2:0:-1])
         return _ear_even_cycle(around, p1)
-    _require(attach == set(ends), "N_C(F) must equal the three fan endpoints")
+    _require(attach == by_end.keys(), "N_C(F) must equal the three fan endpoints")
     v0, v1, v2 = order
     trip = [(v0, v1, v2), (v1, v2, v0), (v2, v0, v1)]
     for vi, vj, _vk in trip:
@@ -868,12 +864,16 @@ def _three_connected_pair(g: Graph) -> CyclePairCertificate:
 
     # g - V(D) is a forest
     comps = sorted(components(g, d.vertex_set()), key=lambda c: (-len(c), c))
+    rank = {w: i for i, comp in enumerate(comps) for w in comp}
     for v in sorted(d.vertex_set()):
-        for comp in comps:
-            nbrs = sorted(w for w in g.adj[v] if w in set(comp))
-            if len(nbrs) >= 3:
-                ceven = _theta_into_tree(g, v, nbrs[:3], comp)
-                return pair_from_shared_vertex(g, ceven, d, v)
+        nbrs = {}  # component rank -> the neighbours of v in it, sorted
+        for w in g.adj[v]:
+            if w in rank:
+                nbrs.setdefault(rank[w], []).append(w)
+        i = min((i for i, ws in nbrs.items() if len(ws) >= 3), default=None)
+        if i is not None:
+            ceven = _theta_into_tree(g, v, nbrs[i][:3], comps[i])
+            return pair_from_shared_vertex(g, ceven, d, v)
 
     fcomp = comps[0]
     if d.length == 3:
@@ -1024,8 +1024,10 @@ def _long_odd_case(g, d: Cycle, fcomp) -> CyclePairCertificate:
 # two x-y paths differing by two (the 2-cut theorem as one reduction loop)
 
 
-def _two_connected(g: Graph) -> bool:
-    return g.n >= 3 and is_connected(g) and _min_cut_vertex(g) is None
+def _two_connected_with(g: Graph, x: int, y: int) -> bool:
+    """Whether g + xy is 2-connected: one search of g that reads xy as an
+    edge reaches every vertex and finds no cut vertex."""
+    return g.n >= 3 and _cut_search(g, extra=(x, y)) == (None, g.n)
 
 
 def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
@@ -1033,23 +1035,26 @@ def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
     two_paths_diff_two; HypothesisFailure names the first one violated."""
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise HypothesisFailure("terminals", f"bad terminal pair ({x}, {y})")
-    if not _two_connected(g.with_edge(x, y)):
+    if not _two_connected_with(g, x, y):
         raise HypothesisFailure("2-connectivity", "g + xy is not 2-connected")
-    for v in g.vertices:
-        if v not in (x, y) and g.degree(v) < 3:
-            raise HypothesisFailure("minimum degree", f"vertex {v} has degree {g.degree(v)}")
-    h = g.without_edge(x, y) if g.has_edge(x, y) else g
-    for u, v in g.sorted_edges():
-        if x in (u, v) or y in (u, v):
+    adj = g.adj
+    deg = [len(row) for row in adj]
+    for v, dv in enumerate(deg):
+        if dv < 3 and v != x and v != y:
+            raise HypothesisFailure("minimum degree", f"vertex {v} has degree {dv}")
+    h = g.without_edge(x, y)
+    for u in g.vertices:  # the edges uv, u < v, in sorted order
+        if u == x or u == y:
             continue
-        if g.degree(u) + g.degree(v) < 7:
-            # Bondy-Vince: two x-y paths differ by one or two, and by two
-            # when g - xy is bipartite, since then all have one parity
-            if is_bipartite(h)[0]:
-                return h
-            raise HypothesisFailure(
-                "edge degree sum", f"edge ({u}, {v}) has degree sum < 7"
-            )
+        for v in adj[u]:
+            if v > u and v != x and v != y and deg[u] + deg[v] < 7:
+                # Bondy-Vince: two x-y paths differ by one or two, and by two
+                # when g - xy is bipartite, since then all have one parity
+                if is_bipartite(h)[0]:
+                    return h
+                raise HypothesisFailure(
+                    "edge degree sum", f"edge ({u}, {v}) has degree sum < 7"
+                )
     return h
 
 
@@ -1100,7 +1105,7 @@ def two_paths_diff_two(g: Graph, x: int, y: int) -> PathPairCertificate:
             break
         sub, x, y, lift = step
         lifts.append((x, lift))
-        h = sub.without_edge(x, y) if sub.has_edge(x, y) else sub
+        h = sub.without_edge(x, y)
     paths = (step.p1, step.p2)
     for start, lift in reversed(lifts):
         paths = [lift(p if p.start == start else p.reverse()) for p in paths]
@@ -1141,7 +1146,7 @@ def _paths_case_four_cycle(h, x, y, four):
     _require(p is not None, "2-connectivity forces a to reach y through F")
     sub, ids = induced_subgraph(h, outside)
     sx, sa = ids.index(x), ids.index(a)
-    _require(_two_connected(sub.with_edge(sx, sa)), "h - F plus the edge xa is 2-connected")
+    _require(_two_connected_with(sub, sx, sa), "h - F plus the edge xa is 2-connected")
     return sub, sx, sa, lambda q: Path(h, tuple(ids[v] for v in q.vertices) + p.vertices[1:])
 
 
@@ -1157,12 +1162,12 @@ def _paths_case_contract(h, x, y):
     def lift(q):  # an x*-y* path of G* to an x-y path of h through X
         return Path(h, (x,) + lift_path(rec, q)[0].vertices)
 
-    gplus = gstar.with_edge(xstar, ystar)
-    if _two_connected(gplus):
+    if _two_connected_with(gstar, xstar, ystar):
         return gstar, xstar, ystar, lift
 
     # G* + x*y* is h + xy with the connected set {x} + X contracted, so x*
     # is its only cut vertex; G* itself may have more on the way to y*
+    gplus = gstar.with_edge(xstar, ystar)
     dec = blocks(gplus)
     _require(
         dec.cut_vertices == frozenset([xstar]),
@@ -1190,7 +1195,7 @@ def _paths_case_contract(h, x, y):
     g1, mapg1 = induced_subgraph(h, set(xs) | dverts_h)
     g1c, rec2 = contract(g1, {mapg1.index(v) for v in xs if v != u1})
     u1c, u2c = rec2.vertex_map[mapg1.index(u1)], rec2.contracted_vertex
-    _require(_two_connected(g1c.with_edge(u1c, u2c)), "the endgame instance is 2-connected")
+    _require(_two_connected_with(g1c, u1c, u2c), "the endgame instance is 2-connected")
 
     def lift_end(q):  # a u1-X path of the block D plus X, closed by x and y
         ph = _map_path(lift_path(rec2, q)[0], mapg1, h).reverse()  # x_i ... u1
@@ -1341,7 +1346,7 @@ def _two_cut(g: Graph, cut) -> CyclePairCertificate:
         """Side i minus the edge xy, and the ids of x and y in it."""
         h, ids = sides[i]
         hx, hy = ids.index(x), ids.index(y)
-        return (h.without_edge(hx, hy) if h.has_edge(hx, hy) else h), hx, hy
+        return h.without_edge(hx, hy), hx, hy
 
     def close(p, q1, q2):
         return _certify(g, cycle_from_paths(p, q1), cycle_from_paths(p, q2))
@@ -1377,7 +1382,7 @@ def _parity_path(h: Graph, x: int, y: int, parity: int) -> Path:
     joins the paths into an x-y path of the wanted parity.  A terminal on D
     is its own path, and no path passes through a terminal, since flow may
     not enter {x, y}."""
-    h = h.without_edge(x, y) if h.has_edge(x, y) else h
+    h = h.without_edge(x, y)
     walk = _parity_walk(h, x, y, parity)
     if walk is not None and len(set(walk)) == len(walk):
         return Path(h, walk)

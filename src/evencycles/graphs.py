@@ -47,6 +47,15 @@ class Graph:
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset, adj: tuple) -> "Graph":
+        """The graph with the given edges and adjacency, which the caller
+        derived from a valid graph: a frozenset of pairs u < v below n, and
+        its rows as sorted tuples.  Nothing is checked or rebuilt."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, adj=adj)
+        return g
+
     @cached_property
     def adj(self) -> tuple:
         nbrs = [[] for _ in range(self.n)]
@@ -64,7 +73,7 @@ class Graph:
         return range(self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and _norm_edge(u, v) in self.edges
+        return u != v and ((u, v) if u < v else (v, u)) in self.edges
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -73,10 +82,24 @@ class Graph:
         return sorted(self.edges)
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, self.edges - {_norm_edge(u, v)})
+        e = _norm_edge(u, v)
+        if e not in self.edges:
+            return self
+        adj = list(self.adj)
+        adj[u] = tuple(w for w in adj[u] if w != v)
+        adj[v] = tuple(w for w in adj[v] if w != u)
+        return Graph._trusted(self.n, self.edges - {e}, tuple(adj))
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, self.edges | {_norm_edge(u, v)})
+        e = _norm_edge(u, v)
+        if not (0 <= e[0] and e[1] < self.n):
+            raise GraphError(f"bad edge {e} for order {self.n}")
+        if e in self.edges:
+            return self
+        adj = list(self.adj)
+        adj[u] = tuple(sorted(adj[u] + (v,)))
+        adj[v] = tuple(sorted(adj[v] + (u,)))
+        return Graph._trusted(self.n, self.edges | {e}, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -346,8 +369,10 @@ def induced_subgraph(g: Graph, s) -> tuple:
         if not (0 <= v < g.n):
             raise GraphError(f"unknown vertex id {v}")
     idx = {v: i for i, v in enumerate(s)}
-    edges = [(i, idx[w]) for i, v in enumerate(s) for w in g.adj[v] if w > v and w in idx]
-    return Graph(len(s), frozenset(edges)), tuple(s)
+    # idx is monotone, so each row stays sorted
+    adj = tuple([tuple([idx[w] for w in g.adj[v] if w in idx]) for v in s])
+    edges = frozenset([(i, j) for i, row in enumerate(adj) for j in row if j > i])
+    return Graph._trusted(len(s), edges, adj), tuple(s)
 
 
 @dataclass(frozen=True)
@@ -392,19 +417,18 @@ def contract(g: Graph, s) -> tuple:
     vmap = dict(new_id)
     for v in s:
         vmap[v] = sid
-    edges = set()
-    realizations: dict = {}
-    for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
-        if a == b:
-            continue
-        edges.add(_norm_edge(a, b))
-        if sid in (a, b):
-            w = a if b == sid else b
-            inside = u if vmap[u] == sid else v
-            realizations.setdefault(w, []).append(inside)
-    realizations = {w: tuple(sorted(ends)) for w, ends in realizations.items()}
-    cg = Graph(sid + 1, frozenset(edges))
+    # new_id is monotone and sid the largest id, so each row stays sorted
+    adj, realizations = [], {}
+    for i, v in enumerate(survivors):
+        row = [new_id[w] for w in g.adj[v] if w not in s]
+        inside = tuple([w for w in g.adj[v] if w in s])
+        if inside:
+            row.append(sid)
+            realizations[i] = inside
+        adj.append(tuple(row))
+    adj.append(tuple(realizations))
+    edges = frozenset([(i, j) for i, row in enumerate(adj) for j in row if j > i])
+    cg = Graph._trusted(sid + 1, edges, tuple(adj))
     return cg, ContractionRecord(g, vmap, sid, s, realizations)
 
 
@@ -537,14 +561,27 @@ def blocks(g: Graph) -> BlockDecomposition:
 
 
 def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
-    """Smallest cut vertex of the connected graph g - skip, or None.
+    """Smallest cut vertex of the connected graph g - skip, or None."""
+    if g.n - (skip is not None) < 3:
+        return None
+    return _cut_search(g, skip)[0]
+
+
+def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
+    """(smallest cut vertex or None, number of vertices reached) for the
+    component of g - skip that holds its smallest vertex, with the edge xy
+    added if extra = (x, y).
 
     One iterative low-point depth-first search.  `skip` gets a discovery
     time above every real one, so the search neither enters it nor lowers a
-    low point through it, and g - skip is never built.
+    low point through it, and g - skip is never built; `extra` is read as
+    one more entry in the rows of x and y, so g + xy is not built either.
     """
-    if g.n - (skip is not None) < 3:
-        return None
+    adj = g.adj
+    if extra is not None and not g.has_edge(*extra):
+        x, y = extra
+        adj = list(adj)
+        adj[x], adj[y] = adj[x] + (y,), adj[y] + (x,)
     disc = [0] * g.n
     low = [0] * g.n
     if skip is not None:
@@ -554,14 +591,14 @@ def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
     timer = 2
     root_children = 0
     best = None
-    stack = [(root, -1, iter(g.adj[root]))]
+    stack = [(root, -1, iter(adj[root]))]
     while stack:
         v, parent, it = stack[-1]
         for w in it:
             if disc[w] == 0:
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, v, iter(g.adj[w])))
+                stack.append((w, v, iter(adj[w])))
                 break
             if w != parent and disc[w] < low[v]:
                 low[v] = disc[w]
@@ -576,7 +613,7 @@ def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
                     low[parent] = low[v]
     if root_children > 1 and (best is None or root < best):
         best = root
-    return best
+    return best, timer - 1
 
 
 _EOS = (0, -1, 0)  # end-of-stack mark on the triple stack; its a matches no vertex

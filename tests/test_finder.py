@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from evencycles import finder, oracle
+from evencycles import finder, graphs, oracle
 from evencycles.codecs import decode_graph6, encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
@@ -275,6 +275,21 @@ class TestThreeConnected:
         cert = three_connected_pair(g)
         assert oracle.validate(cert, g)[0]
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # g - V(D) for the triangle D is the rest of the rim, one long
+            # path, and the hub has a neighbour on each of its vertices
+            wheel_graph(3000),
+            # g - V(D) is 3000 isolated vertices, each joined to all of D
+            Graph.build(3003, [(0, 1), (1, 2), (0, 2)] + [(t, v) for v in range(3, 3003) for t in range(3)]),
+        ],
+        ids=["W3000", "K3-joined-to-3000"],
+    )
+    def test_large_forest_branch(self, g):
+        ok, why = oracle.validate(three_connected_pair(g), g)
+        assert ok, why
+
     def test_every_branch_runs(self, monkeypatch):
         names = (
             "_pair_tree_attachment",
@@ -381,6 +396,22 @@ class TestTwoPaths:
         cert = two_paths_diff_two(g, 12, 11)
         assert not g.has_edge(12, 11) and oracle.validate(cert, g)[0]
         assert cert.lengths == (4, 6)
+
+    def test_two_connected_with_agrees_with_building_g_plus_xy(self):
+        # every graph of order <= 7 and every ordered pair x != y
+        agree = checked = 0
+        for n in range(1, 8):
+            for g in enumerate_small(n):
+                for x in range(n):
+                    for y in range(n):
+                        if x == y:
+                            continue
+                        gp = g.with_edge(x, y)
+                        want = gp.n >= 3 and is_connected(gp) and graphs._min_cut_vertex(gp) is None
+                        assert finder._two_connected_with(g, x, y) == want, (encode_graph6(g), x, y)
+                        agree += want
+                        checked += 1
+        assert (checked, agree) == (49368, 24642)
 
     def test_golden_digest(self):
         # every terminal pair x < y of every graph of order <= 7, as one

@@ -85,6 +85,67 @@ class TestGraph:
         g = Graph.build(3, [(0, 1)])
         assert g.with_edge(1, 2).e == 2
         assert g.without_edge(0, 1).e == 0
+        for u, v in ((1, 1), (0, 3), (-1, 2)):
+            with pytest.raises(GraphError):
+                g.with_edge(u, v)
+
+    def test_public_constructor_stays_strict(self):
+        with pytest.raises(GraphError, match="bad edge"):
+            Graph(3, frozenset({(0, 3)}))
+        with pytest.raises(GraphError, match="frozenset"):
+            Graph(3, [(0, 1)])
+
+
+def rebuilt_adj(g: Graph) -> tuple:
+    """The adjacency of g built from its edge set alone."""
+    rows = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple(tuple(sorted(r)) for r in rows)
+
+
+class TestDerivedAdjacency:
+    """Graphs derived from another one take their adjacency from it; it must
+    be the adjacency a rebuild from their edges gives, and the edges must be
+    the ones the public constructor accepts."""
+
+    def assert_derived(self, h: Graph, edges):
+        assert h.edges == frozenset(edges)
+        assert h.adj == rebuilt_adj(h)
+        assert Graph(h.n, h.edges) == h
+
+    def test_every_graph_of_order_at_most_six(self):
+        seen = 0
+        for n in range(7):
+            for g in enumerate_small(n):
+                seen += 1
+                pairs = list(itertools.combinations(range(n), 2))
+                for e in pairs:
+                    edit = g.without_edge if e in g.edges else g.with_edge
+                    self.assert_derived(edit(*e), g.edges ^ {e})
+                    self.assert_derived(edit(e[1], e[0]), g.edges ^ {e})
+                for k in range(n + 1):
+                    for s in itertools.combinations(range(n), k):
+                        sub, ids = induced_subgraph(g, s)
+                        idx = {v: i for i, v in enumerate(ids)}
+                        kept = {(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx}
+                        self.assert_derived(sub, kept)
+                        if not s:
+                            continue
+                        cg, rec = contract(g, s)
+                        survivors = [v for v in range(n) if v not in s]
+                        vmap = {v: survivors.index(v) if v in survivors else len(survivors) for v in range(n)}
+                        assert rec.vertex_map == vmap
+                        want = {tuple(sorted((vmap[u], vmap[v]))) for u, v in g.edges if vmap[u] != vmap[v]}
+                        self.assert_derived(cg, want)
+                        ends = {}
+                        for u, v in g.edges:
+                            for a, b in ((u, v), (v, u)):
+                                if a in s and b not in s:
+                                    ends.setdefault(vmap[b], []).append(a)
+                        assert rec.realizations == {w: tuple(sorted(a)) for w, a in ends.items()}
+        assert seen == 1 + 1 + 2 + 4 + 11 + 34 + 156  # OEIS A000088, orders 0-6
 
 
 class TestPathCycle:
