@@ -38,11 +38,8 @@ from .finder import (
     combine_quasi_diagonal,
     cycle_two_mod_four,
     main_theorem,
-    pair_from_disjoint_odd_even,
     pair_from_shared_vertex,
-    pair_from_two_disjoint_odd,
     quasi_diagonal,
-    stabilize_even_cycle,
     three_connected_pair,
     two_paths_diff_two,
 )

@@ -32,7 +32,7 @@ def _load_graph(path: str, fmt: str) -> Graph:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if fmt == "auto":
         stripped = [ln for ln in text.splitlines() if ln.strip()]
@@ -254,7 +254,7 @@ def _sweep_corpus(source: str):
     try:
         with open(source, "r", encoding="ascii") as fh:
             return [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read corpus {source}: {exc}") from exc
 
 

@@ -355,24 +355,14 @@ def _fix_disconnected(g: Graph, c: Cycle, d: frozenset) -> Cycle:
     raise InternalInvariantError("parity identity: one of the three fan cycles is even")
 
 
-def stabilize_even_cycle(g: Graph, d) -> Cycle:
-    """An even cycle C avoiding d with: g - V(C) connected, at most one
-    chord, and any chord splitting C into two even arcs.
+def _stabilize_even_cycle(g: Graph, d: frozenset, c: Cycle) -> Cycle:
+    """From the even cycle c avoiding the connected set d, an even cycle C
+    avoiding d with: g - V(C) connected, at most one chord, and any chord
+    splitting C into two even arcs.
 
     Improvement loop: each exchange strictly increases the measure
     (size of the component containing d, then -l(C)), so it terminates.
     """
-    d = frozenset(d)
-    if not d or not is_connected(induced_subgraph(g, d)[0]):
-        raise GraphError("d must be a nonempty connected vertex set")
-    c = _even_cycle(g, set(g.vertices) - d)
-    if c is None:
-        raise GraphError("g - V(d) contains no even cycle")
-    return _stabilize_even_cycle(g, d, c)
-
-
-def _stabilize_even_cycle(g: Graph, d: frozenset, c: Cycle) -> Cycle:
-    """stabilize_even_cycle from the even cycle c avoiding the connected set d."""
     _require(c.length % 2 == 0 and not c.vertex_set() & d, "the start is even and avoids d")
     while True:
         kind = _stabilize_violation(g, c)
@@ -458,15 +448,8 @@ def combine_quasi_diagonal(b: Cycle, d: Cycle, connectors) -> CyclePairCertifica
 # disjoint odd + even (tree-attachment and B-branch arguments)
 
 
-def pair_from_disjoint_odd_even(g: Graph, d: Cycle) -> CyclePairCertificate:
-    """Certificate from an odd cycle d such that g - V(d) has an even cycle."""
-    if d.length % 2 != 1:
-        raise GraphError("d must be an odd cycle")
-    return _pair_from_disjoint_odd_even(g, d, stabilize_even_cycle(g, d.vertex_set()))
-
-
 def _pair_from_disjoint_odd_even(g: Graph, d: Cycle, start: Cycle) -> CyclePairCertificate:
-    """pair_from_disjoint_odd_even from an even cycle `start` that avoids d."""
+    """Certificate from an odd cycle d and an even cycle `start` that avoids d."""
     c = _stabilize_even_cycle(g, d.vertex_set(), start)
     fset = frozenset(g.vertices) - c.vertex_set()
 
@@ -551,29 +534,13 @@ def _pair_b_branches(g, c, d, qd, chord, fset) -> CyclePairCertificate:
         dmapped = {fmap.index(v) for v in d.vertex_set()}
         bvertices = {fmap[v] for v in fdec.block_of_vertex_set(dmapped).vertices}
 
-    # B-branches: components of F - E(B), each anchored at one B-vertex
-    bedges = {
-        (fmap[u], fmap[v])
-        for u, v in fsub.edges
-        if fmap[u] in bvertices and fmap[v] in bvertices
-    }
-    branch_of = {}
-    for v in sorted(fset):
-        if v in branch_of:
-            continue
-        stack, comp = [v], {v}
-        while stack:
-            x = stack.pop()
-            for w in g.adj[x]:
-                if w in fset and w not in comp:
-                    e = (x, w) if x < w else (w, x)
-                    if e in bedges:
-                        continue
-                    comp.add(w)
-                    stack.append(w)
-        anchors = comp & bvertices
+    # B-branches: a vertex of B anchors itself, and each component of
+    # F - V(B) hangs from exactly one vertex of the block B
+    branch_of = {v: v for v in bvertices}
+    for comp in components(g, frozenset(g.vertices) - (fset - bvertices)):
+        anchors = {w for v in comp for w in g.adj[v] if w in bvertices}
         _require(len(anchors) == 1, "each B-branch contains exactly one B-vertex")
-        anchor = next(iter(anchors))
+        (anchor,) = anchors
         for w in comp:
             branch_of[w] = anchor
 
@@ -652,25 +619,10 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
 # two disjoint odd cycles (cubic endgame)
 
 
-def pair_from_two_disjoint_odd(g: Graph, b: Cycle) -> CyclePairCertificate:
-    """Certificate from an odd cycle b such that g - V(b) is not bipartite."""
-    if b.length % 2 != 1:
-        raise GraphError("need an odd b")
-    fsub, fmap = induced_subgraph(g, frozenset(g.vertices) - b.vertex_set())
-    dsub = shortest_odd_cycle(fsub)
-    if dsub is None:
-        raise GraphError("g - V(b) is bipartite: no odd cycle disjoint from b")
-    fdec = blocks(fsub)
-    c = _block_even_cycle(g, fmap, fdec)
-    if c is not None:
-        return _pair_from_disjoint_odd_even(g, b, c)
-    return _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub)
-
-
 def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
-    """pair_from_two_disjoint_odd given F = g - V(b) as fsub (fmap[i] the id
-    in g of its vertex i), its blocks fdec, none of them even, and an odd
-    cycle dsub of F."""
+    """Certificate from an odd cycle b of g and an odd cycle dsub of
+    F = g - V(b), given as fsub (fmap[i] the id in g of its vertex i) with
+    its blocks fdec, none of them even."""
     fset = frozenset(fmap)
     dcycle = _map_cycle(dsub, fmap, g)
 
@@ -733,7 +685,8 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
 
 
 def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
-    """V(G) = V(B) + V(D), both induced odd cycles; degree/matching ladder."""
+    """V(G) = V(B) + V(D), both induced odd cycles, and B a shortest odd
+    cycle of g; degree/matching ladder."""
     bset, dset = b.vertex_set(), d.vertex_set()
     for u in sorted(bset):
         dn = sorted(w for w in g.adj[u] if w in dset)
@@ -773,10 +726,11 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
         c6 = Cycle(g, (u, v, w, match[w], match[v], match[u]))
         return _certify(g, c4, c6)
 
-    for lens, outer, inner in ((b_lens, b, d), (d_lens, d, b)):
-        for e, val in sorted(lens.items()):
-            if val >= 5:
-                return _long_arc_branch(g, outer, inner, e, match)
+    _require(
+        max(*b_lens.values(), *d_lens.values()) <= 3,
+        "an odd arc of length a >= 5 between the partners of an edge uv closes, with uv "
+        "and the other arc, an odd cycle of length L - a + 3 < L = l(B), the shortest",
+    )
 
     uv = next(e for e, val in sorted(b_lens.items()) if val == 3)
     u, v = uv
@@ -811,21 +765,6 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
         seq = bo_vb.vertices if bo_vb.start == v else tuple(reversed(bo_vb.vertices))
         c8 = Cycle(g, seq + (bb, a, uprime, u))
     return _certify(g, c6, c8)
-
-
-def _long_arc_branch(g, outer: Cycle, inner: Cycle, e, match) -> CyclePairCertificate:
-    """Odd arc of length >= 5: build the shifted odd cycle and recurse on the
-    even cycle hidden in the complement."""
-    u, v = e
-    do, de = odd_even_arcs(inner, match[u], match[v])
-    if de.start != match[u]:
-        de = de.reverse()
-    dstar = Cycle(g, de.vertices + (v, u))
-    _require(dstar.length % 2 == 1, "shifted cycle is odd")
-    region = (set(do.vertices) | outer.vertex_set()) - {u, v, match[u], match[v]}
-    c = _even_cycle(g, region)
-    _require(c is not None, "complement region contains a theta-graph")
-    return _pair_from_disjoint_odd_even(g, dstar, c)
 
 
 # ---------------------------------------------------------------------------
@@ -1363,11 +1302,8 @@ def _two_cut(g: Graph, cut) -> CyclePairCertificate:
     if g.has_edge(x, y):  # an x-y path of length 1 on neither side closes the odd pair
         return close(Path(g, (x, y)), *((p1, p2) if p1.length % 2 else (q1, q2)))
     h2m = cut_free(1)[0]
-    found = oracle.bondy_vince_search(h2m, h2m.n)
-    _require(
-        isinstance(found, CyclePairCertificate),
-        "bipartite side yields an even difference-2 pair",
-    )
+    found = oracle.find_consecutive_even_pair_bf(h2m, h2m.n)
+    _require(found is not None, "bipartite side yields an even difference-2 pair")
     return _lift(found, sides[1][1], g)
 
 
@@ -1383,7 +1319,7 @@ def _parity_path(h: Graph, x: int, y: int, parity: int) -> Path:
     is its own path, and no path passes through a terminal, since flow may
     not enter {x, y}."""
     h = h.without_edge(x, y)
-    walk = _parity_walk(h, x, y, parity)
+    walk = _double_cover_walk(h, x, y, parity)
     if walk is not None and len(set(walk)) == len(walk):
         return Path(h, walk)
     d = shortest_odd_cycle(h)
@@ -1396,12 +1332,6 @@ def _parity_path(h: Graph, x: int, y: int, parity: int) -> Path:
         if (px.length + arc.length + py.length) % 2 == parity:
             return Path(h, px.vertices + arc.vertices[1:] + py.vertices[::-1][1:])
     raise InternalInvariantError("the two arcs of an odd cycle have opposite parities")
-
-
-def _parity_walk(h: Graph, x: int, y: int, parity: int) -> Optional[tuple]:
-    """Vertices of a shortest x-y walk of the given parity, or None: a
-    breadth-first search of the bipartite double cover from (x, 0)."""
-    return _double_cover_walk(h, x, y, parity)
 
 
 def cycle_two_mod_four(g: Graph) -> Cycle:

@@ -13,7 +13,7 @@ ingestion concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 

@@ -96,21 +96,20 @@ def simple_cycles(g: Graph):
     for root in g.vertices:
         path = [root]
         on_path = {root}
-
-        def extend():
-            v = path[-1]
-            for w in g.adj[v]:
+        todo = [iter(g.adj[root])]  # todo[i]: the neighbours of path[i] left to try
+        while todo:
+            for w in todo[-1]:
                 if w <= root or w in on_path:
                     if w == root and len(path) >= 3 and path[1] < path[-1]:
                         yield tuple(path)
                     continue
                 path.append(w)
                 on_path.add(w)
-                yield from extend()
-                path.pop()
-                on_path.remove(w)
-
-        yield from extend()
+                todo.append(iter(g.adj[w]))
+                break
+            else:
+                todo.pop()
+                on_path.remove(path.pop())
 
 
 def cycle_spectrum(g: Graph, size_guard: int = DEFAULT_GUARD) -> SpectrumReport:
@@ -152,10 +151,9 @@ def xy_path_lengths(g: Graph, x: int, y: int, size_guard: int = DEFAULT_GUARD) -
     reps: dict = {}
     path = [x]
     on_path = {x}
-
-    def extend():
-        v = path[-1]
-        for w in g.adj[v]:
+    todo = [iter(g.adj[x])]  # todo[i]: the neighbours of path[i] left to try
+    while todo:
+        for w in todo[-1]:
             if w == y:
                 vs = tuple(path) + (y,)
                 k = len(vs) - 1
@@ -166,11 +164,11 @@ def xy_path_lengths(g: Graph, x: int, y: int, size_guard: int = DEFAULT_GUARD) -
                 continue
             path.append(w)
             on_path.add(w)
-            extend()
-            path.pop()
-            on_path.remove(w)
-
-    extend()
+            todo.append(iter(g.adj[w]))
+            break
+        else:
+            todo.pop()
+            on_path.remove(path.pop())
     return {k: Path(g, vs) for k, vs in sorted(reps.items())}
 
 

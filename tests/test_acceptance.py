@@ -13,12 +13,12 @@ from evencycles.codecs import encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
     _even_cycle,
+    _pair_from_disjoint_odd_even,
+    _stabilize_even_cycle,
     _stabilize_violation,
     cycle_two_mod_four,
     main_theorem,
-    pair_from_disjoint_odd_even,
     quasi_diagonal,
-    stabilize_even_cycle,
     three_connected_pair,
     two_paths_diff_two,
 )
@@ -176,17 +176,19 @@ def test_criterion_7_structural_suites(three_connected_factory):
     for seed in range(1000):
         g = three_connected_factory(seed)
         v = random.Random(seed).randrange(g.n)
-        if _even_cycle(g, set(g.vertices) - {v}) is None:
+        start = _even_cycle(g, set(g.vertices) - {v})
+        if start is None:
             continue
-        c = stabilize_even_cycle(g, {v})
+        c = _stabilize_even_cycle(g, frozenset({v}), start)
         assert _stabilize_violation(g, c) is None
         assert v not in c.vertex_set()
         assert c.length % 2 == 0
         stabilized += 1
         # drive the full combination (parity identity asserted inside)
         odd = shortest_odd_cycle(g)
-        if odd is not None and _even_cycle(g, set(g.vertices) - odd.vertex_set()) is not None:
-            cert = pair_from_disjoint_odd_even(g, odd)
+        start = None if odd is None else _even_cycle(g, set(g.vertices) - odd.vertex_set())
+        if start is not None:
+            cert = _pair_from_disjoint_odd_even(g, odd, start)
             ok, why = oracle.validate(cert, g)
             assert ok, why
             exercised_attachment += 1

@@ -67,6 +67,12 @@ class TestFind:
         p.write_text("0 0\n")
         assert cli.main(["find", str(p)]) == 2
 
+    def test_non_ascii_input_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text("# K₄, the complete graph\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+        assert cli.main(["find", str(p)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_crash_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
@@ -218,6 +224,12 @@ class TestSweep:
         assert cli.main(["sweep", str(corpus), "--check-oracle"]) == 0
         out = capsys.readouterr().out
         assert "swept 3 graphs" in out and "disagreements: 0" in out
+
+    def test_sweep_non_ascii_corpus_is_input_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_bytes(encode_graph6(complete_graph(5)).encode() + b"\n\xff\n")
+        assert cli.main(["sweep", str(corpus)]) == 2
+        assert "cannot read corpus" in capsys.readouterr().err
 
     def test_sweep_bad_spec(self, capsys):
         assert cli.main(["sweep", "enum:not-a-number"]) == 2

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import pathlib
 import random
@@ -18,11 +19,8 @@ from evencycles.finder import (
     cycle_two_mod_four,
     main_theorem,
     odd_even_arcs,
-    pair_from_disjoint_odd_even,
     pair_from_shared_vertex,
-    pair_from_two_disjoint_odd,
     quasi_diagonal,
-    stabilize_even_cycle,
     three_connected_pair,
     two_paths_diff_two,
 )
@@ -94,25 +92,20 @@ class TestQuasiDiagonal:
         assert {o.length, e.length} == {2, 3}
 
 
+def stabilized(g, v):
+    """The stabilized even cycle avoiding v, from the even cycle the proof
+    starts with, or None if g - v has no even cycle."""
+    start = finder._even_cycle(g, set(g.vertices) - {v})
+    return None if start is None else finder._stabilize_even_cycle(g, frozenset({v}), start)
+
+
 class TestStabilize:
     def test_postconditions_on_wheel(self):
         g = wheel_graph(6)
-        c = stabilize_even_cycle(g, {0})
+        c = stabilized(g, 0)
         assert c.length % 2 == 0
         assert 0 not in c.vertex_set()
         assert finder._stabilize_violation(g, c) is None
-
-    def test_needs_connected_anchor(self):
-        g = wheel_graph(6)
-        with pytest.raises(GraphError):
-            stabilize_even_cycle(g, {1, 4})  # opposite rim vertices, not adjacent
-        with pytest.raises(GraphError):
-            stabilize_even_cycle(g, set())
-
-    def test_no_even_cycle_available(self):
-        g = complete_graph(4)
-        with pytest.raises(GraphError):
-            stabilize_even_cycle(g, {0})  # K3 remains, no even cycle
 
     @pytest.mark.parametrize(
         "n, chords",
@@ -133,9 +126,9 @@ class TestStabilize:
         for seed in range(200):
             g = three_connected_factory(seed)
             v = random.Random(seed).randrange(g.n)
-            if finder._even_cycle(g, set(g.vertices) - {v}) is None:
+            c = stabilized(g, v)
+            if c is None:
                 continue
-            c = stabilize_even_cycle(g, {v})
             assert finder._stabilize_violation(g, c) is None
             assert v not in c.vertex_set()
             checked += 1
@@ -181,7 +174,7 @@ class TestLemmaPipelines:
     def test_disjoint_odd_even(self):
         g = complete_graph(7)
         d = Cycle(g, (0, 1, 2))
-        cert = pair_from_disjoint_odd_even(g, d)
+        cert = finder._pair_from_disjoint_odd_even(g, d, finder._even_cycle(g, {3, 4, 5, 6}))
         assert_valid_pair(cert, g)
 
     def test_shared_vertex(self):
@@ -196,18 +189,15 @@ class TestLemmaPipelines:
         with pytest.raises(GraphError):
             pair_from_shared_vertex(g, Cycle(g, (0, 1, 2, 3)), Cycle(g, (0, 1, 4)), 0)
 
-    def test_two_disjoint_odd(self):
+    def test_two_disjoint_odd(self, monkeypatch):
+        # K6 minus its shortest odd cycle (0, 1, 2) is the triangle (3, 4, 5)
+        calls, real = [], finder._cubic_endgame
+        monkeypatch.setattr(
+            finder, "_cubic_endgame", lambda g, b, d: calls.append(d.vertices) or real(g, b, d)
+        )
         g = complete_graph(6)
-        cert = pair_from_two_disjoint_odd(g, Cycle(g, (0, 1, 2)))
-        assert_valid_pair(cert, g)
-
-    def test_two_disjoint_odd_requires_them(self):
-        g = complete_graph(5)
-        with pytest.raises(GraphError):  # K5 minus a triangle is K2, bipartite
-            pair_from_two_disjoint_odd(g, Cycle(g, (0, 1, 2)))
-        g = complete_graph(7)
-        with pytest.raises(GraphError):  # b must be odd
-            pair_from_two_disjoint_odd(g, Cycle(g, (0, 1, 2, 3)))
+        assert_valid_pair(three_connected_pair(g), g)
+        assert calls == [(3, 4, 5)]
 
 
 class TestThreeConnected:
@@ -297,7 +287,6 @@ class TestThreeConnected:
             "_fix_disconnected",
             "_even_proper_subcycle",
             "_cubic_endgame",
-            "_long_arc_branch",
             "_triangle_case",
             "_long_odd_case",
         )
@@ -308,11 +297,11 @@ class TestThreeConnected:
         for s in ("Jne{vwJnhW?", "G@Q^Fs", "E]}g", "G?NNf_"):
             g = decode_graph6(s)
             assert oracle.validate(three_connected_pair(g), g)[0], s
-        for n in range(7, 16, 2):
-            # the outer rim of GP(n, 2) is an odd cycle, and so is the inner one
-            g = generalized_petersen(n, 2)
-            cert = pair_from_two_disjoint_odd(g, Cycle(g, tuple(range(n))))
-            assert oracle.validate(cert, g)[0], n
+        for n, k in ((5, 2), (6, 2), (7, 3)):
+            # GP(5, 2) takes the cubic endgame, GP(6, 2) the tree attachment
+            # and GP(7, 3) the B-branches
+            g = generalized_petersen(n, k)
+            assert oracle.validate(three_connected_pair(g), g)[0], (n, k)
         assert ran == set(names)
 
     def test_generalized_petersen_golden(self):
@@ -719,13 +708,13 @@ class TestTwoCut:
     def test_bipartite_sides(self, monkeypatch, edges, parity_paths, oracle_calls):
         g = Graph.build(12, edges)
         calls = []
-        for host, name in ((finder, "_parity_path"), (finder.oracle, "bondy_vince_search")):
+        for host, name in ((finder, "_parity_path"), (finder.oracle, "find_consecutive_even_pair_bf")):
             f = getattr(host, name)
             monkeypatch.setattr(host, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
         cert = finder._two_cut(g, frozenset([0, 1]))
         assert_valid_pair(cert, g)
         assert calls.count("_parity_path") == parity_paths
-        assert calls.count("bondy_vince_search") == oracle_calls
+        assert calls.count("find_consecutive_even_pair_bf") == oracle_calls
 
 
 class TestParityPath:
@@ -735,7 +724,7 @@ class TestParityPath:
         # x-y path avoiding the edge xy, once as `_parity_path` runs and once
         # with the shortest-walk step off, so that the odd-cycle
         # construction runs on every instance
-        real_walk = finder._parity_walk
+        real_walk = finder._double_cover_walk
         on_d = [0, 0]  # instances with one, and with both, terminals on D
         checked = 0
         for n in range(3, 8):
@@ -753,7 +742,7 @@ class TestParityPath:
                             on_d[terminals_on_d - 1] += 1
                         reps = oracle.xy_path_lengths(h, x, y)
                         for walk in (real_walk, lambda *a: None):
-                            monkeypatch.setattr(finder, "_parity_walk", walk)
+                            monkeypatch.setattr(finder, "_double_cover_walk", walk)
                             for parity in (0, 1):
                                 p = finder._parity_path(g, x, y, parity)
                                 vs = p.vertices
@@ -776,7 +765,7 @@ class TestNoExhaustiveFallback:
 
     @pytest.fixture(autouse=True)
     def bounded_oracle(self, monkeypatch):
-        for name in ("bondy_vince_search", "xy_path_lengths"):
+        for name in ("find_consecutive_even_pair_bf", "xy_path_lengths"):
             f = getattr(oracle, name)
 
             def guarded(g, *a, f=f, name=name, **kw):
@@ -810,6 +799,27 @@ class TestNoExhaustiveFallback:
             assert oracle.validate(cert, g)[0], (n, k)
 
 
+class TestPublicSurface:
+    def test_finder_public_functions(self):
+        # each proof step has one entry; the steps inside the 3-connected
+        # proof are private and take the cycles the proof builds
+        public = {
+            name
+            for name, obj in vars(finder).items()
+            if inspect.isfunction(obj) and obj.__module__ == finder.__name__ and not name.startswith("_")
+        }
+        assert public == {
+            "combine_quasi_diagonal",
+            "cycle_two_mod_four",
+            "main_theorem",
+            "odd_even_arcs",
+            "pair_from_shared_vertex",
+            "quasi_diagonal",
+            "three_connected_pair",
+            "two_paths_diff_two",
+        }
+
+
 class TestNoEnumeration:
     def test_finder_lists_nothing(self):
         # the finder builds every cycle it uses; no generator lists them
@@ -821,8 +831,9 @@ class TestOracleCallSites:
     # the oracle's exhaustive searches the finder may call, and where
     ALLOWED = {
         "xy_path_lengths": {"_paths_base_case"},  # n <= 5
-        "find_consecutive_even_pair_bf": {"_reduce"},  # n <= 5, and the reinserted edge
-        "bondy_vince_search": {"_two_cut"},  # two bipartite sides of opposite parities
+        # n <= 5, the reinserted edge, and two bipartite sides of a 2-cut
+        # with x-y paths of opposite parities
+        "find_consecutive_even_pair_bf": {"_reduce", "_two_cut"},
     }
 
     def test_oracle_calls_are_on_the_allow_list(self):

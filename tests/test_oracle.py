@@ -117,6 +117,19 @@ class TestPathLengths:
             oracle.xy_path_lengths(complete_graph(4), 2, 2)
 
 
+class TestLongWalks:
+    def test_no_recursion_limit(self):
+        # each enumeration walks the 2000-cycle in one path, deeper than
+        # Python's default recursion limit
+        g = cycle_graph(2000)
+        spec = oracle.cycle_spectrum(g, size_guard=2000)
+        assert spec.lengths == {2000}
+        assert spec.representatives[2000].vertices == tuple(range(2000))
+        reps = oracle.xy_path_lengths(g, 0, 1000, size_guard=2000)
+        assert sorted(reps) == [1000]
+        assert reps[1000].vertices == tuple(range(1001))
+
+
 class TestBondyVince:
     def test_k4_near_pair(self):
         found = oracle.bondy_vince_search(complete_graph(4))
