@@ -122,12 +122,6 @@ class Outcome:
 # even cycles built from blocks and ears, in O(n + m)
 
 
-def _even_cycle(g: Graph, allowed) -> Optional[Cycle]:
-    """An even cycle of g inside `allowed`, or None if g[allowed] has none."""
-    sub, ids = induced_subgraph(g, allowed)
-    return _block_even_cycle(g, ids, blocks(sub))
-
-
 def _block_even_cycle(g: Graph, ids, dec: BlockDecomposition) -> Optional[Cycle]:
     """An even cycle of g in the first block of dec that holds one, or None;
     dec holds the blocks of an induced subgraph whose vertex i is ids[i] in g.

@@ -208,39 +208,55 @@ def _is_canonical(n: int, bits: list, target: tuple) -> bool:
     column tuple of the identity order.  Branch and bound over vertex orders,
     bounded by `target` itself: an order is extended only while its columns
     equal the target's, and the search returns at the first smaller column.
-    The code of each unused vertex against the placed prefix is kept and
-    shifted by one bit per placed vertex.  Twins (N(v) - w = N(w) - v) are
-    swapped by an automorphism that fixes every other vertex, so at each
-    position only the first unused vertex of a twin class is tried.
+    `perm` holds the placed vertices.  At position pos the `unused` mask is
+    narrowed through the rows of perm[0], ..., perm[pos - 1], one bit of
+    target[pos - 1] each, most significant first.  On a 1-bit a survivor off
+    the row has a smaller code, so the target is not minimal; on a 0-bit the
+    survivors on the row have a larger code and drop out, and once none is
+    left the branch is larger than the target.  The survivors tie with it.
+
+    Twins (N(v) - w = N(w) - v) are swapped by an automorphism that fixes
+    every other vertex.  So two unused twins have the same code against the
+    placed prefix, and narrowing keeps both or neither: a twin is smaller
+    than, or tied with, the target exactly when the first unused vertex of
+    its class is, and only that first vertex is branched on.
     """
     twin_before = [0] * n  # bit u set: u < v is a twin of v
     for v in range(n):
         for u in range(v):
             if bits[u] & ~(1 << v) == bits[v] & ~(1 << u):
                 twin_before[v] |= 1 << u
+    perm = [0] * n
 
-    def extend(pos, unused, codes):
-        bound = target[pos - 1]
-        ties = []
-        for v in range(n):
-            if unused >> v & 1 and not twin_before[v] & unused:
-                c = codes[v]
-                if c < bound:
+    def extend(pos, unused):
+        col = target[pos - 1]
+        ties = unused
+        for i in range(pos):
+            if col >> (pos - 1 - i) & 1:
+                if ties & ~bits[perm[i]]:
                     return False
-                if c == bound:
-                    ties.append(v)
+            else:
+                ties &= ~bits[perm[i]]
+                if not ties:
+                    return True
         if pos == n - 1:
             return True
-        for v in ties:
-            shifted = [(c << 1) | (b >> v & 1) for c, b in zip(codes, bits)]
-            if not extend(pos + 1, unused & ~(1 << v), shifted):
-                return False
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            v = low.bit_length() - 1
+            if not twin_before[v] & unused:
+                perm[pos] = v
+                if not extend(pos + 1, unused ^ low):
+                    return False
         return True
 
     everyone = (1 << n) - 1
     for v in range(n):
-        if not twin_before[v] and not extend(1, everyone & ~(1 << v), [b >> v & 1 for b in bits]):
-            return False
+        if not twin_before[v]:
+            perm[0] = v
+            if not extend(1, everyone ^ (1 << v)):
+                return False
     return True
 
 

@@ -143,6 +143,24 @@ def find_consecutive_even_pair_bf(
     return None
 
 
+def has_consecutive_even_pair(g: Graph, size_guard: int = DEFAULT_GUARD) -> bool:
+    """True iff g has cycles of lengths 2m and 2m + 2 for some m.
+
+    The same brute force as `find_consecutive_even_pair_bf`, but it keeps
+    only the even lengths seen so far and stops at the first cycle that
+    completes a pair.
+    """
+    _check_guard(g, size_guard)
+    even = set()
+    for vs in simple_cycles(g):
+        k = len(vs)
+        if k % 2 == 0 and k not in even:
+            if k - 2 in even or k + 2 in even:
+                return True
+            even.add(k)
+    return False
+
+
 def xy_path_lengths(g: Graph, x: int, y: int, size_guard: int = DEFAULT_GUARD) -> dict:
     """All achievable simple x-y path lengths, as {length: representative}."""
     if x == y:

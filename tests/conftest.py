@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from evencycles.graphs import Graph, connectivity_cut, is_connected
+from evencycles.finder import _block_even_cycle
+from evencycles.graphs import Graph, blocks, connectivity_cut, induced_subgraph, is_connected
+
+
+def even_cycle_within(g: Graph, allowed):
+    """An even cycle of g inside `allowed`, or None if g[allowed] has none:
+    the even start cycle that the finder builds from the blocks of g - d."""
+    sub, ids = induced_subgraph(g, allowed)
+    return _block_even_cycle(g, ids, blocks(sub))
 
 
 def seeded_three_connected(seed: int) -> Graph:

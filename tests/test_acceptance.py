@@ -8,11 +8,12 @@ import csv
 import math
 import random
 
+from conftest import even_cycle_within
+
 from evencycles import cli, finder, oracle
 from evencycles.codecs import encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
-    _even_cycle,
     _pair_from_disjoint_odd_even,
     _stabilize_even_cycle,
     _stabilize_violation,
@@ -60,10 +61,10 @@ def test_criterion_2_main_theorem_exhaustive():
             if out.kind == "certificate":
                 ok, why = oracle.validate(out.certificate, g)
                 assert ok, (encode_graph6(g), why)
-                assert oracle.find_consecutive_even_pair_bf(g) is not None
+                assert oracle.has_consecutive_even_pair(g)
             else:
                 assert is_k5_block_tree(g), encode_graph6(g)
-                assert oracle.find_consecutive_even_pair_bf(g) is None
+                assert not oracle.has_consecutive_even_pair(g)
                 witnesses.append((g.n, g.e))
     assert checked == 1578
     assert sorted(witnesses) == [(1, 0), (5, 10)]
@@ -176,7 +177,7 @@ def test_criterion_7_structural_suites(three_connected_factory):
     for seed in range(1000):
         g = three_connected_factory(seed)
         v = random.Random(seed).randrange(g.n)
-        start = _even_cycle(g, set(g.vertices) - {v})
+        start = even_cycle_within(g, set(g.vertices) - {v})
         if start is None:
             continue
         c = _stabilize_even_cycle(g, frozenset({v}), start)
@@ -186,7 +187,7 @@ def test_criterion_7_structural_suites(three_connected_factory):
         stabilized += 1
         # drive the full combination (parity identity asserted inside)
         odd = shortest_odd_cycle(g)
-        start = None if odd is None else _even_cycle(g, set(g.vertices) - odd.vertex_set())
+        start = None if odd is None else even_cycle_within(g, set(g.vertices) - odd.vertex_set())
         if start is not None:
             cert = _pair_from_disjoint_odd_even(g, odd, start)
             ok, why = oracle.validate(cert, g)

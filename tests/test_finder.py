@@ -7,6 +7,7 @@ import random
 import sys
 
 import pytest
+from conftest import even_cycle_within
 
 from evencycles import finder, graphs, oracle
 from evencycles.codecs import decode_graph6, encode_graph6
@@ -95,7 +96,7 @@ class TestQuasiDiagonal:
 def stabilized(g, v):
     """The stabilized even cycle avoiding v, from the even cycle the proof
     starts with, or None if g - v has no even cycle."""
-    start = finder._even_cycle(g, set(g.vertices) - {v})
+    start = even_cycle_within(g, set(g.vertices) - {v})
     return None if start is None else finder._stabilize_even_cycle(g, frozenset({v}), start)
 
 
@@ -174,7 +175,7 @@ class TestLemmaPipelines:
     def test_disjoint_odd_even(self):
         g = complete_graph(7)
         d = Cycle(g, (0, 1, 2))
-        cert = finder._pair_from_disjoint_odd_even(g, d, finder._even_cycle(g, {3, 4, 5, 6}))
+        cert = finder._pair_from_disjoint_odd_even(g, d, even_cycle_within(g, {3, 4, 5, 6}))
         assert_valid_pair(cert, g)
 
     def test_shared_vertex(self):

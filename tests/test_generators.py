@@ -141,6 +141,13 @@ def identity_columns(g: Graph) -> tuple:
     )
 
 
+def bit_rows(g: Graph) -> list:
+    return [sum(1 << w for w in g.adj[v]) for v in g.vertices]
+
+
+CUBE = Graph.build(8, [(u, u ^ 1 << k) for u in range(8) for k in range(3) if u < u ^ 1 << k])
+
+
 class TestOrderlyGeneration:
     def test_order_8_corpus_is_pinned(self):
         # sha256 of repr(_all_graphs(8)) as built by minimising every extension
@@ -159,11 +166,42 @@ class TestOrderlyGeneration:
             forms = set()
             for mask in range(1 << len(pairs)):
                 g = Graph.build(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
-                bits = [sum(1 << w for w in g.adj[v]) for v in g.vertices]
                 own, canon = identity_columns(g), canonical_columns(g)
-                assert n < 2 or _is_canonical(n, bits, own) == (own == canon)
+                assert n < 2 or _is_canonical(n, bit_rows(g), own) == (own == canon)
                 forms.add(canon)
             assert forms == set(_all_graphs(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_labelled_graphs_of_order_6_to_8(self, data):
+        n = data.draw(st.integers(min_value=6, max_value=8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph.build(n, [e for e, k in zip(pairs, keep) if k])
+        own = identity_columns(g)
+        assert _is_canonical(n, bit_rows(g), own) == (own == canonical_columns(g))
+
+    @pytest.mark.parametrize(
+        "g, perm, canonical",
+        [
+            # every order of the empty graph and of K8 is canonical
+            (Graph.build(8, []), (7, 6, 5, 4, 3, 2, 1, 0), True),
+            (complete_graph(8), (3, 1, 4, 0, 5, 2, 6, 7), True),
+            (complete_bipartite(1, 7), tuple(range(8)), False),  # centre first
+            (complete_bipartite(4, 4), (0, 2, 4, 6, 1, 3, 5, 7), False),  # sides alternate
+            (cycle_graph(8), tuple(range(8)), False),
+            (CUBE, tuple(range(8)), False),
+        ],
+        ids=["empty", "K8", "K1,7", "K4,4", "C8", "Q3"],
+    )
+    def test_twins_and_ties(self, g, perm, canonical):
+        canon = canonical_columns(g)
+        h = graph_from_columns(8, canon)
+        assert _is_canonical(8, bit_rows(h), canon)
+        other = Graph.build(8, [(perm[u], perm[v]) for u, v in g.edges])
+        own = identity_columns(other)
+        assert (own == canon) == canonical
+        assert _is_canonical(8, bit_rows(other), own) == canonical
 
 
 class TestK5BlockTreePredicate:

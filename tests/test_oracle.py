@@ -103,6 +103,24 @@ class TestConsecutivePair:
         assert oracle.find_consecutive_even_pair_bf(g, size_guard=g.n) is None
 
 
+class TestHasConsecutivePair:
+    def test_agrees_with_the_certificate_search(self):
+        graphs = [g for n in range(7) for g in enumerate_small(n)]
+        graphs += list(enumerate_small(7, "density"))
+        for g in graphs:
+            expected = oracle.find_consecutive_even_pair_bf(g) is not None
+            assert oracle.has_consecutive_even_pair(g) == expected, g.edges
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_block_trees_have_none(self, b):
+        g = gen_k5_block_tree(b)
+        assert not oracle.has_consecutive_even_pair(g, size_guard=g.n)
+
+    def test_guard_raises(self):
+        with pytest.raises(GuardExceeded):
+            oracle.has_consecutive_even_pair(complete_graph(6), size_guard=5)
+
+
 class TestPathLengths:
     def test_cycle_graph_paths(self):
         reps = oracle.xy_path_lengths(cycle_graph(6), 0, 3)
