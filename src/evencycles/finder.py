@@ -1165,17 +1165,17 @@ def _reduce(g: Graph) -> Outcome:
     """The reduction behind main_theorem, as one loop over vertex sets s of g.
 
     induced_subgraph numbers G[s] by s in sorted order, so G[s] is the same
-    however s was reached, and a certificate found in it is lifted to g
-    once.  no_witness is the invariant a K5-block witness for G[s] would
-    break.  At a cut vertex the slack of G[s] is the sum of the slacks
-    2e - 5(n - 1) of its blocks, so some block is dense: a dense block other
-    than K5 is reduced next, and if there is none every block is a K5.  A
-    witness is the end of the search unless a low-sum edge uv was removed on
-    the way; the last such edge then gives a certificate in the blocks
-    around it."""
+    however s was reached (G[V(g)] is g itself), and a certificate found in
+    it is lifted to g once.  no_witness is the invariant a K5-block witness
+    for G[s] would break.  At a cut vertex the slack of G[s] is the sum of
+    the slacks 2e - 5(n - 1) of its blocks, so some block is dense: a dense
+    block other than K5 is reduced next, and if there is none every block is
+    a K5.  A witness is the end of the search unless a low-sum edge uv was
+    removed on the way; the last such edge then gives a certificate in the
+    blocks around it."""
     s, no_witness, edge = frozenset(g.vertices), None, None
     while True:
-        h, ids = induced_subgraph(g, s)
+        h, ids = (g, range(g.n)) if len(s) == g.n else induced_subgraph(g, s)
         _require(2 * h.e >= 5 * (h.n - 1), "recursion must preserve the density hypothesis")
         if h.n > 5:
             comps = components(h)
@@ -1187,9 +1187,11 @@ def _reduce(g: Graph) -> Outcome:
             if len(keep) < h.n:
                 s, no_witness = {ids[v] for v in keep}, "low-degree removal cannot leave a witness"
                 continue
-            low = [(u, v) for u, v in h.sorted_edges() if h.degree(u) + h.degree(v) <= 6]
+            deg = [len(row) for row in h.adj]  # rows are sorted: the first hit is the least edge
+            low = next(((u, v) for u, row in enumerate(h.adj) if deg[u] <= 5
+                        for v in row if v > u and deg[u] + deg[v] <= 6), None)
             if low:
-                edge = ids[low[0][0]], ids[low[0][1]]
+                edge = ids[low[0]], ids[low[1]]
                 s, no_witness = s - set(edge), None
                 continue
             cut = connectivity_cut(h, 3)

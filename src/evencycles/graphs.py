@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -492,70 +493,59 @@ class BlockDecomposition:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components via the standard low-point depth-first search."""
+    """Biconnected components by Tarjan's low-point depth-first search
+    ("Depth-first search and linear graph algorithms", SIAM J. Comput.
+    1972), one iterative search per component.  Each stack frame keeps the
+    position of its tree edge on the edge stack, so the block closed at the
+    tree edge (p, v) is the slice from there.  A vertex with an empty row is
+    its own K1 block, and a root is a cut vertex iff it closes more than one
+    block."""
+    adj = g.adj
     disc = [0] * g.n
     low = [0] * g.n
-    timer = [1]
+    timer = 1
     cuts = set()
     edge_stack: list = []
-    raw_blocks: list = []
-    covered = set()
-
-    def dfs(root):
-        # iterative to survive deep graphs
-        stack = [(root, None, iter(g.adj[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        children = {root: 0}
+    out = []
+    for r, row in enumerate(adj):
+        if disc[r]:
+            continue
+        if not row:
+            out.append(Block(frozenset([r]), frozenset()))
+            continue
+        disc[r] = low[r] = timer
+        timer += 1
+        root_blocks = 0
+        stack = [(r, -1, iter(row), 0)]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
+            v, p, it, at = stack[-1]
             for w in it:
                 if disc[w] == 0:
-                    edge_stack.append(_norm_edge(v, w))
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    children[v] = children.get(v, 0) + 1
-                    stack.append((w, v, iter(g.adj[w])))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    disc[w] = low[w] = timer
+                    timer += 1
                     break
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append(_norm_edge(v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    if not (stack[0][0] == parent and len(stack) == 1):
-                        cuts.add(parent)
-                    elif children.get(parent, 0) > 1:
-                        cuts.add(parent)
-                    comp = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == _norm_edge(parent, v):
-                            break
-                    raw_blocks.append(comp)
-
-    for r in g.vertices:
-        if disc[r] == 0:
-            dfs(r)
-            if edge_stack:  # leftover edges of the root's last block
-                raw_blocks.append(list(edge_stack))
-                edge_stack.clear()
-
-    out = []
-    for comp in raw_blocks:
-        es = frozenset(comp)
-        vs = frozenset(v for e in es for v in e)
-        covered |= vs
-        out.append(Block(vs, es))
-    for v in g.vertices:  # isolated vertices form their own K1 blocks
-        if v not in covered and g.degree(v) == 0:
-            out.append(Block(frozenset([v]), frozenset()))
+                if w != p and disc[w] < disc[v]:
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if p < 0:
+                    continue
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    es = frozenset(edge_stack[at:])
+                    del edge_stack[at:]
+                    out.append(Block(frozenset(chain.from_iterable(es)), es))
+                    if p != r:
+                        cuts.add(p)
+                    else:
+                        root_blocks += 1
+        if root_blocks > 1:
+            cuts.add(r)
     out.sort(key=lambda b: sorted(b.vertices))
     return BlockDecomposition(tuple(out), frozenset(cuts))
 
@@ -777,7 +767,9 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
     for graphs with more than k vertices.  Supports k <= 3.
 
-    The cut returned is the smallest one in lexicographic order: the
+    The depth-first search that finds the smallest cut vertex also counts
+    the vertices it reaches, so g is checked to be connected in the same
+    pass.  The cut returned is the smallest one in lexicographic order: the
     smallest cut vertex, else the smallest pair {u, v} with u < v.  For
     k = 3, a 2-connected g is first tested for any separation pair in
     O(n + m) (`_has_separation_pair`), and None is returned when it has
@@ -789,11 +781,11 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """
     if k > 3:
         raise GraphError("connectivity_cut supports k <= 3 only")
-    if not is_connected(g):
+    c, reached = _cut_search(g) if g.n else (None, 0)
+    if reached < g.n:
         raise GraphError("connectivity_cut requires a connected graph")
     if k <= 1:
         return None
-    c = _min_cut_vertex(g)
     if c is not None:
         return frozenset([c])
     if k == 2 or not _has_separation_pair(g):

@@ -16,6 +16,7 @@ from evencycles.generators import (
     complete_graph,
     cycle_graph,
     enumerate_small,
+    gen_k5_block_tree,
     generalized_petersen,
     petersen_graph,
     wheel_graph,
@@ -265,6 +266,30 @@ class TestBlocks:
         kinds = sorted(sorted(b.vertices) for b in dec.blocks)
         assert kinds == [[0, 1], [2], [3]]
 
+    @pytest.mark.skipif(nx is None, reason="networkx not installed")
+    def test_matches_networkx(self):
+        rng = random.Random(15)
+        peel = Graph.build(  # K_12 and 60 vertices of degree 2 on it
+            72, [(i, j) for i in range(12) for j in range(i + 1, 12)]
+            + [(v, w) for v in range(12, 72) for w in rng.sample(range(12), 2)])
+        inputs = [g for n in range(1, 8) for g in enumerate_small(n)]
+        inputs += [gen_k5_block_tree(b, b) for b in range(1, 201)]
+        inputs += [complete_graph(n) for n in range(1, 61)] + [peel]
+        for g in inputs:
+            h = relabelled(g, rng)
+            ng = nx.Graph(list(h.edges))
+            ng.add_nodes_from(h.vertices)
+            want = {frozenset([v]): frozenset() for v in nx.isolates(ng)}
+            for es in nx.biconnected_component_edges(ng):
+                es = frozenset((u, v) if u < v else (v, u) for u, v in es)
+                want[frozenset(v for e in es for v in e)] = es
+            dec = blocks(h)
+            assert {b.vertices: b.edges for b in dec.blocks} == want, h.sorted_edges()
+            assert len(dec.blocks) == len(want)
+            assert dec.cut_vertices == set(nx.articulation_points(ng))
+            keys = [sorted(b.vertices) for b in dec.blocks]
+            assert keys == sorted(keys)
+
     def test_connectivity_cut(self):
         path4 = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
         assert connectivity_cut(path4, 2) in (frozenset([1]), frozenset([2]))
@@ -356,6 +381,21 @@ class TestConnectivityCut:
                 self.assert_matches_reference(relabelled(g, rng))
                 checked += 1
         assert checked == 1 + 1 + 2 + 6 + 21 + 112 + 853  # OEIS A001349
+
+    def test_disconnected_raises(self):
+        disconnected = 0
+        for n in range(2, 8):
+            for g in enumerate_small(n):
+                if is_connected(g):
+                    continue
+                disconnected += 1
+                for k in (1, 2, 3):
+                    with pytest.raises(GraphError, match="connected graph"):
+                        connectivity_cut(g, k)
+        assert disconnected == (2 + 4 + 11 + 34 + 156 + 1044) - (1 + 2 + 6 + 21 + 112 + 853)
+        for g in (Graph(0, frozenset()), Graph(1, frozenset()), complete_graph(2)):
+            for k in (1, 2, 3):
+                assert connectivity_cut(g, k) is None
 
     @pytest.mark.parametrize("n", range(3, 16))
     def test_cycles(self, n):
