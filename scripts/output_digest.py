@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Check that three deterministic outputs are unchanged.
+
+Prints one sha256 per output and exits 1 if any differs from the value
+pinned below:
+
+- `cycles`: `three_connected_pair` on every 3-connected graph of order
+  6-8 and on GP(n, k) for 5 <= n <= 40, 1 <= k < n/2, hashed one
+  `repr((c1.vertices, c2.vertices))` at a time (2919 certificates);
+- `paths`: `two_paths_diff_two` on every terminal pair x < y of every
+  graph of order 8 and minimum degree 3, hashed one
+  `repr((p1.vertices, p2.vertices))`, or the name of the failed
+  hypothesis, at a time (72520 pairs, 56512 of them solved);
+- `sweep`: the CSV of `evencycles sweep enum:8:density --check-oracle`
+  without its `wall_time` column (1501 rows).
+
+A refactor that should not change any output must leave all three equal.
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from evencycles import HypothesisFailure, three_connected_pair, two_paths_diff_two
+from evencycles.cli import main as cli_main
+from evencycles.generators import enumerate_small, generalized_petersen
+
+PINNED = {
+    "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
+    "paths": "c4849d90e16c50b27648c94da067a00d537f7759690b4cbd4b252e5d3e7ff9f5",
+    "sweep": "0c60e4e02955eb7ef85a651a736f222324d89dea87e4f707fb37e47bd6c0e188",
+}
+
+
+def cycles_digest() -> tuple:
+    graphs = [g for n in (6, 7, 8) for g in enumerate_small(n, "3-connected")]
+    graphs += [generalized_petersen(n, k) for n in range(5, 41) for k in range(1, (n + 1) // 2)]
+    m = hashlib.sha256()
+    for g in graphs:
+        cert = three_connected_pair(g)
+        m.update(repr((cert.c1.vertices, cert.c2.vertices)).encode())
+    return m.hexdigest(), f"{len(graphs)} certificates"
+
+
+def paths_digest() -> tuple:
+    m = hashlib.sha256()
+    pairs = solved = 0
+    for g in enumerate_small(8, "min-degree-3"):
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                pairs += 1
+                try:
+                    cert = two_paths_diff_two(g, x, y)
+                except HypothesisFailure as exc:
+                    m.update(exc.name.encode())
+                    continue
+                solved += 1
+                m.update(repr((cert.p1.vertices, cert.p2.vertices)).encode())
+    return m.hexdigest(), f"{pairs} pairs, {solved} solved"
+
+
+def sweep_digest() -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["sweep", "enum:8:density", "--check-oracle", "--csv", out])
+        with open(out, newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+    drop = rows[0].index("wall_time")
+    text = "".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows)
+    return hashlib.sha256(text.encode()).hexdigest(), f"{len(rows) - 1} rows, exit {code}"
+
+
+def main() -> int:
+    bad = []
+    for name, fn in (("cycles", cycles_digest), ("paths", paths_digest), ("sweep", sweep_digest)):
+        digest, what = fn()
+        ok = digest == PINNED[name]
+        bad += [] if ok else [name]
+        print(f"{name:6} {digest}  {'ok' if ok else 'DIFFERS'}  ({what})")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

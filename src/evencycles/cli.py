@@ -15,7 +15,7 @@ import time
 import traceback
 
 from . import codecs, finder, generators, oracle
-from .graphs import Cycle, Graph, GraphError, Path, connectivity_cut, is_connected
+from .graphs import Cycle, Graph, GraphError, Path, connectivity_cut
 from .oracle import CyclePairCertificate, GuardExceeded, PathPairCertificate
 
 EXIT_OK = 0
@@ -200,9 +200,12 @@ SWEEP_COLUMNS = [
 
 
 def _connectivity_class(g: Graph) -> str:
-    if g.n == 0 or not is_connected(g):
+    if g.n == 0:
         return "disconnected"
-    cut = connectivity_cut(g, 3)  # the smallest cut: a cut vertex, else a pair
+    try:
+        cut = connectivity_cut(g, 3)  # the smallest cut: a cut vertex, else a pair
+    except GraphError:  # g is disconnected
+        return "disconnected"
     return "3-connected" if cut is None else ("connected", "2-connected")[len(cut) - 1]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import oracle
@@ -37,7 +38,6 @@ from .graphs import (
     induced_subgraph,
     is_bipartite,
     is_connected,
-    lift_path,
     shortest_odd_cycle,
     spanning_tree,
     theta_even_cycle,
@@ -168,12 +168,10 @@ def _ear_even_cycle(c: Cycle, p: Path) -> Cycle:
     return theta_even_cycle(ThetaGraph.build(u, v, [c.arc(u, v), c.arc(v, u), p]))
 
 
-def _map_path(p: Path, mapping, host: Graph) -> Path:
-    return Path(host, tuple(mapping[v] for v in p.vertices))
-
-
-def _map_cycle(c: Cycle, mapping, host: Graph) -> Cycle:
-    return Cycle(host, tuple(mapping[v] for v in c.vertices))
+def _mapped(p, ids, host: Graph):
+    """The Path or Cycle p of a derived graph in its host, ids[i] being the
+    host id of its vertex i."""
+    return type(p)(host, tuple([ids[v] for v in p.vertices]))
 
 
 def _cycle_walk(nbrs, start: int) -> tuple:
@@ -450,22 +448,11 @@ def _pair_from_disjoint_odd_even(g: Graph, d: Cycle, start: Cycle) -> CyclePairC
     if c.length == 4:
         paths, _ = disjoint_paths(g, c.vertex_set(), d.vertex_set(), 3)
         _require(paths is not None, "3 disjoint C-D paths in a 3-connected graph")
-        ends = sorted(p.vertices[0] if p.vertices[0] in c.vertex_set() else p.vertices[-1] for p in paths)
-        by_end = {}
-        for p in paths:
-            if p.start not in c.vertex_set():
-                p = p.reverse()
-            by_end[p.start] = p
-        pair = None
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if g.has_edge(ends[i], ends[j]) and c.arc_length(ends[i], ends[j]) in (1, 3):
-                    pair = (ends[i], ends[j])
-                    break
-            if pair:
-                break
+        # the paths start on C in increasing order; two starts at odd distance are adjacent
+        pairs = combinations(paths, 2)
+        pair = next(((p, q) for p, q in pairs if c.arc_length(p.start, q.start) % 2), None)
         _require(pair is not None, "two of three endpoints on a C4 must be adjacent")
-        return combine_quasi_diagonal(c, d, [by_end[pair[0]], by_end[pair[1]]])
+        return combine_quasi_diagonal(c, d, pair)
 
     qd = quasi_diagonal(c)
     chord = c.chords()
@@ -520,13 +507,10 @@ def _pair_tree_attachment(g, c, d, qd, chord, fset) -> CyclePairCertificate:
 def _pair_b_branches(g, c, d, qd, chord, fset) -> CyclePairCertificate:
     """l(C) = 0 mod 4: find a quasi-diagonal pair whose F-neighbors live in
     distinct B-branches and route two disjoint paths to d through them."""
+    # F is connected, so B, the block of F that holds D, is F if F is 2-connected
     fsub, fmap = induced_subgraph(g, fset)
-    fdec = blocks(fsub)
-    if not fdec.cut_vertices and is_connected(fsub) and fsub.n >= 3:
-        bvertices = fset
-    else:
-        dmapped = {fmap.index(v) for v in d.vertex_set()}
-        bvertices = {fmap[v] for v in fdec.block_of_vertex_set(dmapped).vertices}
+    bblock = blocks(fsub).block_of_vertex_set(fmap.index(v) for v in d.vertex_set())
+    bvertices = {fmap[v] for v in bblock.vertices}
 
     # B-branches: a vertex of B anchors itself, and each component of
     # F - V(B) hangs from exactly one vertex of the block B
@@ -544,15 +528,10 @@ def _pair_b_branches(g, c, d, qd, chord, fset) -> CyclePairCertificate:
         n2 = {branch_of[w] for w in g.adj[u2] if w in fset}
         if not n1 or not n2 or (len(n1 | n2) == 1):
             continue
-        keep = fset | {u1, u2}
-        hsub, hmap = induced_subgraph(g, keep)
-        inv = {orig: i for i, orig in enumerate(hmap)}
-        paths, _ = disjoint_paths(
-            hsub, {inv[u1], inv[u2]}, {inv[v] for v in dset}, 2
-        )
+        ends = frozenset([u1, u2])
+        paths, _ = _menger(g, ends, dset, 2, allowed=fset | ends)
         _require(paths is not None, "distinct B-branches must yield two disjoint paths")
-        mapped = [_map_path(p, hmap, g) for p in paths]
-        return combine_quasi_diagonal(c, d, mapped)
+        return combine_quasi_diagonal(c, d, paths)
     raise InternalInvariantError(
         "3-connectivity forces some quasi-diagonal pair into distinct B-branches"
     )
@@ -618,7 +597,7 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
     F = g - V(b), given as fsub (fmap[i] the id in g of its vertex i) with
     its blocks fdec, none of them even."""
     fset = frozenset(fmap)
-    dcycle = _map_cycle(dsub, fmap, g)
+    dcycle = _mapped(dsub, fmap, g)
 
     if fset == dcycle.vertex_set() and fsub.e == dcycle.length:
         return _cubic_endgame(g, b, dcycle)
@@ -666,7 +645,7 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
         _require(pick is not None, "two independent B to D'-v edges exist")
         (b1, w1), (b2, w2) = pick
         ring = {v: [w for w in fsub.adj[v] if w in dprime.vertices] for v in dprime.vertices}
-        dprime_cycle = _map_cycle(Cycle(fsub, _cycle_walk(ring, min(ring))), fmap, g)
+        dprime_cycle = _mapped(Cycle(fsub, _cycle_walk(ring, min(ring))), fmap, g)
         arcs = [dprime_cycle.arc(w1, w2), dprime_cycle.arc(w2, w1).reverse()]
         if vcut is not None:
             arcs = [a for a in arcs if vcut not in a.vertices]
@@ -769,9 +748,10 @@ def three_connected_pair(g: Graph) -> CyclePairCertificate:
     """Two cycles of consecutive even lengths in a 3-connected graph, n >= 6."""
     if g.n < 6:
         raise HypothesisFailure("order", f"need n >= 6, got {g.n}")
-    if not is_connected(g):
-        raise HypothesisFailure("connectivity", "graph is disconnected")
-    cut = connectivity_cut(g, 3)
+    try:
+        cut = connectivity_cut(g, 3)
+    except GraphError as exc:
+        raise HypothesisFailure("connectivity", "graph is disconnected") from exc
     if cut is not None:
         raise HypothesisFailure("connectivity", "graph is not 3-connected", witness=cut)
     return _three_connected_pair(g)
@@ -1088,15 +1068,17 @@ def _paths_case_contract(h, x, y):
     is 2-connected, else the block of y*, else the endgame.  No vertex but y
     has two neighbours in X, or h has a 4-cycle through x, so every other
     vertex keeps its degree; X is independent if h is bipartite."""
-    xs = sorted(h.adj[x])
-    gstar, rec = contract(h, {x, *xs})
-    xstar, ystar = rec.contracted_vertex, rec.vertex_map[y]
+    xs = h.adj[x]
+    xset = frozenset(xs)
+    gstar, ids = contract(h, xset | {x})
+    xstar, ystar = gstar.n - 1, ids.index(y)
 
-    def lift(q):  # an x*-y* path of G* to an x-y path of h through X
-        return Path(h, (x,) + lift_path(rec, q)[0].vertices)
+    def lift(vs):  # the vertices of an x*-y* path of G* to an x-y path of h
+        rest = [ids[v] for v in vs[1:]]  # entered from the least x_i next to rest[0]
+        return Path(h, (x, next(w for w in h.adj[rest[0]] if w in xset), *rest))
 
     if _two_connected_with(gstar, xstar, ystar):
-        return gstar, xstar, ystar, lift
+        return gstar, xstar, ystar, lambda q: lift(q.vertices)
 
     # G* + x*y* is h + xy with the connected set {x} + X contracted, so x*
     # is its only cut vertex; G* itself may have more on the way to y*
@@ -1109,11 +1091,11 @@ def _paths_case_contract(h, x, y):
     bblock = next(b for b in dec.blocks if ystar in b.vertices)
     if len(bblock.vertices) >= 3:  # a block of 3 or more vertices is 2-connected
         bsub, mapb = induced_subgraph(gplus, bblock.vertices)
-        bx, by = mapb.index(xstar), mapb.index(ystar)
-        return bsub, bx, by, lambda q: lift(_map_path(q, mapb, gstar))
+        bx, by = len(mapb) - 1, mapb.index(ystar)  # x* is the last vertex
+        return bsub, bx, by, lambda q: lift([mapb[v] for v in q.vertices])
 
     # B = x*y endgame: N(y) = X = N(x); route through another block
-    _require(sorted(h.adj[y]) == xs, "endgame forces N(y) = N(x) = X")
+    _require(h.adj[y] == xs, "endgame forces N(y) = N(x) = X")
     others = sorted((sorted(b.vertices), b) for b in dec.blocks if b.vertices != bblock.vertices)
     _require(others, "G* has a block besides x*y")
     dprime = others[0][1]
@@ -1121,18 +1103,19 @@ def _paths_case_contract(h, x, y):
         len(dprime.vertices) >= 3,
         "a K2 block besides x*y would hide a degree-1 vertex",
     )
-    dverts_h = {rec.original_of(v) for v in dprime.vertices if v != xstar}
-    attach = sorted(v for v in xs if any(w in dverts_h for w in h.adj[v]))
+    dverts_h = {ids[v] for v in dprime.vertices if v != xstar}
+    attach = [v for v in xs if any(w in dverts_h for w in h.adj[v])]
     _require(len(attach) >= 2, "at least two X-vertices see the block D")
     u1 = attach[0]
-    g1, mapg1 = induced_subgraph(h, set(xs) | dverts_h)
-    g1c, rec2 = contract(g1, {mapg1.index(v) for v in xs if v != u1})
-    u1c, u2c = rec2.vertex_map[mapg1.index(u1)], rec2.contracted_vertex
-    _require(_two_connected_with(g1c, u1c, u2c), "the endgame instance is 2-connected")
+    g1, mapg1 = induced_subgraph(h, xset | dverts_h)
+    g1c, ids1 = contract(g1, (i for i, v in enumerate(mapg1) if v in xset and v != u1))
+    ids1 = [mapg1[v] for v in ids1]  # the ids of the survivors in h
+    u1c, u2c = ids1.index(u1), g1c.n - 1
 
     def lift_end(q):  # a u1-X path of the block D plus X, closed by x and y
-        ph = _map_path(lift_path(rec2, q)[0], mapg1, h).reverse()  # x_i ... u1
-        return Path(h, (x,) + ph.vertices + (y,))
+        rest = [ids1[v] for v in q.vertices[-2::-1]]  # ... u1, X left at the least x_i seen
+        xi = next(w for w in h.adj[rest[0]] if w in xset and w != u1)
+        return Path(h, (x, xi, *rest, y))
 
     return g1c, u1c, u2c, lift_end
 
@@ -1252,7 +1235,7 @@ def _peel(h: Graph) -> set:
 
 def _lift(c: CyclePairCertificate, ids, g: Graph) -> CyclePairCertificate:
     """c, found in G[s] with ids[i] the id in g of its vertex i, in g."""
-    return CyclePairCertificate.make(_map_cycle(c.c1, ids, g), _map_cycle(c.c2, ids, g))
+    return CyclePairCertificate.make(_mapped(c.c1, ids, g), _mapped(c.c2, ids, g))
 
 
 def _two_cut(g: Graph, cut) -> CyclePairCertificate:
@@ -1270,37 +1253,35 @@ def _two_cut(g: Graph, cut) -> CyclePairCertificate:
     x, y = sorted(cut)
     comps = sorted(components(g, frozenset([x, y])), key=lambda c: (len(c), c))
     small = set(comps[0])
-    sides = [induced_subgraph(g, set(g.vertices) - small), induced_subgraph(g, small | {x, y})]
+    sides = []  # (side, its ids in g, the ids of x and y in it)
+    for vs in (set(g.vertices) - small, small | {x, y}):
+        h, ids = induced_subgraph(g, vs)
+        sides.append((h, ids, ids.index(x), ids.index(y)))
 
     def pair(i):
-        h, ids = sides[i]
-        ppc = _path_theorem(h, ids.index(x), ids.index(y), f"side H{i + 1} of a 2-cut")
-        return _map_path(ppc.p1, ids, g), _map_path(ppc.p2, ids, g)
-
-    def cut_free(i):
-        """Side i minus the edge xy, and the ids of x and y in it."""
-        h, ids = sides[i]
-        hx, hy = ids.index(x), ids.index(y)
-        return h.without_edge(hx, hy), hx, hy
+        h, ids, hx, hy = sides[i]
+        ppc = _path_theorem(h, hx, hy, f"side H{i + 1} of a 2-cut")
+        return _mapped(ppc.p1, ids, g), _mapped(ppc.p2, ids, g)
 
     def close(p, q1, q2):
         return _certify(g, cycle_from_paths(p, q1), cycle_from_paths(p, q2))
 
     for i, j in ((0, 1), (1, 0)):
-        hm, hx, hy = cut_free(j)
+        h, ids, hx, hy = sides[j]
+        hm = h.without_edge(hx, hy)
         if not is_bipartite(hm)[0]:
             p1, p2 = pair(i)
             q = _parity_path(hm, hx, hy, p1.length % 2)
-            return close(_map_path(q, sides[j][1], g), p1, p2)
+            return close(_mapped(q, ids, g), p1, p2)
     (p1, p2), (q1, q2) = pair(0), pair(1)
     if p1.length % 2 == q1.length % 2:
         return close(p1, q1, q2)
     if g.has_edge(x, y):  # an x-y path of length 1 on neither side closes the odd pair
         return close(Path(g, (x, y)), *((p1, p2) if p1.length % 2 else (q1, q2)))
-    h2m = cut_free(1)[0]
-    found = oracle.find_consecutive_even_pair_bf(h2m, h2m.n)
+    h, ids, hx, hy = sides[1]
+    found = oracle.find_consecutive_even_pair_bf(h.without_edge(hx, hy), h.n)
     _require(found is not None, "bipartite side yields an even difference-2 pair")
-    return _lift(found, sides[1][1], g)
+    return _lift(found, ids, g)
 
 
 def _parity_path(h: Graph, x: int, y: int, parity: int) -> Path:

@@ -307,7 +307,10 @@ def _passes(g: Graph, tag: Optional[str]) -> bool:
         d = int(tag.rsplit("-", 1)[1])
         return all(g.degree(v) >= d for v in g.vertices)
     if tag == "3-connected":
-        return g.n > 3 and is_connected(g) and connectivity_cut(g, 3) is None
+        try:
+            return g.n > 3 and connectivity_cut(g, 3) is None
+        except GraphError:  # g is disconnected
+            return False
     if tag == "density":
         return 2 * g.e >= 5 * (g.n - 1)
     raise GraphError(f"unknown filter tag {tag!r}")

@@ -1,9 +1,14 @@
 """Immutable graph representation and connectivity machinery.
 
 Vertices are dense integers 0..n-1.  All operations are pure: "edits"
-return new Graph values together with id mappings, and every
-nondeterministic choice is broken smallest-id-first so outputs are
-reproducible byte-for-byte.
+return new Graph values, and every nondeterministic choice is broken
+smallest-id-first so outputs are reproducible byte-for-byte.
+
+A graph derived from a vertex subset comes with one id map, (graph, ids):
+ids[i] is the host id of vertex i, and ids increase, so the map keeps the
+order of vertices, rows and edges.  `induced_subgraph` maps every vertex;
+`contract` maps the survivors, and its contracted vertex is the last one,
+with no entry.
 """
 
 from __future__ import annotations
@@ -376,35 +381,12 @@ def induced_subgraph(g: Graph, s) -> tuple:
     return Graph._trusted(len(s), edges, adj), tuple(s)
 
 
-@dataclass(frozen=True)
-class ContractionRecord:
-    """Bookkeeping for contracting a vertex set S into a single vertex s."""
-
-    graph: Graph  # original graph
-    vertex_map: dict  # original id -> contracted id (total on survivors and S)
-    contracted_vertex: int  # id of s in the contracted graph
-    preimage: frozenset  # S
-    realizations: dict  # contracted neighbor id of s -> tuple of original endpoints in S
-
-    def original_of(self, new_id: int) -> int:
-        if new_id == self.contracted_vertex:
-            raise GraphError("contracted vertex has no single preimage")
-        return self._inverse[new_id]
-
-    @cached_property
-    def _inverse(self) -> dict:
-        return {
-            new: old
-            for old, new in self.vertex_map.items()
-            if new != self.contracted_vertex
-        }
-
-
 def contract(g: Graph, s) -> tuple:
     """Contract vertex set s into a single new vertex (no multi-edges).
 
-    Survivors keep sorted order as ids 0..m-2; the contracted vertex gets
-    id m-1.  Returns (contracted graph, ContractionRecord).
+    Returns (graph, ids) as induced_subgraph does: ids[i] is the original
+    id of survivor i (original ids in sorted order), and the contracted
+    vertex is the last one, graph.n - 1, with no entry in ids.
     """
     s = frozenset(s)
     if not s:
@@ -412,55 +394,20 @@ def contract(g: Graph, s) -> tuple:
     for v in s:
         if not (0 <= v < g.n):
             raise GraphError(f"unknown vertex id {v}")
-    survivors = sorted(set(g.vertices) - s)
+    survivors = [v for v in g.vertices if v not in s]
     new_id = {v: i for i, v in enumerate(survivors)}
     sid = len(survivors)
-    vmap = dict(new_id)
-    for v in s:
-        vmap[v] = sid
     # new_id is monotone and sid the largest id, so each row stays sorted
-    adj, realizations = [], {}
+    adj, touching = [], []
     for i, v in enumerate(survivors):
         row = [new_id[w] for w in g.adj[v] if w not in s]
-        inside = tuple([w for w in g.adj[v] if w in s])
-        if inside:
+        if len(row) < len(g.adj[v]):
             row.append(sid)
-            realizations[i] = inside
+            touching.append(i)
         adj.append(tuple(row))
-    adj.append(tuple(realizations))
+    adj.append(tuple(touching))
     edges = frozenset([(i, j) for i, row in enumerate(adj) for j in row if j > i])
-    cg = Graph._trusted(sid + 1, edges, tuple(adj))
-    return cg, ContractionRecord(g, vmap, sid, s, realizations)
-
-
-def lift_path(rec: ContractionRecord, p: Path) -> tuple:
-    """Lift a contracted-graph path back to the original graph.
-
-    The contracted vertex may appear only as an endpoint; it is replaced by
-    the smallest preimage vertex adjacent (in the original graph) to the
-    path's next vertex.  Returns (lifted Path, chosen preimage or None).
-    """
-    sid = rec.contracted_vertex
-    vs = p.vertices
-    if sid in vs[1:-1]:
-        raise GraphError("path visits the contracted vertex internally")
-    if len(vs) == 1:
-        if vs[0] == sid:
-            chosen = min(rec.preimage)
-            return Path(rec.graph, (chosen,)), chosen
-        return Path(rec.graph, (rec.original_of(vs[0]),)), None
-    if vs[0] == sid and vs[-1] == sid:
-        raise GraphError("path touches the contracted vertex at both ends")
-    if vs[-1] == sid:
-        lifted, chosen = lift_path(rec, p.reverse())
-        return lifted.reverse(), chosen
-    if vs[0] == sid:
-        nxt = vs[1]
-        chosen = rec.realizations[nxt][0]
-        seq = (chosen,) + tuple(rec.original_of(v) for v in vs[1:])
-        return Path(rec.graph, seq), chosen
-    seq = tuple(rec.original_of(v) for v in vs)
-    return Path(rec.graph, seq), None
+    return Graph._trusted(sid + 1, edges, tuple(adj)), tuple(survivors)
 
 
 # ---------------------------------------------------------------------------

@@ -130,17 +130,21 @@ def cycle_spectrum(g: Graph, size_guard: int = DEFAULT_GUARD) -> SpectrumReport:
     )
 
 
-def find_consecutive_even_pair_bf(
-    g: Graph, size_guard: int = DEFAULT_GUARD
-) -> Optional[CyclePairCertificate]:
+def _even_pair(spec: SpectrumReport) -> Optional[CyclePairCertificate]:
     """Certificate for the smallest {2m, 2m+2} pair in the spectrum, if any."""
-    spec = cycle_spectrum(g, size_guard)
     for m in sorted(spec.lengths):
         if m % 2 == 0 and m + 2 in spec.lengths:
             return CyclePairCertificate.make(
                 spec.representatives[m], spec.representatives[m + 2]
             )
     return None
+
+
+def find_consecutive_even_pair_bf(
+    g: Graph, size_guard: int = DEFAULT_GUARD
+) -> Optional[CyclePairCertificate]:
+    """Certificate for the smallest {2m, 2m+2} pair in the spectrum, if any."""
+    return _even_pair(cycle_spectrum(g, size_guard))
 
 
 def has_consecutive_even_pair(g: Graph, size_guard: int = DEFAULT_GUARD) -> bool:
@@ -199,19 +203,14 @@ def bondy_vince_search(
     CyclePairCertificate); otherwise the lexicographically least near pair.
     """
     spec = cycle_spectrum(g, size_guard)
-    lengths = sorted(spec.lengths)
-    for m in lengths:
-        if m % 2 == 0 and m + 2 in spec.lengths:
-            return CyclePairCertificate.make(
-                spec.representatives[m], spec.representatives[m + 2]
-            )
-    for m in lengths:
+    pair = _even_pair(spec)
+    if pair is not None:
+        return pair
+    for m in sorted(spec.lengths):
         for d in (1, 2):
             if m + d in spec.lengths:
-                return NearLengthPair(
-                    spec.representatives[m].canonical(),
-                    spec.representatives[m + d].canonical(),
-                )
+                # cycle_spectrum keeps its representatives canonical
+                return NearLengthPair(spec.representatives[m], spec.representatives[m + d])
     return None
 
 

@@ -38,7 +38,6 @@ from evencycles.graphs import (
     induced_subgraph,
     is_bipartite,
     is_connected,
-    lift_path,
     shortest_odd_cycle,
     spanning_tree,
     theta_even_cycle,
@@ -134,18 +133,15 @@ class TestDerivedAdjacency:
                         self.assert_derived(sub, kept)
                         if not s:
                             continue
-                        cg, rec = contract(g, s)
-                        survivors = [v for v in range(n) if v not in s]
-                        vmap = {v: survivors.index(v) if v in survivors else len(survivors) for v in range(n)}
-                        assert rec.vertex_map == vmap
+                        cg, ids = contract(g, s)
+                        survivors = tuple(v for v in range(n) if v not in s)
+                        assert ids == survivors and cg.n == len(ids) + 1
+                        vmap = {v: ids.index(v) if v in ids else cg.n - 1 for v in range(n)}
                         want = {tuple(sorted((vmap[u], vmap[v]))) for u, v in g.edges if vmap[u] != vmap[v]}
                         self.assert_derived(cg, want)
-                        ends = {}
-                        for u, v in g.edges:
-                            for a, b in ((u, v), (v, u)):
-                                if a in s and b not in s:
-                                    ends.setdefault(vmap[b], []).append(a)
-                        assert rec.realizations == {w: tuple(sorted(a)) for w, a in ends.items()}
+                        # the last vertex sees exactly the survivors with a neighbour in s
+                        touching = [i for i, v in enumerate(ids) if any(w in s for w in g.adj[v])]
+                        assert list(cg.adj[cg.n - 1]) == touching
         assert seen == 1 + 1 + 2 + 4 + 11 + 34 + 156  # OEIS A000088, orders 0-6
 
 
@@ -230,22 +226,20 @@ class TestSurgeries:
 
     def test_contract_and_lift(self):
         g = cycle_graph(6)
-        cg, rec = contract(g, {2, 3})
+        cg, ids = contract(g, {2, 3})
         # survivors 0,1,4,5 become 0,1,2,3; the contracted vertex is 4,
         # so cg is the 5-cycle 0-1-4-2-3-0
-        assert cg.n == 5 and rec.contracted_vertex == 4
+        assert ids == (0, 1, 4, 5) and cg.n == 5
+        assert cg.adj[4] == (1, 2)  # the survivors 1 and 4 see {2, 3}
         p = Path(cg, (4, 2, 3, 0, 1))  # from the contracted vertex around to 1
-        lifted, chosen = lift_path(rec, p)
-        assert chosen in {2, 3}
-        assert lifted.start in {2, 3} and lifted.end == 1
-        assert lifted.length == p.length
-
-    def test_lift_rejects_internal_visit(self):
-        g = cycle_graph(6)
-        cg, rec = contract(g, {2, 3})
-        bad = Path(cg, (1, 4, 2))
+        # a caller lifts p through ids, entering {2, 3} at the least
+        # neighbour of the vertex after the contracted one
+        rest = [ids[v] for v in p.vertices[1:]]
+        first = next(w for w in g.adj[rest[0]] if w in {2, 3})
+        lifted = Path(g, (first, *rest))
+        assert lifted.vertices == (3, 4, 5, 0, 1) and lifted.length == p.length
         with pytest.raises(GraphError):
-            lift_path(rec, bad)
+            contract(g, set())
 
 
 class TestBlocks:
@@ -522,6 +516,32 @@ class TestDisjointPaths:
         paths, sep = disjoint_paths(g, {0, 1}, {4, 5}, 2)
         assert paths is None and len(sep) == 1
         assert bfs_path(g, {0, 1} - sep, {4, 5} - sep, sep) is None
+
+    def test_menger_in_a_vertex_set_is_the_flow_of_its_subgraph(self):
+        # a flow confined to S = V - {v} gives the paths, or the separator,
+        # that the same flow gives on G[S], mapped back: the id map of G[S]
+        # is monotone, so it keeps the order of every arc.  a and b are the
+        # two smallest and the two largest vertices of S, so n >= 5.
+        outcomes = []
+        for n in (5, 6):
+            for g in enumerate_small(n):
+                for v in range(n):
+                    s = [w for w in range(n) if w != v]
+                    sub, ids = induced_subgraph(g, s)
+                    a, b = frozenset(s[:2]), frozenset(s[-2:])
+                    sa, sb = frozenset([0, 1]), frozenset([n - 3, n - 2])
+                    for k in (1, 2, 3):
+                        paths, sep = graphs._menger(g, a, b, k, allowed=s)
+                        spaths, ssep = graphs._menger(sub, sa, sb, k)
+                        if spaths is None:
+                            assert paths is None and sep == {ids[w] for w in ssep}
+                        else:
+                            assert sep is None
+                            assert [p.vertices for p in paths] == [
+                                tuple(ids[w] for w in p.vertices) for p in spaths
+                            ]
+                        outcomes.append(spaths is None)
+        assert (len(outcomes), sum(outcomes)) == (3 * (5 * 34 + 6 * 156), 1660)  # (runs, separators)
 
     def test_fan(self):
         g = complete_graph(5)
