@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that three deterministic outputs are unchanged.
+"""Check that four deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -12,14 +12,19 @@ pinned below:
   `repr((p1.vertices, p2.vertices))`, or the name of the failed
   hypothesis, at a time (72520 pairs, 56512 of them solved);
 - `sweep`: the CSV of `evencycles sweep enum:8:density --check-oracle`
-  without its `wall_time` column (1501 rows).
+  without its `wall_time` column (1501 rows);
+- `main`: `main_theorem` on every graph of `enumerate_small(n, "density")`,
+  n <= 8, and on `gen_k5_block_tree(b, b)`, 1 <= b <= 30, hashed one
+  outcome at a time: its kind, then the vertices of both cycles, the
+  vertex sets of the witness blocks or the failure text (1619 outcomes).
 
-A refactor that should not change any output must leave all three equal.
+A refactor that should not change any output must leave all four equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 """
 
+import collections
 import contextlib
 import csv
 import hashlib
@@ -28,14 +33,15 @@ import os
 import sys
 import tempfile
 
-from evencycles import HypothesisFailure, three_connected_pair, two_paths_diff_two
+from evencycles import HypothesisFailure, main_theorem, three_connected_pair, two_paths_diff_two
 from evencycles.cli import main as cli_main
-from evencycles.generators import enumerate_small, generalized_petersen
+from evencycles.generators import enumerate_small, gen_k5_block_tree, generalized_petersen
 
 PINNED = {
     "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
     "paths": "c4849d90e16c50b27648c94da067a00d537f7759690b4cbd4b252e5d3e7ff9f5",
     "sweep": "0c60e4e02955eb7ef85a651a736f222324d89dea87e4f707fb37e47bd6c0e188",
+    "main": "4c3a0941ee0d9d2e61e3f16dcfa018da8a48713c5fa6119889906319ace059cd",
 }
 
 
@@ -78,9 +84,33 @@ def sweep_digest() -> tuple:
     return hashlib.sha256(text.encode()).hexdigest(), f"{len(rows) - 1} rows, exit {code}"
 
 
+def main_digest() -> tuple:
+    graphs = [g for n in range(9) for g in enumerate_small(n, "density")]
+    graphs += [gen_k5_block_tree(b, b) for b in range(1, 31)]
+    m = hashlib.sha256()
+    kinds = collections.Counter()
+    for g in graphs:
+        out = main_theorem(g)
+        kinds[out.kind] += 1
+        if out.certificate is not None:
+            what = (out.certificate.c1.vertices, out.certificate.c2.vertices)
+        elif out.witness is not None:
+            what = tuple(tuple(sorted(b.vertices)) for b in out.witness.decomposition.blocks)
+        else:
+            what = str(out.failure)
+        m.update(repr((out.kind, what)).encode())
+    return m.hexdigest(), ", ".join(f"{v} {k}" for k, v in sorted(kinds.items()))
+
+
 def main() -> int:
     bad = []
-    for name, fn in (("cycles", cycles_digest), ("paths", paths_digest), ("sweep", sweep_digest)):
+    digests = (
+        ("cycles", cycles_digest),
+        ("paths", paths_digest),
+        ("sweep", sweep_digest),
+        ("main", main_digest),
+    )
+    for name, fn in digests:
         digest, what = fn()
         ok = digest == PINNED[name]
         bad += [] if ok else [name]

@@ -157,8 +157,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_modcheck(args) -> int:
     g = _load_graph(args.file, args.format)
-    if not (0 <= args.residue < args.modulus):
-        raise InputError(f"residue {args.residue} out of range for modulus {args.modulus}")
     cyc = oracle.cycle_mod_residue(g, args.residue, args.modulus, size_guard=args.guard)
     if cyc is None:
         print(f"no cycle of length {args.residue} (mod {args.modulus})")

@@ -43,7 +43,6 @@ from .graphs import (
     theta_even_cycle,
     tree_path,
 )
-from .generators import is_k5_block_tree
 from .oracle import CyclePairCertificate, PathPairCertificate
 
 
@@ -375,51 +374,30 @@ def combine_quasi_diagonal(b: Cycle, d: Cycle, connectors) -> CyclePairCertifica
     cycle d, and connector path(s) with quasi-diagonal endpoints on b.
 
     Two connectors: b, d disjoint, both b-endpoints quasi-diagonal.
-    One connector: b and d share one vertex u; the connector runs from a
-    vertex of b - u quasi-diagonal with u to a vertex of d - u.
+    One connector: b and d share one vertex u, which is the first connector
+    as the one-vertex path (u,).
     """
     if b.length % 2 != 0 or d.length % 2 != 1:
         raise GraphError("combine_quasi_diagonal needs an even b and an odd d")
     g = b.graph
     qd = quasi_diagonal(b)
     bset, dset = b.vertex_set(), d.vertex_set()
-
-    connectors = list(connectors)
-    if len(connectors) == 2:
-        if bset & dset:
-            raise GraphError("two-connector form needs disjoint cycles")
-        oriented = []
-        for p in connectors:
-            if p.start in dset and p.end in bset:
-                p = p.reverse()
-            if p.start not in bset or p.end not in dset:
-                raise GraphError("connector must join b to d")
-            if set(p.vertices[1:-1]) & (bset | dset):
-                raise GraphError("connector passes through b or d internally")
-            oriented.append(p)
-        p1, p2 = oriented
-        if set(p1.vertices) & set(p2.vertices):
-            raise GraphError("connectors are not disjoint")
-        s1, s2 = p1.start, p2.start
-        t1, t2 = p1.end, p2.end
-    elif len(connectors) == 1:
-        if len(bset & dset) != 1:
-            raise GraphError("one-connector form needs exactly one shared vertex")
-        (u,) = bset & dset
-        p = connectors[0]
+    shared, connectors = bset & dset, list(connectors)
+    if not connectors or len(shared) + len(connectors) != 2:
+        raise GraphError("need two connectors, or one and exactly one shared vertex")
+    oriented = [Path(g, (u,)) for u in shared]
+    for p in connectors:
         if p.start in dset and p.end in bset:
             p = p.reverse()
-        if p.start not in bset - {u} or p.end not in dset - {u}:
-            raise GraphError("connector must join b - u to d - u")
+        if p.start not in bset or p.end not in dset:
+            raise GraphError("connector must join b to d")
         if set(p.vertices[1:-1]) & (bset | dset):
             raise GraphError("connector passes through b or d internally")
-        p1 = Path(g, (u,))
-        p2 = p
-        s1, s2 = u, p.start
-        t1, t2 = u, p.end
-    else:
-        raise GraphError("combine_quasi_diagonal takes one or two connectors")
-
+        oriented.append(p)
+    p1, p2 = oriented
+    if set(p1.vertices) & set(p2.vertices):
+        raise GraphError("connectors are not disjoint")
+    (s1, t1), (s2, t2) = (p1.start, p1.end), (p2.start, p2.end)
     if not qd.is_quasi_diagonal(s1, s2):
         raise GraphError(f"b-endpoints {s1}, {s2} are not quasi-diagonal")
 
@@ -455,15 +433,15 @@ def _pair_from_disjoint_odd_even(g: Graph, d: Cycle, start: Cycle) -> CyclePairC
         return combine_quasi_diagonal(c, d, pair)
 
     qd = quasi_diagonal(c)
-    chord = c.chords()
     if c.length % 4 == 2:
-        return _pair_tree_attachment(g, c, d, qd, chord, fset)
-    return _pair_b_branches(g, c, d, qd, chord, fset)
+        return _pair_tree_attachment(g, c, qd, fset)
+    return _pair_b_branches(g, c, d, qd, fset)
 
 
-def _pair_tree_attachment(g, c, d, qd, chord, fset) -> CyclePairCertificate:
+def _pair_tree_attachment(g, c, qd, fset) -> CyclePairCertificate:
     """l(C) = 2 mod 4: attach the chord-free Qdi component to a spanning
     tree of F and pick the even cycle the parity identity guarantees."""
+    chord = c.chords()
     if chord:
         u0, v0 = chord[0]
         q = next(comp for comp in qd.components if u0 not in comp and v0 not in comp)
@@ -504,7 +482,7 @@ def _pair_tree_attachment(g, c, d, qd, chord, fset) -> CyclePairCertificate:
     raise InternalInvariantError("parity identity guarantees an even attachment cycle")
 
 
-def _pair_b_branches(g, c, d, qd, chord, fset) -> CyclePairCertificate:
+def _pair_b_branches(g, c, d, qd, fset) -> CyclePairCertificate:
     """l(C) = 0 mod 4: find a quasi-diagonal pair whose F-neighbors live in
     distinct B-branches and route two disjoint paths to d through them."""
     # F is connected, so B, the block of F that holds D, is F if F is 2-connected
@@ -552,19 +530,21 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
     if u not in c.vertex_set():
         return _pair_from_disjoint_odd_even(g, d, c)
 
-    fset = frozenset(g.vertices) - c.vertex_set()
-    qd = quasi_diagonal(c)
-    u1, u2 = qd.partners(u)
-    for ui in (u1, u2):
-        nbrs = sorted(w for w in g.adj[ui] if w in fset)
+    cset = c.vertex_set()
+
+    def route(w):  # w, its least neighbour in F = g - V(C), then on to d - u in F
+        nbrs = [x for x in g.adj[w] if x not in cset]
         if not nbrs:
-            continue
-        v = nbrs[0]
-        forb = set(g.vertices) - fset
-        p = bfs_path(g, {v}, dminus, frozenset(forb - dminus))
+            return None
+        p = bfs_path(g, {min(nbrs)}, dminus, cset)
         _require(p is not None, "F is connected and contains d - u")
-        connector = Path(g, (ui,) + p.vertices) if p.start != ui else p
-        return combine_quasi_diagonal(c, d, [connector])
+        return Path(g, (w,) + p.vertices)
+
+    u1, u2 = quasi_diagonal(c).partners(u)
+    for ui in (u1, u2):
+        p = route(ui)
+        if p is not None:
+            return combine_quasi_diagonal(c, d, [p])
 
     # both quasi-diagonal partners of u are buried: u1u2 is the unique chord
     _require(c.length >= 6, "a C4 with buried partners would expose a 2-cut")
@@ -574,14 +554,10 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
     u3cands = sorted((vs[(i + 1) % len(vs)], vs[(i - 1) % len(vs)]))
     u4 = vs[(i + len(vs) // 2) % len(vs)]
     for u3 in u3cands:
-        nbrs = sorted(w for w in g.adj[u3] if w in fset)
-        if not nbrs:
+        p = route(u3)
+        if p is None:
             continue
-        v = nbrs[0]
-        forb = set(g.vertices) - fset
-        qpath = bfs_path(g, {v}, dminus, frozenset(forb - dminus))
-        _require(qpath is not None, "F is connected and contains d - u")
-        ceven = _ear_even_cycle(d, Path(g, (u, u3) + qpath.vertices))
+        ceven = _ear_even_cycle(d, Path(g, (u,) + p.vertices))
         tri = Cycle(g, (u1, u2, u4))
         _require(not (ceven.vertex_set() & tri.vertex_set()), "even cycle misses the chord triangle")
         return _pair_from_disjoint_odd_even(g, tri, ceven)
@@ -632,16 +608,9 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
             for u, w in g.edges
             if (u in bset and w in dverts) or (w in bset and u in dverts)
         )
-        pick = None
-        for a1 in cross:
-            for a2 in cross:
-                e1 = a1 if a1[0] in bset else (a1[1], a1[0])
-                e2 = a2 if a2[0] in bset else (a2[1], a2[0])
-                if e1[0] != e2[0] and e1[1] != e2[1]:
-                    pick = (e1, e2)
-                    break
-            if pick:
-                break
+        oriented = [e if e[0] in bset else e[::-1] for e in cross]
+        pairs = combinations(oriented, 2)
+        pick = next(((e1, e2) for e1, e2 in pairs if e1[0] != e2[0] and e1[1] != e2[1]), None)
         _require(pick is not None, "two independent B to D'-v edges exist")
         (b1, w1), (b2, w2) = pick
         ring = {v: [w for w in fsub.adj[v] if w in dprime.vertices] for v in dprime.vertices}
@@ -660,27 +629,18 @@ def _two_disjoint_odd(g, b, fsub, fmap, fdec, dsub) -> CyclePairCertificate:
 def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
     """V(G) = V(B) + V(D), both induced odd cycles, and B a shortest odd
     cycle of g; degree/matching ladder."""
-    bset, dset = b.vertex_set(), d.vertex_set()
-    for u in sorted(bset):
-        dn = sorted(w for w in g.adj[u] if w in dset)
-        if len(dn) >= 2:
-            ceven = _ear_even_cycle(d, Path(g, (dn[0], u, dn[1])))
-            return pair_from_shared_vertex(g, ceven, b, u)
-    for y in sorted(dset):
-        bn = sorted(w for w in g.adj[y] if w in bset)
-        if len(bn) >= 2:
-            ceven = _ear_even_cycle(b, Path(g, (bn[0], y, bn[1])))
-            return pair_from_shared_vertex(g, ceven, d, y)
-
+    # a vertex of B, then of D, with two neighbours on the other cycle closes
+    # an even cycle; if there is none, each has one and they form a matching
     match = {}
-    for u in sorted(bset):
-        dn = [w for w in g.adj[u] if w in dset]
-        _require(len(dn) == 1, "cubic case: every B-vertex has one D-neighbor")
-        match[u] = dn[0]
-    for y in sorted(dset):
-        bn = [w for w in g.adj[y] if w in bset]
-        _require(len(bn) == 1, "cubic case: every D-vertex has one B-neighbor")
-        match[y] = bn[0]
+    for x, y in ((b, d), (d, b)):
+        yset = y.vertex_set()
+        for u in sorted(x.vertex_set()):
+            yn = sorted(w for w in g.adj[u] if w in yset)
+            if len(yn) >= 2:
+                ceven = _ear_even_cycle(y, Path(g, (yn[0], u, yn[1])))
+                return pair_from_shared_vertex(g, ceven, x, u)
+            _require(yn, "B and D are induced, so degree >= 3 leaves a neighbour across")
+            match[u] = yn[0]
     _require(b.length == d.length, "perfect matching forces equal cycle lengths")
 
     def odd_arc(cyc: Cycle, e) -> Path:
@@ -713,12 +673,10 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
     c6 = Cycle(g, (u, v) + tuple(reversed(do.vertices)))
     _require(c6.length == 6, "length-3 arc closes a C6")
 
-    for lens, cyc in ((b_lens, d), (d_lens, b)):
-        short = [e for e, val in sorted(lens.items()) if val == 1]
-        if short:
-            e = short[0]
-            c4 = Cycle(g, (e[0], e[1], match[e[1]], match[e[0]]))
-            return _certify(g, c4, c6)
+    short = [e for lens in (b_lens, d_lens) for e, val in sorted(lens.items()) if val == 1]
+    if short:
+        e = short[0]
+        return _certify(g, Cycle(g, (e[0], e[1], match[e[1]], match[e[0]])), c6)
 
     _require(
         all(val == 3 for val in b_lens.values()) and all(val == 3 for val in d_lens.values()),
@@ -1191,11 +1149,7 @@ def _reduce(g: Graph) -> Outcome:
             only_k5 = all(b.is_k5() for b in dec.blocks)
             _require(only_k5, "a dense graph with no dense non-K5 block has only K5 blocks")
             wit = K5BlockWitness(dec, h.n, h.e)
-        else:
-            cert = oracle.find_consecutive_even_pair_bf(h, h.n)
-            if cert is not None:
-                return Outcome("certificate", certificate=_lift(cert, ids, g))
-            _require(is_k5_block_tree(h), "n <= 5 density without certificate means K5 (or K1)")
+        else:  # 2e >= 5(n - 1) leaves only K1 and K5 at n <= 5
             wit = K5BlockWitness.build(h)
         _require(no_witness is None, no_witness)
         if edge is None:
@@ -1316,6 +1270,8 @@ def cycle_two_mod_four(g: Graph) -> Cycle:
     if 2 * g.e < 5 * g.n:
         raise HypothesisFailure("density", f"e = {g.e} < 5n/2 = {5 * g.n / 2}")
     out = main_theorem(g)
+    if out.failure is not None:  # only the empty graph, which meets e >= 5n/2
+        raise out.failure
     _require(out.kind == "certificate", "density above 5n/2 rules out the K5 exception")
     for c in (out.certificate.c1, out.certificate.c2):
         if c.length % 4 == 2:

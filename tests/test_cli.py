@@ -130,9 +130,10 @@ class TestSpectrumModcheck:
         f = write_graph(tmp_path, complete_graph(5))
         assert cli.main(["modcheck", f, "--residue", "2", "--modulus", "4"]) == 1
 
-    def test_modcheck_bad_residue(self, tmp_path):
+    def test_modcheck_bad_residue(self, tmp_path, capsys):
         f = write_graph(tmp_path, complete_graph(5))
         assert cli.main(["modcheck", f, "--residue", "7", "--modulus", "4"]) == 2
+        assert capsys.readouterr().err == "input error: residue 7 out of range for modulus 4\n"
 
 
 class TestGen:

@@ -170,6 +170,51 @@ class TestCombine:
         with pytest.raises(GraphError):
             combine_quasi_diagonal(b, d, [Path(g, (0, 6)), Path(g, (3, 7))])
 
+    # b is the C6 0..5, whose vertices 0, 2 and 4 are pairwise quasi-diagonal;
+    # the triangles 678, 0 9 10 and 0 1 11 meet it in none, one and two vertices
+    MALFORMED = Graph.build(
+        13,
+        [(i, (i + 1) % 6) for i in range(6)]
+        + [(6, 7), (7, 8), (6, 8), (0, 9), (9, 10), (0, 10), (0, 11), (1, 11)]
+        + [(0, 6), (2, 7), (4, 8), (3, 7), (2, 9), (4, 10), (3, 11)]
+        + [(0, 12), (2, 12), (6, 12), (7, 12)],
+    )
+
+    @pytest.mark.parametrize(
+        "d, connectors, message",
+        [
+            ((0, 9, 10), [(2, 9), (4, 10)], "connector"),
+            ((6, 7, 8), [(0, 6)], "connector"),
+            ((0, 1, 11), [(3, 11)], "connector"),
+            ((0, 1, 11), [], "connector"),
+            ((6, 7, 8), [], "connector"),
+            ((6, 7, 8), [(0, 6), (2, 7), (4, 8)], "connector"),
+            ((0, 9, 10), [(2, 12, 0, 9)], "internally"),
+            ((0, 9, 10), [(0, 12, 2)], "connector"),
+            ((6, 7, 8), [(0, 6), (2, 3, 7)], "internally"),
+            ((6, 7, 8), [(0, 12), (2, 7)], "join b to d"),
+            ((6, 7, 8), [(0, 12, 6), (2, 12, 7)], "not disjoint"),
+        ],
+        ids=[
+            "two-connectors-shared-vertex",
+            "one-connector-disjoint",
+            "two-shared-vertices",
+            "no-connector-two-shared-vertices",
+            "no-connector",
+            "three-connectors",
+            "connector-through-u",
+            "connector-ending-at-u",
+            "connector-inner-vertex-on-b",
+            "connector-misses-d",
+            "connectors-meet",
+        ],
+    )
+    def test_rejects_malformed(self, d, connectors, message):
+        g = self.MALFORMED
+        b, d, paths = Cycle(g, tuple(range(6))), Cycle(g, d), [Path(g, p) for p in connectors]
+        with pytest.raises(GraphError, match=message):
+            combine_quasi_diagonal(b, d, paths)
+
 
 class TestLemmaPipelines:
     def test_disjoint_odd_even(self):
@@ -669,6 +714,11 @@ class TestCycleTwoModFour:
         with pytest.raises(HypothesisFailure):
             cycle_two_mod_four(complete_graph(5))  # e = 10 < 12.5
 
+    def test_empty_graph_is_a_hypothesis_failure(self):
+        # 0 >= 0 meets e >= 5n/2, so the order check of main_theorem refuses it
+        with pytest.raises(HypothesisFailure, match="order: empty graph"):
+            cycle_two_mod_four(Graph(0, frozenset()))
+
     def test_k8(self):
         g = complete_graph(8)
         c = cycle_two_mod_four(g)
@@ -832,8 +882,9 @@ class TestOracleCallSites:
     # the oracle's exhaustive searches the finder may call, and where
     ALLOWED = {
         "xy_path_lengths": {"_paths_base_case"},  # n <= 5
-        # n <= 5, the reinserted edge, and two bipartite sides of a 2-cut
-        # with x-y paths of opposite parities
+        # the reinserted edge in _reduce, and two bipartite sides of a 2-cut
+        # with x-y paths of opposite parities; the n <= 5 level of _reduce
+        # needs no oracle, since only K1 and K5 are dense there
         "find_consecutive_even_pair_bf": {"_reduce", "_two_cut"},
     }
 
