@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that four deterministic outputs are unchanged.
+"""Check that five deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -16,9 +16,13 @@ pinned below:
 - `main`: `main_theorem` on every graph of `enumerate_small(n, "density")`,
   n <= 8, and on `gen_k5_block_tree(b, b)`, 1 <= b <= 30, hashed one
   outcome at a time: its kind, then the vertices of both cycles, the
-  vertex sets of the witness blocks or the failure text (1619 outcomes).
+  vertex sets of the witness blocks or the failure text (1619 outcomes);
+- `flows`: `disjoint_paths`, `fan` and `_menger(..., allowed=...)` on every
+  graph of order 2-6 and on 33 seeded G(n, p), 10 <= n <= 60 and
+  p >= 0.3, with fixed endpoint sets and k = 1, 2, 3, hashed one outcome at
+  a time: the vertices of the paths, or the sorted separator (4320 flows).
 
-A refactor that should not change any output must leave all four equal.
+A refactor that should not change any output must leave all five equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
@@ -30,18 +34,21 @@ import csv
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 
 from evencycles import HypothesisFailure, main_theorem, three_connected_pair, two_paths_diff_two
 from evencycles.cli import main as cli_main
 from evencycles.generators import enumerate_small, gen_k5_block_tree, generalized_petersen
+from evencycles.graphs import Graph, _menger, disjoint_paths, fan
 
 PINNED = {
     "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
     "paths": "c4849d90e16c50b27648c94da067a00d537f7759690b4cbd4b252e5d3e7ff9f5",
     "sweep": "0c60e4e02955eb7ef85a651a736f222324d89dea87e4f707fb37e47bd6c0e188",
     "main": "4c3a0941ee0d9d2e61e3f16dcfa018da8a48713c5fa6119889906319ace059cd",
+    "flows": "e105c84cd9cd7496274a25dedc1f4911dbf22865d4b115f656681118919346e1",
 }
 
 
@@ -102,6 +109,41 @@ def main_digest() -> tuple:
     return m.hexdigest(), ", ".join(f"{v} {k}" for k, v in sorted(kinds.items()))
 
 
+def flows_digest() -> tuple:
+    graphs = [g for n in range(2, 7) for g in enumerate_small(n)]
+    rng = random.Random(18)
+    for n in range(10, 61, 5):
+        for p in (0.3, 0.6, 0.9):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            graphs.append(Graph.build(n, pairs))
+    m = hashlib.sha256()
+    flows = seps = 0
+    for g in graphs:
+        n = g.n
+        half = frozenset(range(n // 2))
+        ends = (frozenset([0, 1]), frozenset([n - 2, n - 1])) if n >= 4 else (half, half ^ {0, 1})
+        targets = frozenset(range(max(1, n - 3), n))
+        allowed = [v for v in range(n) if v % 3 != 2]
+        for k in (1, 2, 3):
+            outs = [
+                disjoint_paths(g, {0}, {n - 1}, k),
+                disjoint_paths(g, half, frozenset(range(n)) - half, k),
+                disjoint_paths(g, *ends, k),
+                _menger(g, *ends, k, allowed=frozenset(allowed) | ends[0] | ends[1]),
+                (fan(g, 0, targets, k), None),
+                (fan(g, 0, targets, k, allowed=allowed), None),
+            ]
+            for paths, sep in outs:
+                flows += 1
+                if paths is not None:
+                    what = [p.vertices for p in paths]
+                else:
+                    seps += 1
+                    what = None if sep is None else sorted(sep)  # a fan has no separator
+                m.update(repr(what).encode())
+    return m.hexdigest(), f"{flows} flows on {len(graphs)} graphs, {seps} without paths"
+
+
 def main() -> int:
     bad = []
     digests = (
@@ -109,6 +151,7 @@ def main() -> int:
         ("paths", paths_digest),
         ("sweep", sweep_digest),
         ("main", main_digest),
+        ("flows", flows_digest),
     )
     for name, fn in digests:
         digest, what = fn()

@@ -520,11 +520,18 @@ def _pair_b_branches(g, c, d, qd, fset) -> CyclePairCertificate:
 
 
 def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCertificate:
-    """Certificate from an even cycle b and odd cycle d sharing exactly u."""
+    """Certificate from an even cycle b and odd cycle d sharing exactly u, in
+    a 3-connected graph g."""
     if b.length % 2 != 0 or d.length % 2 != 1:
         raise GraphError("need an even b and an odd d")
     if b.vertex_set() & d.vertex_set() != {u}:
         raise GraphError("cycles must share exactly the vertex u")
+    _require_three_connected(g)
+    return _pair_from_shared_vertex(g, b, d, u)
+
+
+def _pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCertificate:
+    """pair_from_shared_vertex on a graph already known to be 3-connected."""
     dminus = d.vertex_set() - {u}
     c = _stabilize_even_cycle(g, dminus, b)
     if u not in c.vertex_set():
@@ -638,7 +645,7 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
             yn = sorted(w for w in g.adj[u] if w in yset)
             if len(yn) >= 2:
                 ceven = _ear_even_cycle(y, Path(g, (yn[0], u, yn[1])))
-                return pair_from_shared_vertex(g, ceven, x, u)
+                return _pair_from_shared_vertex(g, ceven, x, u)
             _require(yn, "B and D are induced, so degree >= 3 leaves a neighbour across")
             match[u] = yn[0]
     _require(b.length == d.length, "perfect matching forces equal cycle lengths")
@@ -706,13 +713,17 @@ def three_connected_pair(g: Graph) -> CyclePairCertificate:
     """Two cycles of consecutive even lengths in a 3-connected graph, n >= 6."""
     if g.n < 6:
         raise HypothesisFailure("order", f"need n >= 6, got {g.n}")
+    _require_three_connected(g)
+    return _three_connected_pair(g)
+
+
+def _require_three_connected(g: Graph) -> None:
     try:
         cut = connectivity_cut(g, 3)
     except GraphError as exc:
         raise HypothesisFailure("connectivity", "graph is disconnected") from exc
     if cut is not None:
         raise HypothesisFailure("connectivity", "graph is not 3-connected", witness=cut)
-    return _three_connected_pair(g)
 
 
 def _three_connected_pair(g: Graph) -> CyclePairCertificate:
@@ -744,7 +755,7 @@ def _three_connected_pair(g: Graph) -> CyclePairCertificate:
         i = min((i for i, ws in nbrs.items() if len(ws) >= 3), default=None)
         if i is not None:
             ceven = _theta_into_tree(g, v, nbrs[i][:3], comps[i])
-            return pair_from_shared_vertex(g, ceven, d, v)
+            return _pair_from_shared_vertex(g, ceven, d, v)
 
     fcomp = comps[0]
     if d.length == 3:

@@ -13,7 +13,7 @@ with no entry.
 
 from __future__ import annotations
 
-import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -364,6 +364,12 @@ def tree_path(parent: dict, a: int, b: int) -> tuple:
 # induced subgraphs and contraction
 
 
+def _check_ids(g: Graph, vs) -> None:
+    for v in vs:
+        if not (0 <= v < g.n):
+            raise GraphError(f"unknown vertex id {v}")
+
+
 def induced_subgraph(g: Graph, s) -> tuple:
     """Subgraph induced by vertex set s.
 
@@ -371,9 +377,7 @@ def induced_subgraph(g: Graph, s) -> tuple:
     vertex i (original ids in sorted order).
     """
     s = sorted(set(s))
-    for v in s:
-        if not (0 <= v < g.n):
-            raise GraphError(f"unknown vertex id {v}")
+    _check_ids(g, s)
     idx = {v: i for i, v in enumerate(s)}
     # idx is monotone, so each row stays sorted
     adj = tuple([tuple([idx[w] for w in g.adj[v] if w in idx]) for v in s])
@@ -391,9 +395,7 @@ def contract(g: Graph, s) -> tuple:
     s = frozenset(s)
     if not s:
         raise GraphError("cannot contract an empty set")
-    for v in s:
-        if not (0 <= v < g.n):
-            raise GraphError(f"unknown vertex id {v}")
+    _check_ids(g, s)
     survivors = [v for v in g.vertices if v not in s]
     new_id = {v: i for i, v in enumerate(survivors)}
     sid = len(survivors)
@@ -710,6 +712,44 @@ def _has_separation_pair(g: Graph) -> bool:
     return False
 
 
+def _sparse_certificate(g: Graph) -> Graph:
+    """The union H of three breadth-first forests: F1 of g, F2 of g - F1 and
+    F3 of g - F1 - F2, on the vertices of g; g itself if it has at most
+    3(n - 1) edges.
+
+    A breadth-first search is a scan-first search, so H is a sparse
+    certificate of 3-connectivity: H is a subgraph of g with at most
+    3(n - 1) edges and kappa(H) >= min(kappa(g), 3) (Cheriyan, Kao and
+    Thurimella, "Scan-first search and sparse certificates", SIAM J. Comput.
+    1993; Nagamochi and Ibaraki, Algorithmica 1992).  O(n + m).
+    """
+    n, adj = g.n, g.adj
+    if g.e <= 3 * (n - 1):
+        return g
+    rows = [set() for _ in range(n)]  # the forests so far
+    for _ in range(3):
+        seen = [False] * n
+        left = n  # a pass that has seen every vertex adds no more edges
+        for r in range(n):
+            if seen[r]:
+                continue
+            seen[r] = True
+            left -= 1
+            queue = [r]
+            for v in queue:
+                if not left:
+                    break
+                for w in adj[v]:
+                    if not seen[w] and w not in rows[v]:
+                        seen[w] = True
+                        left -= 1
+                        queue.append(w)
+                        rows[v].add(w)
+                        rows[w].add(v)
+    edges = frozenset((v, w) for v in range(n) for w in rows[v] if v < w)
+    return Graph._trusted(n, edges, tuple(tuple(sorted(row)) for row in rows))
+
+
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
     for graphs with more than k vertices.  Supports k <= 3.
@@ -720,11 +760,14 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     smallest cut vertex, else the smallest pair {u, v} with u < v.  For
     k = 3, a 2-connected g is first tested for any separation pair in
     O(n + m) (`_has_separation_pair`), and None is returned when it has
-    none.  Otherwise the pair is {u, smallest cut vertex of g - u} for the
-    first u whose g - u has one: a cut {w, u} with w < u would have shown
-    up at w, which is also why u = n - 1 needs no scan.  Each scan of g - u
-    is one depth-first search, so the cost is O(n + m) when no pair exists
-    and O((u + 1)(n + m)) when u is the smaller vertex of the smallest pair.
+    none.  The test runs on a sparse certificate of g with at most 3(n - 1)
+    edges (`_sparse_certificate`), which has a separation pair iff g has one.
+    If there is one, the pair is {u, smallest cut vertex of g - u}, scanned
+    on g itself, for the first u whose g - u has one: a cut {w, u} with
+    w < u would have shown up at w, which is also why u = n - 1 needs no
+    scan.  Each scan of g - u is one depth-first search, so the cost is
+    O(n + m) when no pair exists and O((u + 1)(n + m)) when u is the
+    smaller vertex of the smallest pair.
     """
     if k > 3:
         raise GraphError("connectivity_cut supports k <= 3 only")
@@ -735,7 +778,7 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
         return None
     if c is not None:
         return frozenset([c])
-    if k == 2 or not _has_separation_pair(g):
+    if k == 2 or not _has_separation_pair(_sparse_certificate(g)):
         return None
     for u in range(g.n - 1):
         c = _min_cut_vertex(g, u)
@@ -756,73 +799,80 @@ def _menger(g: Graph, a: frozenset, b: frozenset, k: int, supply: int = 1, allow
     with `supply`, every v_out of b drains into the sink 2n + 1 with capacity
     1, and every edge xy inside `allowed` (default: all vertices) gives the
     uncapacitated arcs x_out -> y_in and y_out -> x_in, except those that
-    enter a or leave b.  At most k shortest augmenting paths, neighbours
-    taken in increasing order.
+    enter a or leave b.  At most k shortest augmenting paths, each node's
+    arcs taken in increasing order of their head.
+
+    The network is implicit: arcs are read off the sorted rows of g.  The
+    flow is `split[v]` on the split arc of v, equal to the flow on its
+    source or sink arc, and the vertex `into[w]` that feeds w_in (-1: none),
+    as w_in, w not in a, leaves only by its split arc of capacity 1.
 
     Returns (paths, None), the paths ordered by start vertex, running from a
     to b with no inner vertex in a | b and sharing no vertex but a start of
     supply > 1; or (None, separator), the vertices whose split arcs cross
     the minimum cut, fewer than k of them.
     """
-    vs = g.vertices if allowed is None else frozenset(allowed)
-    S, T = 2 * g.n, 2 * g.n + 1
-    cap: dict = {}
+    n, adj = g.n, g.adj
+    S, T = 2 * n, 2 * n + 1
+    inside = [allowed is None] * n
+    for v in allowed or ():
+        inside[v] = True
+    enter = [inside[w] and w not in a for w in range(n)]  # w_in has edge arcs in
+    starts = [v for v in sorted(a) if inside[v]]
+    split, into = [0] * n, [-1] * n
 
-    def add(x, y, c):
-        cap[(x, y)] = c
-        cap[(y, x)] = 0
-
-    for v in vs:
-        add(2 * v, 2 * v + 1, supply if v in a else 1)
-        if v in a:
-            add(S, 2 * v, supply)
-        if v in b:
-            add(2 * v + 1, T, 1)
-    for x, y in g.edges:
-        if x in vs and y in vs:
-            if x not in b and y not in a:
-                add(2 * x + 1, 2 * y, math.inf)
-            if y not in b and x not in a:
-                add(2 * y + 1, 2 * x, math.inf)
-    nbrs: dict = {}
-    for x, y in sorted(cap):
-        nbrs.setdefault(x, []).append(y)
-
-    flow = dict.fromkeys(cap, 0)
     for _ in range(k):
-        parent = {S: None}
-        queue = deque([S])
-        while queue and T not in parent:
-            x = queue.popleft()
-            for y in nbrs.get(x, ()):
-                if y not in parent and cap[(x, y)] - flow[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if T not in parent:
+        parent = [-1] * (2 * n + 2)
+        queue = [2 * v for v in starts if split[v] < supply]
+        for x in queue:
+            parent[x] = S
+        for x in queue:
+            v = x >> 1
+            if not x & 1:
+                # one residual arc: the reverse of the arc into v_in, else the
+                # split arc, which is full only if v_in was reached from v_out
+                y = 2 * into[v] + 1 if into[v] >= 0 else x + 1
+                heads = [y] if parent[y] < 0 else []
+            else:
+                row = adj[v] if v not in b else ()
+                heads = [2 * w for w in row if enter[w] and parent[2 * w] < 0]
+                if split[v] and parent[x - 1] < 0:
+                    insort(heads, x - 1)  # the reverse split arc
+            for y in heads:
+                parent[y] = x
+            queue += heads
+            if x & 1 and v in b and not split[v]:
+                parent[T] = x
+                break
+        if parent[T] < 0:
             # the search reached exactly the source side of a minimum cut
             return None, frozenset(
                 v
-                for v in vs
-                if (v in a or 2 * v in parent) and (v in b or 2 * v + 1 not in parent)
+                for v in range(n)
+                if inside[v] and (v in a or parent[2 * v] >= 0) and (v in b or parent[2 * v + 1] < 0)
             )
-        y = T
-        while parent[y] is not None:
+        # from the sink back, so an arc that leaves x_in against the flow is
+        # undone before an arc into x_in sets into[x] anew
+        y = parent[T]
+        while parent[y] != S:
             x = parent[y]
-            flow[(x, y)] += 1
-            flow[(y, x)] -= 1
+            if x >> 1 == y >> 1:
+                split[x >> 1] += 1 if y & 1 else -1
+            elif x & 1:
+                into[y >> 1] = x >> 1
+            else:
+                into[x >> 1] = -1
             y = x
 
     paths = []
-    for s in sorted(a):
-        for _ in range(flow.get((S, 2 * s), 0)):
-            seq, x = [s], 2 * s + 1
-            while True:
-                y = next((y for y in nbrs[x] if y < S and flow[(x, y)] > 0), None)
-                if y is None:
-                    break
-                flow[(x, y)] -= 1
-                seq.append(y // 2)
-                x = y + 1
+    for s in starts:
+        for _ in range(split[s]):
+            seq = [s]
+            for v in seq:
+                w = next((w for w in adj[v] if into[w] == v), -1)
+                if w >= 0:
+                    into[w] = -1
+                    seq.append(w)
             paths.append(Path(g, tuple(seq)))
     return paths, None
 
@@ -834,6 +884,7 @@ def disjoint_paths(g: Graph, a, b, k: int):
     have one endpoint in a, the other in b, and no internal vertex in a | b.
     """
     a, b = frozenset(a), frozenset(b)
+    _check_ids(g, a | b)
     if a & b:
         raise GraphError("disjoint_paths requires disjoint endpoint sets")
     return _menger(g, a, b, k)
@@ -849,6 +900,7 @@ def fan(g: Graph, u: int, targets, k: int, allowed=None):
     if u in targets:
         raise GraphError("fan requires a centre that is not a target")
     allowed = frozenset(g.vertices if allowed is None else allowed) | targets | {u}
+    _check_ids(g, allowed)
     paths, _ = _menger(g, frozenset([u]), targets, k, supply=k, allowed=allowed)
     return None if paths is None else sorted(paths, key=lambda p: p.end)
 

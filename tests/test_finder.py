@@ -235,6 +235,15 @@ class TestLemmaPipelines:
         with pytest.raises(GraphError):
             pair_from_shared_vertex(g, Cycle(g, (0, 1, 2, 3)), Cycle(g, (0, 1, 4)), 0)
 
+    def test_shared_vertex_needs_a_3_connected_graph(self):
+        # vertex 0 has degree 1 and 6 is a cut vertex; the proof of the step
+        # needs 3-connectivity, so this is a hypothesis failure, not a bug
+        g = Graph.build(8, [(0, 6), (1, 5), (1, 7), (2, 5), (2, 6), (2, 7), (3, 6), (4, 5),
+                            (4, 7), (5, 6), (6, 7)])
+        with pytest.raises(HypothesisFailure, match="not 3-connected") as exc:
+            pair_from_shared_vertex(g, Cycle(g, (1, 5, 4, 7)), Cycle(g, (2, 5, 6)), 5)
+        assert exc.value.name == "connectivity" and exc.value.witness == {6}
+
     def test_two_disjoint_odd(self, monkeypatch):
         # K6 minus its shortest odd cycle (0, 1, 2) is the triangle (3, 4, 5)
         calls, real = [], finder._cubic_endgame

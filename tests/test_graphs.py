@@ -499,6 +499,45 @@ class TestConnectivityCut:
         assert connectivity_cut(generalized_petersen(5000, 1), 3) is None
 
 
+class TestSparseCertificate:
+    """The three-forest certificate keeps the answer of the separation-pair test."""
+
+    def assert_certifies(self, g):
+        h = graphs._sparse_certificate(g)
+        assert h.n == g.n and h.edges <= g.edges and h.e <= 3 * (g.n - 1)
+        assert h.adj == Graph(h.n, h.edges).adj
+        want = graphs._has_separation_pair(g)
+        assert graphs._has_separation_pair(h) == want, g.sorted_edges()
+        return want
+
+    def test_2_connected_graphs_to_order_7(self):
+        counts = {False: 0, True: 0}
+        for n in range(3, 8):
+            for g in enumerate_small(n, "min-degree-2"):
+                if is_connected(g) and connectivity_cut(g, 2) is None:
+                    counts[self.assert_certifies(g)] += 1
+        # OEIS A002218 (2-connected) and A006290 (3-connected), orders 3..7
+        assert counts[False] == 1 + 1 + 3 + 17 + 136
+        assert counts[False] + counts[True] == 1 + 3 + 10 + 56 + 468
+
+    def test_seeded_dense_graphs(self):
+        # G(n, p) and two of them glued on a pair of vertices, which plants a
+        # separation pair; every one has more than 3(n - 1) edges
+        rng = random.Random(18)
+        seen = set()
+        for n in (12, 20, 30, 45, 60):
+            for p in (0.4, 0.7, 0.95):
+                g = random_graph(n, p, rng)
+                if not is_connected(g) or connectivity_cut(g, 2) is not None:
+                    continue
+                glued = glued_on_pair(g, 0, 1, g, 2, 3)
+                for h in (g, glued):
+                    assert h.e > 3 * (h.n - 1)
+                    seen.add(self.assert_certifies(h))
+                    assert connectivity_cut(h, 3) == smallest_cut_by_pairs(h, 3)
+        assert seen == {False, True}
+
+
 class TestDisjointPaths:
     def test_menger_success(self):
         # paths are fully vertex-disjoint, endpoints included
@@ -557,6 +596,17 @@ class TestDisjointPaths:
     def test_fan_centre_is_not_a_target(self):
         with pytest.raises(GraphError):
             fan(complete_graph(5), 0, {0, 1, 2}, 2)
+
+    def test_unknown_vertex_ids(self):
+        # an id outside 0..n-1 is refused, not read as a vertex cut off from
+        # the rest or, if negative, as vertex n + id
+        g = complete_graph(4)
+        for a, b in (({0}, {7}), ({-1}, {2}), ({4}, {0, 1})):
+            with pytest.raises(GraphError, match="unknown vertex id"):
+                disjoint_paths(g, a, b, 1)
+        for u, targets, allowed in ((0, {99}, None), (-1, {2}, None), (0, {2}, {1, -4})):
+            with pytest.raises(GraphError, match="unknown vertex id"):
+                fan(g, u, targets, 1, allowed)
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(), st.integers(min_value=1, max_value=4), st.data())
