@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that five deterministic outputs are unchanged.
+"""Check that six deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -20,9 +20,13 @@ pinned below:
 - `flows`: `disjoint_paths`, `fan` and `_menger(..., allowed=...)` on every
   graph of order 2-6 and on 33 seeded G(n, p), 10 <= n <= 60 and
   p >= 0.3, with fixed endpoint sets and k = 1, 2, 3, hashed one outcome at
-  a time: the vertices of the paths, or the sorted separator (4320 flows).
+  a time: the vertices of the paths, or the sorted separator (4320 flows);
+- `odd`: `shortest_odd_cycle` on every graph of order <= 7, disconnected
+  ones included, on GP(n, k) for 3 <= n <= 40, 1 <= k < n/2, on K3-K40 and
+  on seeded G(n, p), 10 <= n <= 300, hashed one `repr` of the cycle's
+  vertices, or None, at a time (1791 graphs, 253 of them bipartite).
 
-A refactor that should not change any output must leave all five equal.
+A refactor that should not change any output must leave all six equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
@@ -40,8 +44,13 @@ import tempfile
 
 from evencycles import HypothesisFailure, main_theorem, three_connected_pair, two_paths_diff_two
 from evencycles.cli import main as cli_main
-from evencycles.generators import enumerate_small, gen_k5_block_tree, generalized_petersen
-from evencycles.graphs import Graph, _menger, disjoint_paths, fan
+from evencycles.generators import (
+    complete_graph,
+    enumerate_small,
+    gen_k5_block_tree,
+    generalized_petersen,
+)
+from evencycles.graphs import Graph, _menger, disjoint_paths, fan, shortest_odd_cycle
 
 PINNED = {
     "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
@@ -49,6 +58,7 @@ PINNED = {
     "sweep": "0c60e4e02955eb7ef85a651a736f222324d89dea87e4f707fb37e47bd6c0e188",
     "main": "4c3a0941ee0d9d2e61e3f16dcfa018da8a48713c5fa6119889906319ace059cd",
     "flows": "e105c84cd9cd7496274a25dedc1f4911dbf22865d4b115f656681118919346e1",
+    "odd": "3c32fab16218ada399ada64137ce3e34e19e54a9dbf48213cea85b6f764e95b8",
 }
 
 
@@ -144,6 +154,25 @@ def flows_digest() -> tuple:
     return m.hexdigest(), f"{flows} flows on {len(graphs)} graphs, {seps} without paths"
 
 
+def odd_digest() -> tuple:
+    graphs = [g for n in range(8) for g in enumerate_small(n)]
+    graphs += [generalized_petersen(n, k) for n in range(3, 41) for k in range(1, (n + 1) // 2)]
+    graphs += [complete_graph(n) for n in range(3, 41)]
+    rng = random.Random(19)
+    for n in range(10, 301, 10):
+        for c in (1.5, 3.0, 8.0, 30.0):  # expected degree
+            p = c / (n - 1)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            graphs.append(Graph.build(n, pairs))
+    m = hashlib.sha256()
+    bipartite = 0
+    for g in graphs:
+        cyc = shortest_odd_cycle(g)
+        bipartite += cyc is None
+        m.update(repr(None if cyc is None else cyc.vertices).encode())
+    return m.hexdigest(), f"{len(graphs)} graphs, {bipartite} bipartite"
+
+
 def main() -> int:
     bad = []
     digests = (
@@ -152,6 +181,7 @@ def main() -> int:
         ("sweep", sweep_digest),
         ("main", main_digest),
         ("flows", flows_digest),
+        ("odd", odd_digest),
     )
     for name, fn in digests:
         digest, what = fn()

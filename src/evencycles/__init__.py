@@ -6,6 +6,7 @@ from .graphs import (
     Cycle,
     Graph,
     GraphError,
+    InternalInvariantError,
     Path,
     ThetaGraph,
     blocks,
@@ -31,7 +32,6 @@ from .oracle import (
 )
 from .finder import (
     HypothesisFailure,
-    InternalInvariantError,
     K5BlockWitness,
     Outcome,
     QuasiDiagonalStructure,

@@ -22,6 +22,7 @@ from .graphs import (
     Cycle,
     Graph,
     GraphError,
+    InternalInvariantError,
     Path,
     ThetaGraph,
     _double_cover_walk,
@@ -44,10 +45,6 @@ from .graphs import (
     tree_path,
 )
 from .oracle import CyclePairCertificate, PathPairCertificate
-
-
-class InternalInvariantError(RuntimeError):
-    """An object the proof guarantees was not found: an implementation bug."""
 
 
 class HypothesisFailure(Exception):
@@ -191,6 +188,13 @@ def odd_even_arcs(c: Cycle, u: int, v: int) -> tuple:
     if a.length % 2 == 1:
         return a, b
     return b, a
+
+
+def _odd_arc_length(c: Cycle, u: int, v: int) -> int:
+    """The length of `odd_even_arcs(c, u, v)[0]`: of the two arcs, of
+    lengths a and l(C) - a, the odd one."""
+    a = c.arc_length(u, v)
+    return a if a % 2 else c.length - a
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +654,12 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
             match[u] = yn[0]
     _require(b.length == d.length, "perfect matching forces equal cycle lengths")
 
-    def odd_arc(cyc: Cycle, e) -> Path:
-        return odd_even_arcs(cyc, match[e[0]], match[e[1]])[0]
-
     def cyc_edges(cyc: Cycle):
         vs = cyc.vertices
         return [tuple(sorted((vs[i], vs[(i + 1) % len(vs)]))) for i in range(len(vs))]
 
-    b_lens = {e: odd_arc(d, e).length for e in sorted(cyc_edges(b))}
-    d_lens = {e: odd_arc(b, e).length for e in sorted(cyc_edges(d))}
+    b_lens = {e: _odd_arc_length(d, match[e[0]], match[e[1]]) for e in cyc_edges(b)}
+    d_lens = {e: _odd_arc_length(b, match[e[0]], match[e[1]]) for e in cyc_edges(d)}
 
     if all(v == 1 for v in b_lens.values()):
         u, v, w = b.vertices[:3]

@@ -25,6 +25,10 @@ class GraphError(ValueError):
     """Raised on malformed graph data or violated operation preconditions."""
 
 
+class InternalInvariantError(RuntimeError):
+    """An object the proof guarantees was not found: an implementation bug."""
+
+
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
@@ -265,7 +269,7 @@ def theta_even_cycle(t: ThetaGraph) -> Cycle:
                 cc = c.canonical()
                 cands.append((cc.length, cc.vertices, cc))
     if not cands:
-        raise GraphError("theta-graph with no even cycle (impossible)")
+        raise InternalInvariantError("theta-graph with no even cycle (impossible)")
     return min(cands)[2]
 
 
@@ -961,13 +965,15 @@ def _double_cover_walk(g: Graph, s: int, t: int, parity: int) -> Optional[tuple]
 
 
 def _odd_walk_length(g: Graph, s: int, bound: int, level: list) -> Optional[int]:
-    """Length of a shortest odd closed walk through s if it is below bound.
+    """Length of a shortest odd closed walk through s in G[>= s], the
+    subgraph on the vertices >= s, if it is below bound.
 
     That length is 2d + 1 for the first breadth-first level d from s with
     an edge inside it: such an edge closes a walk of length 2d + 1, and a
     closed walk with no such edge changes level at every step, so it is
     even.  The search stops at that level, or at the first level d with
-    2d + 1 >= bound.  `level` is -1 on every vertex on entry and on return.
+    2d + 1 >= bound.  It writes `level` only at vertices >= s; `level` is
+    -1 on every vertex on entry and on return.
     """
     adj = g.adj
     level[s] = 0
@@ -978,6 +984,8 @@ def _odd_walk_length(g: Graph, s: int, bound: int, level: list) -> Optional[int]
             if 2 * d + 1 >= bound:
                 return None
             for w in adj[v]:
+                if w < s:
+                    continue
                 if level[w] < 0:
                     level[w] = d + 1
                     queue.append(w)
@@ -994,17 +1002,23 @@ def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
 
     The cycle is chosen at the smallest vertex s on a shortest odd cycle: it
     is the walk from (s, 0) to (s, 1) that the breadth-first search of the
-    bipartite double cover gives (`_double_cover_walk`), in canonical form.
+    bipartite double cover of all of g gives (`_double_cover_walk`), in
+    canonical form.
 
     Cost: one `is_bipartite` pass answers a bipartite g.  Otherwise each
-    start s runs a plain breadth-first search that stops at the first level
-    d holding an edge, as a shortest odd closed walk through s has length
-    2d + 1 (`_odd_walk_length`), or once 2d + 1 reaches the shortest length
-    found so far (at first, the length of the odd cycle `is_bipartite`
-    returned).  So no start searches past radius (L - 1) / 2, for L the
-    length of a shortest odd cycle, a triangle ends the loop over starts,
-    and only the chosen s gets the double-cover search.  O(n(n + m)) in the
-    worst case, O(n + m) when vertex 0 lies on a triangle.
+    start s runs a plain breadth-first search of G[>= s] that stops at the
+    first level d holding an edge, as a shortest odd closed walk through s
+    there has length 2d + 1 (`_odd_walk_length`), or once 2d + 1 reaches
+    the shortest length found so far (at first, the length of the odd cycle
+    `is_bipartite` returned).  Leaving out the vertices below s changes no
+    answer.  A shortest odd cycle, of length L, lies in G[>= s*] for its
+    smallest vertex s*, so s* still measures L.  A start below s* measures
+    at least what it would measure in all of g, and that is more than L,
+    as an odd closed walk of length L is a cycle (else it would hold a
+    shorter odd one).  So no start searches past radius (L - 1) / 2, a
+    triangle ends the loop over starts, and only the chosen s gets the
+    double-cover search.  O(n(n + m)) in the worst case, O(n + m) when
+    vertex 0 lies on a triangle.
     """
     ok, witness = is_bipartite(g)
     if ok:
@@ -1017,10 +1031,10 @@ def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
             best, start = length, s
             if best == 3:
                 break
-    walk = _double_cover_walk(g, start, start, 1)
-    cyc = Cycle(g, walk[1:]).canonical()
-    if cyc.length != best or cyc.length % 2 == 0:
-        raise GraphError("internal: shortest odd closed walk is not simple")
+    walk = _double_cover_walk(g, start, start, 1)[1:]
+    if len(walk) != best or len(set(walk)) != best:  # best is odd: _odd_walk_length set it
+        raise InternalInvariantError("shortest odd closed walk is not simple")
+    cyc = Cycle(g, walk).canonical()
     if cyc.chords():
-        raise GraphError("internal: shortest odd cycle has a chord")
+        raise InternalInvariantError("shortest odd cycle has a chord")
     return cyc

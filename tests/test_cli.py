@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from evencycles import cli, oracle
+from evencycles import cli, graphs, oracle
 from evencycles.codecs import decode_graph6, encode_edge_list, encode_graph6
 from evencycles.generators import complete_graph, cycle_graph, gen_k5_block_tree
 
@@ -81,6 +81,22 @@ class TestFind:
         f = write_graph(tmp_path, complete_graph(6))
         assert cli.main(["find", f]) == 3
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_graph_layer_bug_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # a shortest odd closed walk that is not simple is a bug in the
+        # graph layer, not bad input: it exits 3, not 2
+        assert cli.finder.InternalInvariantError is graphs.InternalInvariantError
+        real = graphs._double_cover_walk
+
+        def detour(g, s, t, parity):  # odd and closed, but through s twice
+            return (s, g.adj[s][0]) + real(g, s, t, parity)
+
+        monkeypatch.setattr(graphs, "_double_cover_walk", detour)
+        f = write_graph(tmp_path, complete_graph(7))
+        assert cli.main(["find", f]) == 3
+        assert "internal invariant error: shortest odd closed walk is not simple" in (
+            capsys.readouterr().err
+        )
 
 
 class TestPaths:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import itertools
 import json
 import pathlib
 import random
@@ -91,6 +92,19 @@ class TestQuasiDiagonal:
         o, e = odd_even_arcs(c, 0, 3)
         assert o.length % 2 == 1 and e.length % 2 == 0
         assert {o.length, e.length} == {2, 3}
+
+    @pytest.mark.parametrize("length", range(3, 16, 2))
+    def test_odd_arc_length(self, length):
+        # the cubic endgame reads the odd arc's length off arc_length alone:
+        # on a cycle graph and on the rims of the odd prism GP(length, 1),
+        # reversed and rotated too
+        prism = generalized_petersen(length, 1)
+        rim, inner = tuple(range(length)), tuple(range(length, 2 * length))
+        cycles = [Cycle(cycle_graph(length), rim)]
+        cycles += [Cycle(prism, vs) for vs in (rim, rim[::-1], inner, inner[2:] + inner[:2])]
+        for c in cycles:
+            for u, v in itertools.permutations(c.vertices, 2):
+                assert finder._odd_arc_length(c, u, v) == odd_even_arcs(c, u, v)[0].length
 
 
 def stabilized(g, v):

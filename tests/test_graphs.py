@@ -729,6 +729,19 @@ def shortest_odd_cycle_all_starts(g: Graph):
     return Cycle(g, tuple(reversed(seq))).canonical()
 
 
+def odd_closed_walk_length(g: Graph, s: int, allowed):
+    """Length of a shortest odd closed walk through s in g[allowed], or None:
+    the distance from (s, 0) to (s, 1) in the bipartite double cover."""
+    dist = {(s, 0): 0}
+    queue = [(s, 0)]
+    for v, p in queue:
+        for w in g.adj[v]:
+            if w in allowed and (w, 1 - p) not in dist:
+                dist[(w, 1 - p)] = dist[(v, p)] + 1
+                queue.append((w, 1 - p))
+    return dist.get((s, 1))
+
+
 class TestShortestOddCycle:
     """shortest_odd_cycle returns exactly the cycle the all-starts reference finds."""
 
@@ -765,6 +778,71 @@ class TestShortestOddCycle:
     def test_complete_graphs(self):
         for n in range(3, 41):
             assert self.assert_matches_reference(complete_graph(n)).vertices == (0, 1, 2)
+
+    def test_shortest_odd_cycles_on_the_highest_ids(self):
+        # the vertices on shortest odd cycles take the highest ids, so every
+        # start below them searches a G[>= s] that holds none of length L
+        rng = random.Random(19)
+        samples = [generalized_petersen(n, k) for n in (9, 15, 21) for k in range(1, (n + 1) // 2)]
+        for _ in range(120):
+            n = rng.randint(5, 40)
+            p = rng.choice([1.5, 2.5, 4]) / n
+            pairs = itertools.combinations(range(n), 2)
+            samples.append(Graph.build(n, [e for e in pairs if rng.random() < p]))
+        moved = 0
+        for g in samples:
+            walks = [odd_closed_walk_length(g, s, g.vertices) for s in g.vertices]
+            odd = [w for w in walks if w is not None]
+            if not odd:
+                continue
+            on = [v for v in g.vertices if walks[v] == min(odd)]
+            off = [v for v in g.vertices if walks[v] != min(odd)]
+            rng.shuffle(on)
+            rng.shuffle(off)
+            ids = {v: i for i, v in enumerate(off + on)}
+            h = Graph.build(g.n, [(ids[u], ids[v]) for u, v in g.edges])
+            got = self.assert_matches_reference(h)
+            assert got.length == min(odd) and min(got.vertices) >= len(off)
+            moved += bool(off)
+        assert moved >= 90
+
+    @pytest.mark.parametrize("half", [2, 3, 10, 40])
+    def test_even_cycle_joined_to_a_pentagon(self, half):
+        # the only shortest odd cycle sits on the five highest ids
+        n = 2 * half
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        pentagon = [(n + i, n + (i + 1) % 5) for i in range(5)]
+        for joins in ([(0, n)], [(n - 1, n + 4)], [(0, n), (half, n + 2)]):
+            g = Graph.build(n + 5, ring + pentagon + joins)
+            assert self.assert_matches_reference(g).vertices == tuple(range(n, n + 5))
+
+    def test_odd_prisms(self):
+        for n in range(3, 62, 2):
+            assert self.assert_matches_reference(generalized_petersen(n, 1)).length == n
+
+    def test_each_start_stays_above_it(self):
+        # the search from s writes levels only at vertices >= s, measures the
+        # shortest odd closed walk through s in G[>= s], and resets the levels
+        class Recording(list):
+            def __setitem__(self, i, x):
+                self.writes.append(i)
+                super().__setitem__(i, x)
+
+        rng = random.Random(23)
+        samples = [generalized_petersen(n, 1) for n in (5, 9, 15)]
+        samples += [petersen_graph(), wheel_graph(7), complete_graph(6)]
+        for _ in range(30):
+            n = rng.randint(5, 30)
+            pairs = itertools.combinations(range(n), 2)
+            samples.append(Graph.build(n, [e for e in pairs if rng.random() < 4 / n]))
+        for g in samples:
+            level = Recording([-1] * g.n)
+            for s in g.vertices:
+                level.writes = []
+                got = graphs._odd_walk_length(g, s, 2 * g.n + 1, level)
+                assert got == odd_closed_walk_length(g, s, range(s, g.n)), (g.sorted_edges(), s)
+                assert min(level.writes) == s
+                assert level == [-1] * g.n
 
     def test_starts_searched(self, monkeypatch):
         # a triangle at vertex 0 ends the search at the first start, and a
