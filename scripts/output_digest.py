@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that six deterministic outputs are unchanged.
+"""Check that seven deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -24,9 +24,18 @@ pinned below:
 - `odd`: `shortest_odd_cycle` on every graph of order <= 7, disconnected
   ones included, on GP(n, k) for 3 <= n <= 40, 1 <= k < n/2, on K3-K40 and
   on seeded G(n, p), 10 <= n <= 300, hashed one `repr` of the cycle's
-  vertices, or None, at a time (1791 graphs, 253 of them bipartite).
+  vertices, or None, at a time (1791 graphs, 253 of them bipartite);
+- `validate`: `oracle.validate` on corruptions of the certificates of
+  `two_paths_diff_two` on every terminal pair of every graph of order 6
+  and minimum degree 3, and of `three_connected_pair` on every 3-connected
+  graph of order 6 and 7: each vertex replaced by every id in -1..n, each
+  vertex repeated, a path (x, y) or (y, x) in place of either path, the
+  first two or last two vertices swapped, the two paths or x and y
+  swapped.  Each is checked against g - xy and g + xy (paths) or g
+  (cycles), and hashed one `repr` of the verdict and reason at a time
+  (45734 checks, 3568 of them accepted).
 
-A refactor that should not change any output must leave all six equal.
+A refactor that should not change any output must leave all seven equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
@@ -42,7 +51,13 @@ import random
 import sys
 import tempfile
 
-from evencycles import HypothesisFailure, main_theorem, three_connected_pair, two_paths_diff_two
+from evencycles import (
+    HypothesisFailure,
+    main_theorem,
+    oracle,
+    three_connected_pair,
+    two_paths_diff_two,
+)
 from evencycles.cli import main as cli_main
 from evencycles.generators import (
     complete_graph,
@@ -51,6 +66,7 @@ from evencycles.generators import (
     generalized_petersen,
 )
 from evencycles.graphs import Graph, _menger, disjoint_paths, fan, shortest_odd_cycle
+from evencycles.oracle import CyclePairCertificate, PathPairCertificate
 
 PINNED = {
     "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
@@ -59,6 +75,7 @@ PINNED = {
     "main": "4c3a0941ee0d9d2e61e3f16dcfa018da8a48713c5fa6119889906319ace059cd",
     "flows": "e105c84cd9cd7496274a25dedc1f4911dbf22865d4b115f656681118919346e1",
     "odd": "3c32fab16218ada399ada64137ce3e34e19e54a9dbf48213cea85b6f764e95b8",
+    "validate": "dbe480a77f54d5d72c43ed89faba5ab314f6fbb6eee5ccfd1d304fdab5d6d56f",
 }
 
 
@@ -173,6 +190,62 @@ def odd_digest() -> tuple:
     return m.hexdigest(), f"{len(graphs)} graphs, {bipartite} bipartite"
 
 
+# a vertex sequence in the shape `oracle.validate` reads, with no checks, so
+# that it can carry the corruptions a checked Path or Cycle would refuse
+Seq = collections.namedtuple("Seq", "vertices length")
+
+
+def _corruptions(vs: tuple, n: int):
+    """vs with one vertex replaced by each id in -1..n, with one vertex
+    repeated, and with its first or last two vertices swapped."""
+    for i, v in enumerate(vs):
+        for w in range(-1, n + 1):
+            if w != v:
+                yield vs[:i] + (w,) + vs[i + 1 :]
+        yield vs[: i + 1] + vs[i:]
+    yield vs[1::-1] + vs[2:]
+    yield vs[:-2] + vs[:-3:-1]
+
+
+def validate_digest() -> tuple:
+    m = hashlib.sha256()
+    verdicts = collections.Counter()
+
+    def check(cert, host):
+        out = oracle.validate(cert, host)
+        verdicts[out[0]] += 1
+        m.update(repr(out).encode())
+
+    for g in enumerate_small(6, "min-degree-3"):
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                try:
+                    cert = two_paths_diff_two(g, x, y)
+                except HypothesisFailure:
+                    continue
+                hosts = (g.without_edge(x, y), g.with_edge(x, y))
+                p1, p2 = (Seq(p.vertices, p.length) for p in (cert.p1, cert.p2))
+                pairs = [(x, y, p1, p2), (y, x, p1, p2), (x, y, p2, p1)]
+                for vs in _corruptions(p1.vertices, g.n):
+                    pairs.append((x, y, Seq(vs, len(vs) - 1), p2))
+                for vs in _corruptions(p2.vertices, g.n):
+                    pairs.append((x, y, p1, Seq(vs, len(vs) - 1)))
+                for xy in ((x, y), (y, x)):
+                    pairs += [(x, y, Seq(xy, 1), p2), (x, y, p1, Seq(xy, 1))]
+                for pair in pairs:
+                    for host in hosts:
+                        check(PathPairCertificate(*pair), host)
+    for g in (g for n in (6, 7) for g in enumerate_small(n, "3-connected")):
+        cert = three_connected_pair(g)
+        c1, c2 = (Seq(c.vertices, c.length) for c in (cert.c1, cert.c2))
+        pairs = [(c1, c2), (c2, c1)]
+        pairs += [(Seq(vs, len(vs)), c2) for vs in _corruptions(c1.vertices, g.n)]
+        pairs += [(c1, Seq(vs, len(vs))) for vs in _corruptions(c2.vertices, g.n)]
+        for pair in pairs:
+            check(CyclePairCertificate(*pair), g)
+    return m.hexdigest(), f"{sum(verdicts.values())} checks, {verdicts[True]} accepted"
+
+
 def main() -> int:
     bad = []
     digests = (
@@ -182,12 +255,13 @@ def main() -> int:
         ("main", main_digest),
         ("flows", flows_digest),
         ("odd", odd_digest),
+        ("validate", validate_digest),
     )
     for name, fn in digests:
         digest, what = fn()
         ok = digest == PINNED[name]
         bad += [] if ok else [name]
-        print(f"{name:6} {digest}  {'ok' if ok else 'DIFFERS'}  ({what})")
+        print(f"{name:8} {digest}  {'ok' if ok else 'DIFFERS'}  ({what})")
     return 1 if bad else 0
 
 

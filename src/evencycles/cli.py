@@ -15,7 +15,7 @@ import time
 import traceback
 
 from . import codecs, finder, generators, oracle
-from .graphs import Cycle, Graph, GraphError, Path, connectivity_cut
+from .graphs import Cycle, Graph, GraphError, Path, _connectivity
 from .oracle import CyclePairCertificate, GuardExceeded, PathPairCertificate
 
 EXIT_OK = 0
@@ -200,11 +200,7 @@ SWEEP_COLUMNS = [
 def _connectivity_class(g: Graph) -> str:
     if g.n == 0:
         return "disconnected"
-    try:
-        cut = connectivity_cut(g, 3)  # the smallest cut: a cut vertex, else a pair
-    except GraphError:  # g is disconnected
-        return "disconnected"
-    return "3-connected" if cut is None else ("connected", "2-connected")[len(cut) - 1]
+    return ("disconnected", "connected", "2-connected", "3-connected")[_connectivity(g)]
 
 
 def _sweep_one(task) -> dict:

@@ -989,13 +989,14 @@ def two_paths_diff_two(g: Graph, x: int, y: int) -> PathPairCertificate:
         sub, x, y, lift = step
         lifts.append((x, lift))
         h = sub.without_edge(x, y)
-    paths = (step.p1, step.p2)
-    for start, lift in reversed(lifts):
-        paths = [lift(p if p.start == start else p.reverse()) for p in paths]
-    cert = PathPairCertificate.make(x0, y0, *paths)
-    ok, why = oracle.validate(cert, h0)
+    if lifts or x != x0:  # else the step's certificate is already the answer
+        paths = (step.p1, step.p2)
+        for start, lift in reversed(lifts):
+            paths = [lift(p if p.start == start else p.reverse()) for p in paths]
+        step = PathPairCertificate.make(x0, y0, *paths)
+    ok, why = oracle.validate(step, h0)
     _require(ok, f"path-pair certificate invalid: {why}")
-    return cert
+    return step
 
 
 def _four_cycle_through(h: Graph, x: int, y: int):
@@ -1015,9 +1016,14 @@ def _paths_case_four_cycle(h, x, y, four):
     (h - F, x, a), whose paths go on to y through F.  F attaches to x and a
     only then, so h - F keeps the degree of every other vertex."""
     x1, a, x2 = four
-    comps = components(h, frozenset((x, x1, a, x2)))
-    fset = set(next(c for c in comps if y in c))
-    outside = frozenset(set(h.vertices) - fset)
+    seen, queue = {x, x1, a, x2, y}, [y]  # F by one search from y
+    for v in queue:
+        for w in h.adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    fset = set(queue)
+    outside = frozenset(v for v in h.vertices if v not in fset)
     for near, far in ((x1, x2), (x2, x1)):
         if any(w in fset for w in h.adj[near]):
             p = bfs_path(h, {near}, {y}, outside - {near})

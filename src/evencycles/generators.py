@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .graphs import Graph, GraphError, blocks, connectivity_cut, is_connected
+from .graphs import Graph, GraphError, _connectivity, blocks, is_connected
 
 _LCG_MUL, _LCG_ADD, _LCG_MOD = 1103515245, 12345, 1 << 31
 
@@ -307,10 +307,7 @@ def _passes(g: Graph, tag: Optional[str]) -> bool:
         d = int(tag.rsplit("-", 1)[1])
         return all(g.degree(v) >= d for v in g.vertices)
     if tag == "3-connected":
-        try:
-            return g.n > 3 and connectivity_cut(g, 3) is None
-        except GraphError:  # g is disconnected
-            return False
+        return g.n > 3 and _connectivity(g) == 3
     if tag == "density":
         return 2 * g.e >= 5 * (g.n - 1)
     raise GraphError(f"unknown filter tag {tag!r}")

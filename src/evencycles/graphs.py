@@ -93,6 +93,8 @@ class Graph:
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = _norm_edge(u, v)
+        if not (0 <= e[0] and e[1] < self.n):
+            raise GraphError(f"bad edge {e} for order {self.n}")
         if e not in self.edges:
             return self
         adj = list(self.adj)
@@ -112,6 +114,14 @@ class Graph:
         return Graph._trusted(self.n, self.edges | {e}, tuple(adj))
 
 
+def _unchecked(cls, graph: Graph, vertices: tuple):
+    """The Path or Cycle of graph with these vertices, which the caller
+    derived from a checked one of the same graph.  Nothing is checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(graph=graph, vertices=vertices)
+    return obj
+
+
 @dataclass(frozen=True)
 class Path:
     """A simple path, stored as its ordered vertex sequence in a host graph."""
@@ -119,14 +129,19 @@ class Path:
     graph: Graph
     vertices: tuple
 
+    _trusted = classmethod(_unchecked)
+
     def __post_init__(self):
         vs = self.vertices
         if len(vs) == 0:
             raise GraphError("empty path")
         if len(set(vs)) != len(vs):
             raise GraphError(f"repeated vertex in path {vs}")
+        if len(vs) == 1 and not 0 <= vs[0] < self.graph.n:
+            raise GraphError(f"path vertex {vs[0]} outside graph of order {self.graph.n}")
+        edges = self.graph.edges  # the vertices are distinct, so a != b
         for a, b in zip(vs, vs[1:]):
-            if not self.graph.has_edge(a, b):
+            if ((a, b) if a < b else (b, a)) not in edges:
                 raise GraphError(f"non-edge ({a}, {b}) in path {vs}")
 
     @property
@@ -142,7 +157,7 @@ class Path:
         return self.vertices[-1]
 
     def reverse(self) -> "Path":
-        return Path(self.graph, tuple(reversed(self.vertices)))
+        return Path._trusted(self.graph, tuple(reversed(self.vertices)))
 
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
@@ -155,14 +170,17 @@ class Cycle:
     graph: Graph
     vertices: tuple
 
+    _trusted = classmethod(_unchecked)
+
     def __post_init__(self):
         vs = self.vertices
         if len(vs) < 3:
             raise GraphError(f"cycle too short: {vs}")
         if len(set(vs)) != len(vs):
             raise GraphError(f"repeated vertex in cycle {vs}")
+        edges = self.graph.edges  # the vertices are distinct, so a != b
         for a, b in zip(vs, vs[1:] + vs[:1]):
-            if not self.graph.has_edge(a, b):
+            if ((a, b) if a < b else (b, a)) not in edges:
                 raise GraphError(f"non-edge ({a}, {b}) in cycle {vs}")
 
     @property
@@ -182,7 +200,7 @@ class Cycle:
             seq = self.vertices[i : j + 1]
         else:
             seq = self.vertices[i:] + self.vertices[: j + 1]
-        return Path(self.graph, seq)
+        return Path._trusted(self.graph, seq)
 
     def arc_length(self, u: int, v: int) -> int:
         i, j = self.index_of(u), self.index_of(v)
@@ -204,11 +222,10 @@ class Cycle:
     def canonical(self) -> "Cycle":
         """Rotate/reflect so the smallest vertex is first, smaller neighbor second."""
         vs = self.vertices
-        k = len(vs)
         i = vs.index(min(vs))
         fwd = vs[i:] + vs[:i]
         rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-        return Cycle(self.graph, min(fwd, rev))
+        return Cycle._trusted(self.graph, min(fwd, rev))
 
 
 def cycle_from_paths(p: Path, q: Path) -> Cycle:
@@ -752,6 +769,18 @@ def _sparse_certificate(g: Graph) -> Graph:
                         rows[w].add(v)
     edges = frozenset((v, w) for v in range(n) for w in rows[v] if v < w)
     return Graph._trusted(n, edges, tuple(tuple(sorted(row)) for row in rows))
+
+
+def _connectivity(g: Graph) -> int:
+    """The size of the cut `connectivity_cut(g, 3)` returns, 3 for None,
+    and 0 if g is disconnected: the same two linear tests, without the scan
+    for the smallest separation pair."""
+    c, reached = _cut_search(g) if g.n else (None, 0)
+    if reached < g.n:
+        return 0
+    if c is not None:
+        return 1
+    return 2 if _has_separation_pair(_sparse_certificate(g)) else 3
 
 
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:

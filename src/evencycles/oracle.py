@@ -227,14 +227,16 @@ def cycle_mod_residue(
     return None
 
 
-def _cycle_in_host(c: Cycle, g: Graph) -> Optional[str]:
-    vs = c.vertices
-    if any(not (0 <= v < g.n) for v in vs):
-        return "host: cycle vertex outside graph"
+def _simple_in_host(vs: tuple, g: Graph, kind: str) -> Optional[str]:
+    """Why the vertices vs of a path, or of a cycle closed by its last edge
+    (kind "path" or "cycle"), are not one in g; None if they are."""
+    if vs and (min(vs) < 0 or max(vs) >= g.n):
+        return f"host: {kind} vertex outside graph"
     if len(set(vs)) != len(vs):
-        return "validity: repeated cycle vertex"
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        if not g.has_edge(a, b):
+        return f"validity: repeated {kind} vertex"
+    edges = g.edges  # pairs u < v, so a lone vertex's (a, a) is a non-edge
+    for a, b in zip(vs, vs[1:] + vs[:1] if kind == "cycle" else vs[1:]):
+        if ((a, b) if a < b else (b, a)) not in edges:
             return f"validity: non-edge ({a}, {b})"
     return None
 
@@ -243,7 +245,7 @@ def validate(cert, g: Graph) -> tuple:
     """(True, 'ok') iff all certificate invariants hold against g."""
     if isinstance(cert, CyclePairCertificate):
         for c in (cert.c1, cert.c2):
-            why = _cycle_in_host(c, g)
+            why = _simple_in_host(c.vertices, g, "cycle")
             if why:
                 return False, why
         l1, l2 = cert.c1.length, cert.c2.length
@@ -253,20 +255,16 @@ def validate(cert, g: Graph) -> tuple:
             return False, "difference: cycle lengths do not differ by two"
         return True, "ok"
     if isinstance(cert, PathPairCertificate):
+        x, y = cert.x, cert.y
         for p in (cert.p1, cert.p2):
             vs = p.vertices
-            if any(not (0 <= v < g.n) for v in vs):
-                return False, "host: path vertex outside graph"
-            if len(set(vs)) != len(vs):
-                return False, "validity: repeated path vertex"
-            for a, b in zip(vs, vs[1:]):
-                if not g.has_edge(a, b):
-                    return False, f"validity: non-edge ({a}, {b})"
-            if {vs[0], vs[-1]} != {cert.x, cert.y}:
+            why = _simple_in_host(vs, g, "path")
+            if why:
+                return False, why
+            if {vs[0], vs[-1]} != {x, y}:
                 return False, "terminals: path endpoints are not {x, y}"
-            for a, b in zip(vs, vs[1:]):
-                if {a, b} == {cert.x, cert.y}:
-                    return False, "validity: path uses the edge xy"
+            if (x, y) in zip(vs, vs[1:]) or (y, x) in zip(vs, vs[1:]):
+                return False, "validity: path uses the edge xy"
         if cert.p2.length != cert.p1.length + 2:
             return False, "difference: path lengths do not differ by two"
         return True, "ok"

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from evencycles import cli, graphs, oracle
+from evencycles import cli, generators, graphs, oracle
 from evencycles.codecs import decode_graph6, encode_edge_list, encode_graph6
 from evencycles.generators import complete_graph, cycle_graph, gen_k5_block_tree
 
@@ -251,6 +251,26 @@ class TestSweep:
     def test_sweep_bad_spec(self, capsys):
         assert cli.main(["sweep", "enum:not-a-number"]) == 2
         assert cli.main(["sweep", "/nonexistent.g6"]) == 2
+
+    def test_connectivity_class_is_that_of_the_smallest_cut(self):
+        # the sweep and the "3-connected" filter read the class without the
+        # scan for the smallest separation pair; it must be the class of
+        # the cut connectivity_cut(g, 3) returns
+        graphs_ = [g for n in range(1, 8) for g in generators.enumerate_small(n)]
+        graphs_ += [generators.generalized_petersen(n, k) for n in (5, 8, 12) for k in (1, 2)]
+        graphs_ += [gen_k5_block_tree(b, b) for b in (1, 2, 5)]
+        classes = set()
+        for g in graphs_:
+            try:
+                cut = graphs.connectivity_cut(g, 3)
+                want = "3-connected" if cut is None else ("connected", "2-connected")[len(cut) - 1]
+            except graphs.GraphError:
+                want = "disconnected"
+            classes.add(want)
+            assert cli._connectivity_class(g) == want
+            assert generators._passes(g, "3-connected") == (g.n > 3 and want == "3-connected")
+        assert cli._connectivity_class(graphs.Graph(0, frozenset())) == "disconnected"
+        assert classes == {"disconnected", "connected", "2-connected", "3-connected"}
 
 
 class TestDocParsing:

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -89,6 +91,17 @@ class TestGraph:
             with pytest.raises(GraphError):
                 g.with_edge(u, v)
 
+    def test_without_edge_checks_the_range_like_with_edge(self):
+        g = complete_graph(4)
+        assert g.without_edge(0, 1).e == 5 and g.without_edge(1, 0) == g.without_edge(0, 1)
+        h = g.without_edge(0, 1)
+        assert h.without_edge(0, 1) is h  # an absent edge in range: g itself
+        for u, v in ((0, 99), (99, 0), (-1, 2), (0, 4)):
+            with pytest.raises(GraphError, match="bad edge"):
+                g.without_edge(u, v)
+        with pytest.raises(GraphError, match="self-loop"):
+            g.without_edge(2, 2)
+
     def test_public_constructor_stays_strict(self):
         with pytest.raises(GraphError, match="bad edge"):
             Graph(3, frozenset({(0, 3)}))
@@ -155,6 +168,68 @@ class TestPathCycle:
             Path(g, (0, 2))
         with pytest.raises(GraphError):
             Path(g, (0, 1, 0))
+
+    def test_one_vertex_path_is_checked(self):
+        g = complete_graph(4)
+        assert Path(g, (3,)).length == 0
+        for v in (7, 4, -1):
+            with pytest.raises(GraphError, match="outside"):
+                Path(g, (v,))
+        # with two or more vertices a vertex outside g is a non-edge, as before
+        with pytest.raises(GraphError, match="non-edge"):
+            Path(g, (0, 7))
+
+    def test_derived_paths_and_cycles_are_the_checked_ones(self):
+        # canonical(), arc() and reverse() derive their objects from a checked
+        # one in the same host; each must equal what the checked constructor
+        # builds from the same vertices, on every cycle of order <= 6
+        seen = 0
+        for n in range(7):
+            for g in enumerate_small(n):
+                for vs in oracle.simple_cycles(g):
+                    k = len(vs)
+                    for c in (Cycle(g, vs), Cycle(g, vs[::-1]), Cycle(g, vs[1:] + vs[:1])):
+                        seen += 1
+                        canon = c.canonical()
+                        assert canon == Cycle(g, canon.vertices)
+                        assert type(canon.vertices) is tuple
+                        assert canon.vertices[0] == min(vs) and canon.vertices[1] < canon.vertices[-1]
+                        assert set(canon.vertices) == set(vs)
+                        for i in range(k):
+                            for j in range(k):
+                                arc = c.arc(c.vertices[i], c.vertices[j])
+                                want = tuple(c.vertices[(i + t) % k] for t in range((j - i) % k + 1))
+                                assert arc == Path(g, want) and type(arc.vertices) is tuple
+                                assert arc.reverse() == Path(g, want[::-1])
+                                assert arc.reverse().reverse() == arc
+        assert seen == 3 * 2151  # every cycle of every graph of order <= 6, three ways
+
+    def test_trusted_constructors_stay_in_the_graph_layer(self):
+        # Path._trusted and Cycle._trusted skip the checks, so only the
+        # methods that derive from a checked object of the same host use them
+        sites = set()
+        for path in sorted(pathlib.Path(graphs.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+
+            def visit(node, where):
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        visit(child, child.name)
+                        continue
+                    if (
+                        isinstance(child, ast.Attribute)
+                        and child.attr == "_trusted"
+                        and not (isinstance(child.value, ast.Name) and child.value.id == "Graph")
+                    ):
+                        sites.add((path.name, where))
+                    visit(child, where)
+
+            visit(tree, "<module>")
+        assert sites <= {
+            ("graphs.py", "reverse"),
+            ("graphs.py", "arc"),
+            ("graphs.py", "canonical"),
+        }
 
     def test_cycle_arcs_and_canonical(self):
         g = cycle_graph(6)

@@ -18,6 +18,14 @@ from evencycles.oracle import (
 )
 
 
+class FakePath:
+    """A vertex sequence in the shape `validate` reads, with no checks."""
+
+    def __init__(self, vertices):
+        self.vertices = tuple(vertices)
+        self.length = len(self.vertices) - 1
+
+
 def spectrum_by_edge_subsets(g: Graph) -> set:
     """Second, independent enumerator: a cycle is a connected edge subset
     in which every touched vertex has degree exactly two."""
@@ -199,7 +207,37 @@ class TestValidate:
         g = complete_graph(4)
         bad = PathPairCertificate.make(0, 1, Path(g, (0, 1)), Path(g, (0, 2, 3, 1)))
         ok, why = oracle.validate(bad, g)
-        assert not ok and "xy" in why
+        assert not ok and why == "validity: path uses the edge xy"
+        # either orientation of either path
+        for p1 in (Path(g, (1, 0)), Path(g, (0, 1))):
+            bad = PathPairCertificate(1, 0, p1, Path(g, (1, 2, 3, 0)))
+            assert oracle.validate(bad, g) == (False, "validity: path uses the edge xy")
+
+    @pytest.mark.parametrize(
+        "seq1, seq2, n, missing, why",
+        [
+            ((0, 1, 3), (0, 1, 4, 5, 3), 5, (), "host: path vertex outside graph"),
+            ((0, 1, 3), (0, 1, 2, -1, 3), 6, (), "host: path vertex outside graph"),
+            ((0, 1, 3), (0, 1, 2, 1, 3), 6, (), "validity: repeated path vertex"),
+            ((0, 1, 0, 3), (0, 1, 2, 4, 3), 6, (), "validity: repeated path vertex"),
+            ((0, 1, 3), (0, 1, 2, 4, 3), 6, ((2, 4),), "validity: non-edge (2, 4)"),
+            ((0, 5, 3), (0, 1, 2, 4, 3), 6, ((0, 5),), "validity: non-edge (0, 5)"),
+            ((0, 1, 2), (0, 1, 4, 5, 3), 6, (), "terminals: path endpoints are not {x, y}"),
+            ((0, 1, 3), (2, 1, 4, 5, 3), 6, (), "terminals: path endpoints are not {x, y}"),
+            ((0, 3), (0, 1, 2, 3), 6, (), "validity: path uses the edge xy"),
+            ((0, 1, 3), (0, 1, 2, 4, 5, 3), 6, (), "difference: path lengths do not differ by two"),
+            ((0, 1, 2, 4, 3), (0, 1, 3), 6, (), "difference: path lengths do not differ by two"),
+            ((0, 1, 3), (0, 1, 2, 3), 6, (), "difference: path lengths do not differ by two"),
+            ((0, 1, 3), (3, 2, 4, 5, 0), 6, (), "ok"),
+        ],
+    )
+    def test_path_pair_rejections(self, seq1, seq2, n, missing, why):
+        # the oracle reads only the vertex sequences, so a corrupted one is
+        # handed over in a stand-in that the checked Path would refuse;
+        # the host is K_n without the missing edges, and x, y = 0, 3
+        g = Graph(n, complete_graph(n).edges - frozenset(missing))
+        cert = PathPairCertificate(0, 3, FakePath(seq1), FakePath(seq2))
+        assert oracle.validate(cert, g) == (why == "ok", why)
 
     def test_path_pair_accepts(self):
         g = complete_graph(5)
