@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that seven deterministic outputs are unchanged.
+"""Check that eight deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -33,9 +33,16 @@ pinned below:
   first two or last two vertices swapped, the two paths or x and y
   swapped.  Each is checked against g - xy and g + xy (paths) or g
   (cycles), and hashed one `repr` of the verdict and reason at a time
-  (45734 checks, 3568 of them accepted).
+  (45734 checks, 3568 of them accepted);
+- `reduce`: `main_theorem` on seeded families built here, hashed one
+  outcome at a time as in `main`: K5-block trees of 1-200 blocks, each
+  block glued at a random earlier vertex and the whole tree relabelled by
+  a random permutation, so that its cut vertices are not its smallest ids;
+  K_a and K_b glued at one or two vertices, relabelled; K_k plus degree-2
+  vertices on random clique pairs; G(n, 10/n) for 20 <= n <= 200; and
+  K_{4,m} for 5 <= m <= 20 (219 outcomes, 62 of them witnesses).
 
-A refactor that should not change any output must leave all seven equal.
+A refactor that should not change any output must leave all eight equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
@@ -60,6 +67,7 @@ from evencycles import (
 )
 from evencycles.cli import main as cli_main
 from evencycles.generators import (
+    complete_bipartite,
     complete_graph,
     enumerate_small,
     gen_k5_block_tree,
@@ -76,6 +84,7 @@ PINNED = {
     "flows": "e105c84cd9cd7496274a25dedc1f4911dbf22865d4b115f656681118919346e1",
     "odd": "3c32fab16218ada399ada64137ce3e34e19e54a9dbf48213cea85b6f764e95b8",
     "validate": "dbe480a77f54d5d72c43ed89faba5ab314f6fbb6eee5ccfd1d304fdab5d6d56f",
+    "reduce": "7b86122ea49a00a45f5d713ade386853af40ea5a5e2918ad4fa2510562541ce0",
 }
 
 
@@ -118,9 +127,8 @@ def sweep_digest() -> tuple:
     return hashlib.sha256(text.encode()).hexdigest(), f"{len(rows) - 1} rows, exit {code}"
 
 
-def main_digest() -> tuple:
-    graphs = [g for n in range(9) for g in enumerate_small(n, "density")]
-    graphs += [gen_k5_block_tree(b, b) for b in range(1, 31)]
+def _outcomes_digest(graphs) -> tuple:
+    """The hash of `main_theorem` on each graph, and its kinds counted."""
     m = hashlib.sha256()
     kinds = collections.Counter()
     for g in graphs:
@@ -134,6 +142,50 @@ def main_digest() -> tuple:
             what = str(out.failure)
         m.update(repr((out.kind, what)).encode())
     return m.hexdigest(), ", ".join(f"{v} {k}" for k, v in sorted(kinds.items()))
+
+
+def main_digest() -> tuple:
+    graphs = [g for n in range(9) for g in enumerate_small(n, "density")]
+    graphs += [gen_k5_block_tree(b, b) for b in range(1, 31)]
+    return _outcomes_digest(graphs)
+
+
+def _relabelled(n: int, edges, rng: random.Random) -> Graph:
+    perm = rng.sample(range(n), n)
+    return Graph.build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _clique_edges(vs) -> list:
+    return [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+
+
+def reduce_digest() -> tuple:
+    rng = random.Random(21)
+    graphs = []
+    for b in (*range(1, 40), *range(40, 201, 8), 200):
+        n, edges = 5, _clique_edges(range(5))
+        for _ in range(b - 1):
+            edges += _clique_edges([rng.randrange(n), *range(n, n + 4)])
+            n += 4
+        graphs.append(_relabelled(n, edges, rng))
+    for a in range(5, 13):
+        for b in range(a, 13):
+            for shared in (1, 2):
+                second = [*range(shared), *range(a, a + b - shared)]
+                edges = _clique_edges(range(a)) + _clique_edges(second)
+                graphs.append(_relabelled(a + b - shared, edges, rng))
+    for k in range(6, 21, 2):
+        for m in sorted({0, 1, (k - 1) * (k - 5) // 2, (k - 1) * (k - 5)}):
+            edges = _clique_edges(range(k))
+            for t in range(m):
+                edges += [(k + t, w) for w in rng.sample(range(k), 2)]
+            graphs.append(_relabelled(k + m, edges, rng))
+    for n in range(20, 201, 10):
+        for _ in range(2):
+            p = 10 / n
+            graphs.append(Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    graphs += [complete_bipartite(4, m) for m in range(5, 21)]
+    return _outcomes_digest(graphs)
 
 
 def flows_digest() -> tuple:
@@ -256,6 +308,7 @@ def main() -> int:
         ("flows", flows_digest),
         ("odd", odd_digest),
         ("validate", validate_digest),
+        ("reduce", reduce_digest),
     )
     for name, fn in digests:
         digest, what = fn()

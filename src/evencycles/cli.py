@@ -13,6 +13,7 @@ import json
 import sys
 import time
 import traceback
+from itertools import chain
 
 from . import codecs, finder, generators, oracle
 from .graphs import Cycle, Graph, GraphError, Path, _connectivity
@@ -236,7 +237,8 @@ def _sweep_one(task) -> dict:
 
 
 def _sweep_corpus(source: str):
-    """graph6 lines of the corpus: either `enum:<n>[:<filter>]` or a file."""
+    """graph6 lines of the corpus: either `enum:<n>[:<filter>]`, streamed,
+    or a file."""
     if source.startswith("enum:"):
         parts = source.split(":")
         try:
@@ -244,10 +246,12 @@ def _sweep_corpus(source: str):
         except (IndexError, ValueError) as exc:
             raise InputError(f"bad enumeration spec {source!r}") from exc
         tag = parts[2] if len(parts) > 2 else None
+        graphs = generators.enumerate_small(n, tag)
         try:
-            return [codecs.encode_graph6(g) for g in generators.enumerate_small(n, tag)]
+            first = next(graphs, None)  # the order and the tag are checked on the first graph
         except GraphError as exc:
             raise InputError(str(exc)) from exc
+        return (codecs.encode_graph6(g) for g in chain(() if first is None else (first,), graphs))
     try:
         with open(source, "r", encoding="ascii") as fh:
             return [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -258,7 +262,7 @@ def _sweep_corpus(source: str):
 def cmd_sweep(args) -> int:
     lines = _sweep_corpus(args.corpus)
     tasks = ((i, g6, args.check_oracle) for i, g6 in enumerate(lines))
-    disagreements = 0
+    swept = disagreements = 0
     with contextlib.ExitStack() as stack:
         if args.jobs > 1:
             from multiprocessing import Pool  # only here: it imports pickle and sockets
@@ -271,10 +275,10 @@ def cmd_sweep(args) -> int:
             sink = stack.enter_context(open(args.csv, "w", newline="", encoding="ascii"))
         writer = csv.DictWriter(sink, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for rec in records:
+        for swept, rec in enumerate(records, 1):
             writer.writerow(rec)
             disagreements += rec["oracle_agrees"] == "false"
-    print(f"swept {len(lines)} graphs; disagreements: {disagreements}")
+    print(f"swept {swept} graphs; disagreements: {disagreements}")
     return EXIT_OK if disagreements == 0 else EXIT_INTERNAL
 
 

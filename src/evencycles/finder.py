@@ -28,6 +28,7 @@ from .graphs import (
     _double_cover_walk,
     _cut_search,
     _menger,
+    _separation_pair,
     bfs_path,
     blocks,
     components,
@@ -1131,7 +1132,10 @@ def _reduce(g: Graph) -> Outcome:
     block other than K5 is reduced next, and if there is none every block is
     a K5.  A witness is the end of the search unless a low-sum edge uv was
     removed on the way; the last such edge then gives a certificate in the
-    blocks around it."""
+    blocks around it.  A level with n > 5 asks: is G[s] connected, can a
+    vertex of degree <= 2 go (`_peel`), is there a low-sum edge, is there a
+    cut vertex at all (`_cut_search`, first-cut mode), and if not, which
+    is the smallest separation pair; only a cut vertex leads to `blocks`."""
     s, no_witness, edge = frozenset(g.vertices), None, None
     while True:
         h, ids = (g, range(g.n)) if len(s) == g.n else induced_subgraph(g, s)
@@ -1142,19 +1146,19 @@ def _reduce(g: Graph) -> Outcome:
                 best = max(comps, key=lambda c: _slack(h, set(c)))
                 s, no_witness = {ids[v] for v in best}, "slackest component cannot be extremal"
                 continue
-            keep = _peel(h)
+            deg = [len(row) for row in h.adj]
+            keep = _peel(h, deg)
             if len(keep) < h.n:
                 s, no_witness = {ids[v] for v in keep}, "low-degree removal cannot leave a witness"
                 continue
-            deg = [len(row) for row in h.adj]  # rows are sorted: the first hit is the least edge
             low = next(((u, v) for u, row in enumerate(h.adj) if deg[u] <= 5
                         for v in row if v > u and deg[u] + deg[v] <= 6), None)
-            if low:
+            if low:  # the least low-sum edge, since the rows are sorted
                 edge = ids[low[0]], ids[low[1]]
                 s, no_witness = s - set(edge), None
                 continue
-            cut = connectivity_cut(h, 3)
-            if cut is None or len(cut) == 2:
+            if _cut_search(h, first=True)[0] is None:  # h is connected: is it 2-connected?
+                cut = _separation_pair(h)
                 cert = _three_connected_pair(h) if cut is None else _two_cut(h, cut)
                 return Outcome("certificate", certificate=_lift(cert, ids, g))
             dec = blocks(h)
@@ -1181,12 +1185,15 @@ def _reduce(g: Graph) -> Outcome:
         return Outcome("certificate", certificate=_lift(cert, ids, g))
 
 
-def _peel(h: Graph) -> set:
+def _peel(h: Graph, deg: list) -> set:
     """The vertices of the connected graph h left by deleting its smallest
     vertex of least degree while that degree is <= 2 and n > 5, up to the
-    first deletion that may disconnect h (degree 2, neighbours apart)."""
+    first deletion that may disconnect h (degree 2, neighbours apart).  deg
+    is the degree list of h; it is read, not changed."""
     keep = set(h.vertices)
-    deg = [h.degree(v) for v in h.vertices]
+    if min(deg) > 2:
+        return keep
+    deg = deg[:]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
     while len(keep) > 5:

@@ -303,8 +303,8 @@ def _passes(g: Graph, tag: Optional[str]) -> bool:
         return True
     if tag == "connected":
         return is_connected(g)
-    if tag.startswith("min-degree-"):
-        d = int(tag.rsplit("-", 1)[1])
+    if tag.startswith("min-degree-") and (digits := tag.rsplit("-", 1)[1]).isdecimal():
+        d = int(digits)
         return all(g.degree(v) >= d for v in g.vertices)
     if tag == "3-connected":
         return g.n > 3 and _connectivity(g) == 3

@@ -326,15 +326,17 @@ def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path
     """Shortest path from any source to any target avoiding forbidden vertices.
 
     Internal vertices avoid both forbidden and (by first-hit stopping) the
-    target set; deterministic via sorted expansion.
+    target set; deterministic via sorted expansion; read off the rows of g
+    from checked sources, so the path is built unchecked.
     """
     sources = sorted(set(sources) - set(forbidden))
+    _check_ids(g, sources)
     targets = set(targets)
     parent = {s: None for s in sources}
     queue = deque(sources)
     for s in sources:
         if s in targets:
-            return Path(g, (s,))
+            return Path._trusted(g, (s,))
     while queue:
         v = queue.popleft()
         for w in g.adj[v]:
@@ -345,7 +347,7 @@ def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path
                 seq = [w]
                 while seq[-1] is not None and parent[seq[-1]] is not None:
                     seq.append(parent[seq[-1]])
-                return Path(g, tuple(reversed(seq)))
+                return Path._trusted(g, tuple(reversed(seq)))
             queue.append(w)
     return None
 
@@ -527,10 +529,11 @@ def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
     return _cut_search(g, skip)[0]
 
 
-def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
+def _cut_search(g: Graph, skip: Optional[int] = None, extra=None, first: bool = False) -> tuple:
     """(smallest cut vertex or None, number of vertices reached) for the
     component of g - skip that holds its smallest vertex, with the edge xy
-    added if extra = (x, y).
+    added if extra = (x, y).  With `first` it asks only whether there is a
+    cut vertex: it returns the first one it closes and the count so far.
 
     One iterative low-point depth-first search.  `skip` gets a discovery
     time above every real one, so the search neither enters it nor lowers a
@@ -566,9 +569,13 @@ def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
             stack.pop()
             if parent == root:
                 root_children += 1
+                if first and root_children > 1:
+                    return root, timer - 1
             elif parent >= 0:
                 if low[v] >= disc[parent] and (best is None or parent < best):
                     best = parent
+                    if first:
+                        return best, timer - 1
                 if low[v] < low[parent]:
                     low[parent] = low[v]
     if root_children > 1 and (best is None or root < best):
@@ -783,24 +790,32 @@ def _connectivity(g: Graph) -> int:
     return 2 if _has_separation_pair(_sparse_certificate(g)) else 3
 
 
+def _separation_pair(g: Graph) -> Optional[frozenset]:
+    """The smallest separation pair of the 2-connected graph g, or None.
+
+    Whether there is one is answered in O(n + m) by `_has_separation_pair`
+    on a sparse certificate of g (`_sparse_certificate`).  If there is, it
+    is {u, smallest cut vertex of g - u} for the first u whose g - u has one
+    (a cut {w, u} with w < u would have shown up at w), one depth-first
+    search of g per u: O((u + 1)(n + m)) for u the pair's smaller vertex.
+    """
+    if not _has_separation_pair(_sparse_certificate(g)):
+        return None
+    for u in range(g.n - 1):
+        c = _min_cut_vertex(g, u)
+        if c is not None:
+            return frozenset([u, c])
+    return None
+
+
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
     for graphs with more than k vertices.  Supports k <= 3.
 
-    The depth-first search that finds the smallest cut vertex also counts
-    the vertices it reaches, so g is checked to be connected in the same
-    pass.  The cut returned is the smallest one in lexicographic order: the
-    smallest cut vertex, else the smallest pair {u, v} with u < v.  For
-    k = 3, a 2-connected g is first tested for any separation pair in
-    O(n + m) (`_has_separation_pair`), and None is returned when it has
-    none.  The test runs on a sparse certificate of g with at most 3(n - 1)
-    edges (`_sparse_certificate`), which has a separation pair iff g has one.
-    If there is one, the pair is {u, smallest cut vertex of g - u}, scanned
-    on g itself, for the first u whose g - u has one: a cut {w, u} with
-    w < u would have shown up at w, which is also why u = n - 1 needs no
-    scan.  Each scan of g - u is one depth-first search, so the cost is
-    O(n + m) when no pair exists and O((u + 1)(n + m)) when u is the
-    smaller vertex of the smallest pair.
+    The cut returned is the smallest in lexicographic order: the smallest
+    cut vertex, else (k = 3) the smallest pair.  One depth-first search asks
+    whether g is connected and which is its smallest cut vertex; a
+    2-connected g then goes to `_separation_pair`.
     """
     if k > 3:
         raise GraphError("connectivity_cut supports k <= 3 only")
@@ -811,13 +826,7 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
         return None
     if c is not None:
         return frozenset([c])
-    if k == 2 or not _has_separation_pair(_sparse_certificate(g)):
-        return None
-    for u in range(g.n - 1):
-        c = _min_cut_vertex(g, u)
-        if c is not None:
-            return frozenset([u, c])
-    return None
+    return None if k == 2 else _separation_pair(g)
 
 
 # ---------------------------------------------------------------------------

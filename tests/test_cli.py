@@ -252,6 +252,23 @@ class TestSweep:
         assert cli.main(["sweep", "enum:not-a-number"]) == 2
         assert cli.main(["sweep", "/nonexistent.g6"]) == 2
 
+    def test_sweep_bad_enumeration_fails_before_the_header(self, capsys):
+        # the order and the tag of a streamed enumeration are checked up front
+        for spec in ("enum:9", "enum:6:bogus", "enum:6:min-degree-x"):
+            assert cli.main(["sweep", spec]) == 2, spec
+            out, err = capsys.readouterr()
+            assert out == "" and "input error" in err, spec
+
+    def test_sweep_counts_the_rows_it_writes(self, tmp_path, capsys):
+        # a streamed enumeration has no length: the summary counts the rows
+        assert cli.main(["sweep", "enum:6:density"]) == 0
+        out = capsys.readouterr().out
+        assert "swept 4 graphs" in out and len(out.splitlines()) == 1 + 4 + 1
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("".join(encode_graph6(complete_graph(n)) + "\n" for n in (5, 6)))
+        assert cli.main(["sweep", str(corpus)]) == 0
+        assert "swept 2 graphs" in capsys.readouterr().out
+
     def test_connectivity_class_is_that_of_the_smallest_cut(self):
         # the sweep and the "3-connected" filter read the class without the
         # scan for the smallest separation pair; it must be the class of

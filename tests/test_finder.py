@@ -1,11 +1,13 @@
 import ast
 import hashlib
+import heapq
 import inspect
 import itertools
 import json
 import pathlib
 import random
 import sys
+import types
 
 import pytest
 from conftest import even_cycle_within
@@ -645,15 +647,34 @@ class TestMainTheorem:
             assert (out.witness.n, out.witness.e) == (g.n, g.e)
 
     def test_k5_path_is_split_once(self, monkeypatch):
-        # all 120 blocks come from one decomposition of g itself, not a copy
+        # all 120 blocks come from one decomposition of g itself, not a copy;
+        # no degree is below 4, so the peel heap is not built, and only
+        # whether g has a cut vertex is asked, not which is the smallest
         calls = []
-        for name in ("blocks", "induced_subgraph"):
+        for name in ("blocks", "induced_subgraph", "connectivity_cut"):
             f = getattr(finder, name)
             monkeypatch.setattr(finder, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        heap = types.SimpleNamespace(**vars(heapq))
+        heap.heapify = lambda h: calls.append("heapify") or heapq.heapify(h)
+        monkeypatch.setattr(finder, "heapq", heap)
         g = k5_path(120)
         out = main_theorem(g)
         assert calls == ["blocks"]
         assert (out.kind, out.witness.n, out.witness.e) == ("k5-witness", g.n, g.e)
+
+    def test_peel_keeps_every_vertex_above_degree_two(self, monkeypatch):
+        monkeypatch.setattr(finder, "heapq", None)  # nothing can be peeled: no heap
+        cases = [g for n in (6, 7) for g in enumerate_small(n, "min-degree-3")]
+        cases += [k5_path(b) for b in (2, 5, 20)] + [complete_graph(6), petersen_graph()]
+        for g in cases:
+            deg = [g.degree(v) for v in g.vertices]
+            assert finder._peel(g, deg) == set(g.vertices), g.sorted_edges()
+
+    def test_peel_leaves_the_degree_list(self):
+        g = peel_graph(8, 6)
+        deg = [g.degree(v) for v in g.vertices]
+        keep = finder._peel(g, deg)
+        assert len(keep) < g.n and deg == [g.degree(v) for v in g.vertices]
 
     def test_glued_unions(self):
         # the witness exactly on K5-block trees, every certificate valid

@@ -132,6 +132,8 @@ class TestEnumeration:
             list(enumerate_small(9))
         with pytest.raises(GraphError):
             list(enumerate_small(5, "no-such-tag"))
+        with pytest.raises(GraphError, match="unknown filter tag"):
+            list(enumerate_small(5, "min-degree-x"))
 
 
 def identity_columns(g: Graph) -> tuple:

@@ -206,7 +206,8 @@ class TestPathCycle:
 
     def test_trusted_constructors_stay_in_the_graph_layer(self):
         # Path._trusted and Cycle._trusted skip the checks, so only the
-        # methods that derive from a checked object of the same host use them
+        # methods that derive from a checked object of the same host use
+        # them, and bfs_path, whose path is read off the rows of its host
         sites = set()
         for path in sorted(pathlib.Path(graphs.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -226,6 +227,7 @@ class TestPathCycle:
 
             visit(tree, "<module>")
         assert sites <= {
+            ("graphs.py", "bfs_path"),
             ("graphs.py", "reverse"),
             ("graphs.py", "arc"),
             ("graphs.py", "canonical"),
@@ -284,6 +286,32 @@ class TestTraversal:
         p = bfs_path(g, {0}, {3}, frozenset([1]))
         assert p.vertices == (0, 5, 4, 3)
         assert bfs_path(g, {0}, {3}, frozenset([1, 5])) is None
+
+    def test_bfs_path_is_the_checked_path(self):
+        # the path is built unchecked, so it must equal the checked Path of
+        # its vertices for every choice of one or two sources, one target
+        # and up to two forbidden vertices among the others
+        found = 0
+        for n in range(1, 7):
+            starts = [frozenset(c) for k in (1, 2) for c in itertools.combinations(range(n), k)]
+            for g in enumerate_small(n):
+                for sources, targets in itertools.product(starts, ({t} for t in range(n))):
+                    rest = sorted(set(range(n)) - sources - targets)
+                    for k in range(min(len(rest), 2) + 1):
+                        for forbidden in itertools.combinations(rest, k):
+                            p = bfs_path(g, sources, targets, frozenset(forbidden))
+                            if p is not None:
+                                found += 1
+                                assert p == Path(g, p.vertices)
+                                assert p.start in sources and p.end in targets
+                                assert not p.vertex_set() & set(forbidden)
+        assert found > 0
+
+    def test_bfs_path_checks_its_sources(self):
+        g = cycle_graph(5)
+        for bad in (-1, 5):
+            with pytest.raises(GraphError, match="unknown vertex id"):
+                bfs_path(g, {bad}, {2})
 
     def test_spanning_tree_path(self):
         g = cycle_graph(5)
@@ -567,6 +595,28 @@ class TestConnectivityCut:
                 x, y = next((0, v) for v in range(1, core.n) if not core.has_edge(0, v))
                 glued = glued_on_pair(core, x, y, core, x, y)
                 seen.add(self.assert_pair_test_agrees(glued, rng, cut_reference=small))
+        assert seen == {False, True}
+
+    def test_first_cut_mode(self):
+        # the first cut vertex closed is a cut vertex, and there is one
+        # exactly when the full search finds the smallest
+        rng = random.Random(21)
+        cases = [g for n in range(1, 8) for g in enumerate_small(n, "connected")]
+        cases += [relabelled(gen_k5_block_tree(b, b), rng) for b in range(1, 41)]
+        for a in range(3, 9):
+            for b in range(3, 9):
+                edges = {(u, v) for u in range(a) for v in range(u + 1, a)}
+                edges |= {(u, v) for u in range(a - 1, a + b - 1) for v in range(u + 1, a + b - 1)}
+                cases += [relabelled(Graph.build(a + b - 1, edges), rng)]
+                cases += [relabelled(glued_cliques(a, b), rng)]
+        cases += [random_graph(n, c / n, rng) for n in (10, 30, 100, 300) for c in (1.5, 3, 6, 12)]
+        seen = set()
+        for g in cases:
+            c, _ = graphs._cut_search(g, first=True)
+            assert (c is None) == (graphs._cut_search(g)[0] is None), g.sorted_edges()
+            if c is not None:
+                assert len(components(g, frozenset([c]))) > len(components(g)), (c, g.sorted_edges())
+            seen.add(c is None)
         assert seen == {False, True}
 
     def test_long_prism_needs_no_recursion(self):
