@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that eight deterministic outputs are unchanged.
+"""Check that nine deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -40,9 +40,17 @@ pinned below:
   a random permutation, so that its cut vertices are not its smallest ids;
   K_a and K_b glued at one or two vertices, relabelled; K_k plus degree-2
   vertices on random clique pairs; G(n, 10/n) for 20 <= n <= 200; and
-  K_{4,m} for 5 <= m <= 20 (219 outcomes, 62 of them witnesses).
+  K_{4,m} for 5 <= m <= 20 (219 outcomes, 62 of them witnesses);
+- `levels`: `main_theorem` on the level branches `reduce` misses, hashed
+  one outcome at a time as in `main`: disconnected dense graphs (cliques
+  of orders 5-8 side by side, a K5-block tree beside a K6, each also
+  relabelled), stars of 1-40 K5 blocks with the hub first and with it
+  last, relabelled K5-block trees of 2-60 blocks with one K6 block among
+  them, and stars of 1-8 K5 blocks whose hub has the largest id, plus u
+  and v joined to each other, to the hub and to one more vertex each
+  (the reinserted edge) (174 outcomes, 80 of them witnesses).
 
-A refactor that should not change any output must leave all eight equal.
+A refactor that should not change any output must leave all nine equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
@@ -85,6 +93,7 @@ PINNED = {
     "odd": "3c32fab16218ada399ada64137ce3e34e19e54a9dbf48213cea85b6f764e95b8",
     "validate": "dbe480a77f54d5d72c43ed89faba5ab314f6fbb6eee5ccfd1d304fdab5d6d56f",
     "reduce": "7b86122ea49a00a45f5d713ade386853af40ea5a5e2918ad4fa2510562541ce0",
+    "levels": "f1f9371c493df77a97097f493481055f0e28c2e799c3e11328d1dc6b5abc43fe",
 }
 
 
@@ -185,6 +194,40 @@ def reduce_digest() -> tuple:
             p = 10 / n
             graphs.append(Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
     graphs += [complete_bipartite(4, m) for m in range(5, 21)]
+    return _outcomes_digest(graphs)
+
+
+def _k5_star(b: int, hub: int) -> list:
+    """The edges of b K5 blocks sharing the vertex hub (0 or 4b) only."""
+    rest = [v for v in range(4 * b + 1) if v != hub]
+    return [e for i in range(b) for e in _clique_edges([hub, *rest[4 * i : 4 * i + 4]])]
+
+
+def levels_digest() -> tuple:
+    rng = random.Random(22)
+    graphs = []
+    for a in range(5, 9):
+        for b in range(a, 9):
+            edges = _clique_edges(range(a)) + _clique_edges(range(a, a + b))
+            if 2 * len(edges) >= 5 * (a + b - 1):
+                graphs += [Graph.build(a + b, edges), _relabelled(a + b, edges, rng)]
+    for b in range(1, 12):
+        tree = gen_k5_block_tree(b, b)
+        edges = sorted(tree.edges) + _clique_edges(range(tree.n, tree.n + 6))
+        graphs += [Graph.build(tree.n + 6, edges), _relabelled(tree.n + 6, edges, rng)]
+    for b in range(1, 41):
+        graphs += [Graph.build(4 * b + 1, _k5_star(b, hub)) for hub in (0, 4 * b)]
+    for b in range(2, 61, 2):
+        n, edges = 6, _clique_edges(range(6))
+        for _ in range(b - 1):
+            edges += _clique_edges([rng.randrange(n), *range(n, n + 4)])
+            n += 4
+        graphs.append(_relabelled(n, edges, rng))
+    for b in range(1, 9):
+        hub, u, v = 4 * b, 4 * b + 1, 4 * b + 2
+        for x, y in sorted({(0, 1), (0, 4 * (b - 1)), (1, 4 * b - 1)}):
+            edges = _k5_star(b, hub) + [(u, v), (u, hub), (v, hub), (u, x), (v, y)]
+            graphs.append(Graph.build(4 * b + 3, edges))
     return _outcomes_digest(graphs)
 
 
@@ -309,6 +352,7 @@ def main() -> int:
         ("odd", odd_digest),
         ("validate", validate_digest),
         ("reduce", reduce_digest),
+        ("levels", levels_digest),
     )
     for name, fn in digests:
         digest, what = fn()

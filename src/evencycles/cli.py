@@ -13,7 +13,6 @@ import json
 import sys
 import time
 import traceback
-from itertools import chain
 
 from . import codecs, finder, generators, oracle
 from .graphs import Cycle, Graph, GraphError, Path, _connectivity
@@ -246,12 +245,10 @@ def _sweep_corpus(source: str):
         except (IndexError, ValueError) as exc:
             raise InputError(f"bad enumeration spec {source!r}") from exc
         tag = parts[2] if len(parts) > 2 else None
-        graphs = generators.enumerate_small(n, tag)
         try:
-            first = next(graphs, None)  # the order and the tag are checked on the first graph
+            return map(codecs.encode_graph6, generators.enumerate_small(n, tag))
         except GraphError as exc:
             raise InputError(str(exc)) from exc
-        return (codecs.encode_graph6(g) for g in chain(() if first is None else (first,), graphs))
     try:
         with open(source, "r", encoding="ascii") as fh:
             return [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]

@@ -25,8 +25,10 @@ from .graphs import (
     InternalInvariantError,
     Path,
     ThetaGraph,
-    _double_cover_walk,
+    _block_search,
     _cut_search,
+    _decomposition,
+    _double_cover_walk,
     _menger,
     _separation_pair,
     bfs_path,
@@ -1107,7 +1109,7 @@ def main_theorem(g: Graph) -> Outcome:
     The reduction is one loop over vertex sets of g (`_reduce`), so the
     call stack does not grow with the input, and it splits a graph with a
     cut vertex into its blocks at once, so a tree of K5 blocks costs one
-    block decomposition."""
+    low-point search and one pass over its blocks."""
     if g.n == 0:
         return Outcome("hypothesis-failure", failure=HypothesisFailure("order", "empty graph"))
     if 2 * g.e < 5 * (g.n - 1):
@@ -1132,44 +1134,50 @@ def _reduce(g: Graph) -> Outcome:
     block other than K5 is reduced next, and if there is none every block is
     a K5.  A witness is the end of the search unless a low-sum edge uv was
     removed on the way; the last such edge then gives a certificate in the
-    blocks around it.  A level with n > 5 asks: is G[s] connected, can a
-    vertex of degree <= 2 go (`_peel`), is there a low-sum edge, is there a
-    cut vertex at all (`_cut_search`, first-cut mode), and if not, which
-    is the smallest separation pair; only a cut vertex leads to `blocks`."""
+    blocks around it.  A level with n > 5 asks, in this order: is G[s]
+    connected, can a vertex of degree <= 2 go (`_peel`), is there a low-sum
+    edge, is there a cut vertex, and if not, which is the smallest
+    separation pair.  If its degree list says a vertex or an edge goes,
+    `components` answers the first question; else one low-point search
+    (`_block_search`) answers the first and the fourth (`components` runs
+    only if h is disconnected), and its blocks become `Block`s only if
+    there is a cut vertex."""
     s, no_witness, edge = frozenset(g.vertices), None, None
     while True:
         h, ids = (g, range(g.n)) if len(s) == g.n else induced_subgraph(g, s)
         _require(2 * h.e >= 5 * (h.n - 1), "recursion must preserve the density hypothesis")
         if h.n > 5:
-            comps = components(h)
-            if len(comps) > 1:
-                best = max(comps, key=lambda c: _slack(h, set(c)))
-                s, no_witness = {ids[v] for v in best}, "slackest component cannot be extremal"
-                continue
             deg = [len(row) for row in h.adj]
-            keep = _peel(h, deg)
-            if len(keep) < h.n:
-                s, no_witness = {ids[v] for v in keep}, "low-degree removal cannot leave a witness"
+            peel = min(deg) <= 2
+            low = None if peel else next(((u, v) for u, row in enumerate(h.adj) if deg[u] <= 5
+                                          for v in row if v > u and deg[u] + deg[v] <= 6), None)
+            search = None if peel or low else _block_search(h, (0,))
+            if search is None or search[2] < h.n:  # is h connected?
+                comps = components(h)
+                if len(comps) > 1:
+                    best = max(comps, key=lambda c: _slack(h, set(c)))
+                    s, no_witness = {ids[v] for v in best}, "slackest component cannot be extremal"
+                    continue
+            if peel:  # a vertex of degree <= 2 goes
+                s, no_witness = {ids[v] for v in _peel(h, deg)}, "low-degree removal cannot leave a witness"
                 continue
-            low = next(((u, v) for u, row in enumerate(h.adj) if deg[u] <= 5
-                        for v in row if v > u and deg[u] + deg[v] <= 6), None)
             if low:  # the least low-sum edge, since the rows are sorted
                 edge = ids[low[0]], ids[low[1]]
                 s, no_witness = s - set(edge), None
                 continue
-            if _cut_search(h, first=True)[0] is None:  # h is connected: is it 2-connected?
+            closed, cuts, _ = search
+            if not cuts:  # h is 2-connected: is it 3-connected?
                 cut = _separation_pair(h)
                 cert = _three_connected_pair(h) if cut is None else _two_cut(h, cut)
                 return Outcome("certificate", certificate=_lift(cert, ids, g))
-            dec = blocks(h)
-            dense = (b for b in dec.blocks if 2 * len(b.edges) >= 5 * (len(b.vertices) - 1))
-            other = next((b for b in dense if not b.is_k5()), None)
-            if other is not None:
-                s = {ids[v] for v in other.vertices}
+            dec = _decomposition(closed, cuts)
+            others = [b for b in dec.blocks if not b.is_k5()]
+            dense = next((b for b in others if 2 * len(b.edges) >= 5 * (len(b.vertices) - 1)), None)
+            if dense is not None:
+                s = {ids[v] for v in dense.vertices}
                 no_witness = "a dense block other than K5 cannot be extremal"
                 continue
-            only_k5 = all(b.is_k5() for b in dec.blocks)
-            _require(only_k5, "a dense graph with no dense non-K5 block has only K5 blocks")
+            _require(not others, "a dense graph with no dense non-K5 block has only K5 blocks")
             wit = K5BlockWitness(dec, h.n, h.e)
         else:  # 2e >= 5(n - 1) leaves only K1 and K5 at n <= 5
             wit = K5BlockWitness.build(h)

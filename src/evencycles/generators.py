@@ -298,18 +298,20 @@ def _all_graphs(n: int) -> tuple:
     return tuple(out)
 
 
-def _passes(g: Graph, tag: Optional[str]) -> bool:
+def _filter(tag: Optional[str]):
+    """The test a graph must pass to be kept under the filter tag; raises
+    GraphError on an unknown tag."""
     if tag is None:
-        return True
+        return lambda g: True
     if tag == "connected":
-        return is_connected(g)
+        return is_connected
     if tag.startswith("min-degree-") and (digits := tag.rsplit("-", 1)[1]).isdecimal():
         d = int(digits)
-        return all(g.degree(v) >= d for v in g.vertices)
+        return lambda g: all(g.degree(v) >= d for v in g.vertices)
     if tag == "3-connected":
-        return g.n > 3 and _connectivity(g) == 3
+        return lambda g: g.n > 3 and _connectivity(g) == 3
     if tag == "density":
-        return 2 * g.e >= 5 * (g.n - 1)
+        return lambda g: 2 * g.e >= 5 * (g.n - 1)
     raise GraphError(f"unknown filter tag {tag!r}")
 
 
@@ -320,16 +322,13 @@ def enumerate_small(n: int, filter_tag: Optional[str] = None) -> Iterator[Graph]
     They come from orderly generation, which extends each canonical graph
     of order n - 1 by one vertex in every way and keeps the extensions that
     are canonical.  Guarded at n <= 8; larger corpora must be ingested from
-    graph6 files instead.
+    graph6 files instead.  The order and the tag are checked at the call.
     """
     if n > 8:
         raise GraphError("enumerate_small is guarded at n <= 8")
     if n < 0:
         raise GraphError("negative order")
-    for cols in _all_graphs(n):
-        g = graph_from_columns(n, cols)
-        if _passes(g, filter_tag):
-            yield g
+    return filter(_filter(filter_tag), (graph_from_columns(n, cols) for cols in _all_graphs(n)))
 
 
 def is_k5_block_tree(g: Graph) -> bool:

@@ -17,7 +17,6 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -465,35 +464,44 @@ class BlockDecomposition:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components by Tarjan's low-point depth-first search
-    ("Depth-first search and linear graph algorithms", SIAM J. Comput.
-    1972), one iterative search per component.  Each stack frame keeps the
-    position of its tree edge on the edge stack, so the block closed at the
-    tree edge (p, v) is the slice from there.  A vertex with an empty row is
-    its own K1 block, and a root is a cut vertex iff it closes more than one
-    block."""
+    """Biconnected components: the low-point search `_block_search` from
+    every vertex not yet reached, so once per component, then `_decomposition`."""
+    return _decomposition(*_block_search(g, g.vertices)[:2])
+
+
+def _block_search(g: Graph, roots) -> tuple:
+    """Tarjan's low-point depth-first search ("Depth-first search and linear
+    graph algorithms", SIAM J. Comput. 1972) from each root not yet reached.
+
+    Returns (closed, cuts, reached): each block as it closes, a pair of lists
+    (vertices, edges); the set of cut vertices; and the number of vertices
+    reached.  Each stack frame keeps the positions of its vertex on the
+    vertex stack and of its tree edge on the edge stack, so the block closed
+    at the tree edge (p, v) is a slice of each, plus p.  A root with an empty
+    row is its own K1 block, and a root is a cut vertex iff it closes more
+    than one block."""
     adj = g.adj
     disc = [0] * g.n
     low = [0] * g.n
     timer = 1
     cuts = set()
-    edge_stack: list = []
-    out = []
-    for r, row in enumerate(adj):
+    vertex_stack, edge_stack, closed = [], [], []
+    for r in roots:
         if disc[r]:
-            continue
-        if not row:
-            out.append(Block(frozenset([r]), frozenset()))
             continue
         disc[r] = low[r] = timer
         timer += 1
+        if not adj[r]:
+            closed.append(([r], []))
+            continue
         root_blocks = 0
-        stack = [(r, -1, iter(row), 0)]
+        stack = [(r, -1, iter(adj[r]), 0, 0)]
         while stack:
-            v, p, it, at = stack[-1]
+            v, p, it, at_v, at_e = stack[-1]
             for w in it:
                 if disc[w] == 0:
-                    stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                    stack.append((w, v, iter(adj[w]), len(vertex_stack), len(edge_stack)))
+                    vertex_stack.append(w)
                     edge_stack.append((v, w) if v < w else (w, v))
                     disc[w] = low[w] = timer
                     timer += 1
@@ -509,17 +517,24 @@ def blocks(g: Graph) -> BlockDecomposition:
                 if low[v] < low[p]:
                     low[p] = low[v]
                 if low[v] >= disc[p]:
-                    es = frozenset(edge_stack[at:])
-                    del edge_stack[at:]
-                    out.append(Block(frozenset(chain.from_iterable(es)), es))
+                    closed.append((vertex_stack[at_v:] + [p], edge_stack[at_e:]))
+                    del vertex_stack[at_v:], edge_stack[at_e:]
                     if p != r:
                         cuts.add(p)
                     else:
                         root_blocks += 1
         if root_blocks > 1:
             cuts.add(r)
-    out.sort(key=lambda b: sorted(b.vertices))
-    return BlockDecomposition(tuple(out), frozenset(cuts))
+    return closed, cuts, timer - 1
+
+
+def _decomposition(closed: list, cuts) -> BlockDecomposition:
+    """The blocks that `_block_search` closed, sorted by their sorted vertex lists."""
+    for vs, _ in closed:
+        vs.sort()
+    closed.sort(key=lambda c: c[0])
+    out = tuple([Block(frozenset(vs), frozenset(es)) for vs, es in closed])
+    return BlockDecomposition(out, frozenset(cuts))
 
 
 def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
@@ -529,11 +544,11 @@ def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
     return _cut_search(g, skip)[0]
 
 
-def _cut_search(g: Graph, skip: Optional[int] = None, extra=None, first: bool = False) -> tuple:
+def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
     """(smallest cut vertex or None, number of vertices reached) for the
     component of g - skip that holds its smallest vertex, with the edge xy
-    added if extra = (x, y).  With `first` it asks only whether there is a
-    cut vertex: it returns the first one it closes and the count so far.
+    added if extra = (x, y).  It keeps no edge stack: a caller that needs
+    the blocks themselves runs `_block_search`.
 
     One iterative low-point depth-first search.  `skip` gets a discovery
     time above every real one, so the search neither enters it nor lowers a
@@ -569,13 +584,9 @@ def _cut_search(g: Graph, skip: Optional[int] = None, extra=None, first: bool = 
             stack.pop()
             if parent == root:
                 root_children += 1
-                if first and root_children > 1:
-                    return root, timer - 1
             elif parent >= 0:
                 if low[v] >= disc[parent] and (best is None or parent < best):
                     best = parent
-                    if first:
-                        return best, timer - 1
                 if low[v] < low[parent]:
                     low[parent] = low[v]
     if root_children > 1 and (best is None or root < best):

@@ -285,7 +285,7 @@ class TestSweep:
                 want = "disconnected"
             classes.add(want)
             assert cli._connectivity_class(g) == want
-            assert generators._passes(g, "3-connected") == (g.n > 3 and want == "3-connected")
+            assert generators._filter("3-connected")(g) == (g.n > 3 and want == "3-connected")
         assert cli._connectivity_class(graphs.Graph(0, frozenset())) == "disconnected"
         assert classes == {"disconnected", "connected", "2-connected", "3-connected"}
 

@@ -535,6 +535,11 @@ def k5_path(blocks: int) -> Graph:
     return Graph.build(4 * blocks + 1, edges)
 
 
+def relabelled(g: Graph, rng) -> Graph:
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def peel_graph(k: int, m: int, seed: int = 1) -> Graph:
     """K_k plus m vertices of degree 2, each joined to two random clique vertices."""
     rng = random.Random(seed)
@@ -646,21 +651,49 @@ class TestMainTheorem:
         else:
             assert (out.witness.n, out.witness.e) == (g.n, g.e)
 
-    def test_k5_path_is_split_once(self, monkeypatch):
-        # all 120 blocks come from one decomposition of g itself, not a copy;
-        # no degree is below 4, so the peel heap is not built, and only
-        # whether g has a cut vertex is asked, not which is the smallest
-        calls = []
-        for name in ("blocks", "induced_subgraph", "connectivity_cut"):
+    WATCHED = ("_block_search", "blocks", "components", "induced_subgraph", "connectivity_cut")
+
+    @staticmethod
+    def _watch(monkeypatch, calls, names=WATCHED):
+        """Record each call of the named finder imports, and of heapify, in
+        calls as (name, first argument)."""
+        for name in names:
             f = getattr(finder, name)
-            monkeypatch.setattr(finder, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+            monkeypatch.setattr(finder, name, lambda *a, f=f, name=name: calls.append((name, a[0])) or f(*a))
         heap = types.SimpleNamespace(**vars(heapq))
-        heap.heapify = lambda h: calls.append("heapify") or heapq.heapify(h)
+        heap.heapify = lambda h: calls.append(("heapify", h)) or heapq.heapify(h)
         monkeypatch.setattr(finder, "heapq", heap)
+
+    def test_k5_path_is_split_once(self, monkeypatch):
+        # all 120 blocks come from one low-point search of g itself, not a
+        # copy; no degree is below 4 and no edge is low-sum, so neither the
+        # peel heap nor a connectivity pass runs, and no second search
+        # (`blocks`) builds the blocks again
+        calls = []
+        self._watch(monkeypatch, calls)
         g = k5_path(120)
         out = main_theorem(g)
-        assert calls == ["blocks"]
+        assert [(name, h is g) for name, h in calls] == [("_block_search", True)]
         assert (out.kind, out.witness.n, out.witness.e) == ("k5-witness", g.n, g.e)
+
+    def test_two_connected_level_is_one_search(self, monkeypatch):
+        # a 2-connected level asks for its separation pair after one
+        # low-point search, with no components pass before it
+        class Stop(Exception):
+            pass
+
+        def stop(h):
+            raise Stop
+
+        monkeypatch.setattr(finder, "_separation_pair", stop)
+        calls = []
+        self._watch(monkeypatch, calls, names=("_block_search", "components"))
+        rng = random.Random(22)
+        for g in [complete_graph(7)] + [relabelled(complete_bipartite(4, m), rng) for m in (5, 8, 13)]:
+            calls.clear()
+            with pytest.raises(Stop):
+                main_theorem(g)
+            assert [(name, h is g) for name, h in calls] == [("_block_search", True)], g.sorted_edges()
 
     def test_peel_keeps_every_vertex_above_degree_two(self, monkeypatch):
         monkeypatch.setattr(finder, "heapq", None)  # nothing can be peeled: no heap

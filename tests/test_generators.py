@@ -135,6 +135,12 @@ class TestEnumeration:
         with pytest.raises(GraphError, match="unknown filter tag"):
             list(enumerate_small(5, "min-degree-x"))
 
+    def test_guard_fails_at_the_call(self):
+        # not at the first next: the calls below never iterate
+        for args in ((9,), (-1,), (6, "bogus"), (6, "min-degree-x")):
+            with pytest.raises(GraphError):
+                enumerate_small(*args)
+
 
 def identity_columns(g: Graph) -> tuple:
     """Column tuple of g in its own vertex order (graph6 bit order)."""

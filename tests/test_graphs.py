@@ -371,9 +371,11 @@ class TestBlocks:
             + [(v, w) for v in range(12, 72) for w in rng.sample(range(12), 2)])
         inputs = [g for n in range(1, 8) for g in enumerate_small(n)]
         inputs += [gen_k5_block_tree(b, b) for b in range(1, 201)]
+        inputs += [k5_tree(b, rng) for b in range(2, 80, 7)]
         inputs += [complete_graph(n) for n in range(1, 61)] + [peel]
-        for g in inputs:
-            h = relabelled(g, rng)
+        # stars keep their labels: the hub is the first or the last vertex
+        stars = [k5_star(b, hub) for b in (1, 2, 3, 10, 50) for hub in (0, 4 * b)]
+        for h in [relabelled(g, rng) for g in inputs] + stars:
             ng = nx.Graph(list(h.edges))
             ng.add_nodes_from(h.vertices)
             want = {frozenset([v]): frozenset() for v in nx.isolates(ng)}
@@ -413,6 +415,22 @@ def smallest_cut_by_pairs(g: Graph, k: int):
 def has_pair_by_scans(g: Graph) -> bool:
     """Reference for _has_separation_pair: some g - u has a cut vertex."""
     return any(graphs._min_cut_vertex(g, u) is not None for u in g.vertices)
+
+
+def k5_star(b: int, hub: int) -> Graph:
+    """b K5 blocks sharing only the vertex hub, which is 0 or 4b."""
+    rest = [v for v in range(4 * b + 1) if v != hub]
+    groups = ([hub, *rest[4 * i : 4 * i + 4]] for i in range(b))
+    return Graph.build(4 * b + 1, [e for grp in groups for e in itertools.combinations(grp, 2)])
+
+
+def k5_tree(b: int, rng) -> Graph:
+    """b K5 blocks, each glued at a random vertex of the ones before it."""
+    n, edges = 5, list(itertools.combinations(range(5), 2))
+    for _ in range(b - 1):
+        edges += itertools.combinations([rng.randrange(n), *range(n, n + 4)], 2)
+        n += 4
+    return Graph.build(n, edges)
 
 
 def relabelled(g: Graph, rng) -> Graph:
@@ -597,11 +615,12 @@ class TestConnectivityCut:
                 seen.add(self.assert_pair_test_agrees(glued, rng, cut_reference=small))
         assert seen == {False, True}
 
-    def test_first_cut_mode(self):
-        # the first cut vertex closed is a cut vertex, and there is one
-        # exactly when the full search finds the smallest
+    def test_block_search_answers_as_the_cut_search(self):
+        # from vertex 0, the block search reaches what the cut search
+        # reaches, its smallest cut vertex is the one the cut search finds,
+        # and each cut vertex it closes separates g
         rng = random.Random(21)
-        cases = [g for n in range(1, 8) for g in enumerate_small(n, "connected")]
+        cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
         cases += [relabelled(gen_k5_block_tree(b, b), rng) for b in range(1, 41)]
         for a in range(3, 9):
             for b in range(3, 9):
@@ -612,11 +631,11 @@ class TestConnectivityCut:
         cases += [random_graph(n, c / n, rng) for n in (10, 30, 100, 300) for c in (1.5, 3, 6, 12)]
         seen = set()
         for g in cases:
-            c, _ = graphs._cut_search(g, first=True)
-            assert (c is None) == (graphs._cut_search(g)[0] is None), g.sorted_edges()
-            if c is not None:
+            _, cuts, reached = graphs._block_search(g, (0,))
+            assert (min(cuts, default=None), reached) == graphs._cut_search(g), g.sorted_edges()
+            for c in cuts:
                 assert len(components(g, frozenset([c]))) > len(components(g)), (c, g.sorted_edges())
-            seen.add(c is None)
+            seen.add(not cuts)
         assert seen == {False, True}
 
     def test_long_prism_needs_no_recursion(self):
