@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that nine deterministic outputs are unchanged.
+"""Check that ten deterministic outputs are unchanged.
 
 Prints one sha256 per output and exits 1 if any differs from the value
 pinned below:
@@ -48,9 +48,18 @@ pinned below:
   last, relabelled K5-block trees of 2-60 blocks with one K6 block among
   them, and stars of 1-8 K5 blocks whose hub has the largest id, plus u
   and v joined to each other, to the hub and to one more vertex each
-  (the reinserted edge) (174 outcomes, 80 of them witnesses).
+  (the reinserted edge) (174 outcomes, 80 of them witnesses);
+- `connectivity`: `connectivity_cut(g, k)` for k = 1, 2, 3 and
+  `_connectivity(g)` on every graph of order 4-7, relabelled, on GP(n, k)
+  for 5 <= n <= 40, 1 <= k < n/2, on wheels and GP graphs glued on a
+  non-adjacent pair, on K_a and K_b glued at one or two vertices and
+  relabelled (most have more than 3(n - 1) edges, so the sparse
+  certificate is read), and on the 3-cores of seeded G(n, c/n), alone and
+  glued to a copy of themselves on a pair, hashed one `repr` of the three
+  sorted cuts, or the error, and the class at a time (2030 graphs, 551
+  of them 3-connected).
 
-A refactor that should not change any output must leave all nine equal.
+A refactor that should not change any output must leave all ten equal.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
@@ -80,8 +89,19 @@ from evencycles.generators import (
     enumerate_small,
     gen_k5_block_tree,
     generalized_petersen,
+    wheel_graph,
 )
-from evencycles.graphs import Graph, _menger, disjoint_paths, fan, shortest_odd_cycle
+from evencycles.graphs import (
+    Graph,
+    GraphError,
+    _connectivity,
+    _menger,
+    connectivity_cut,
+    disjoint_paths,
+    fan,
+    induced_subgraph,
+    shortest_odd_cycle,
+)
 from evencycles.oracle import CyclePairCertificate, PathPairCertificate
 
 PINNED = {
@@ -94,6 +114,7 @@ PINNED = {
     "validate": "dbe480a77f54d5d72c43ed89faba5ab314f6fbb6eee5ccfd1d304fdab5d6d56f",
     "reduce": "7b86122ea49a00a45f5d713ade386853af40ea5a5e2918ad4fa2510562541ce0",
     "levels": "f1f9371c493df77a97097f493481055f0e28c2e799c3e11328d1dc6b5abc43fe",
+    "connectivity": "16453f9f04544eeefa1d24522e6425f0b00b7ab0dcd3c29fd7220d2331cbee3c",
 }
 
 
@@ -231,6 +252,74 @@ def levels_digest() -> tuple:
     return _outcomes_digest(graphs)
 
 
+def _glued_on_pair(g1: Graph, x1: int, y1: int, g2: Graph, x2: int, y2: int) -> Graph:
+    """g1 and a copy of g2 on new vertices, with x2, y2 identified with x1, y1."""
+    ids, fresh = {x2: x1, y2: y1}, iter(range(g1.n, g1.n + g2.n))
+    for v in g2.vertices:
+        if v not in ids:
+            ids[v] = next(fresh)
+    return Graph.build(g1.n + g2.n - 2, set(g1.edges) | {(ids[u], ids[v]) for u, v in g2.edges})
+
+
+def _three_core(g: Graph) -> Graph:
+    """The subgraph of g induced by its vertices of core number >= 3."""
+    alive, deg = set(g.vertices), [len(row) for row in g.adj]
+    low = [v for v in g.vertices if deg[v] < 3]
+    while low:
+        v = low.pop()
+        if v in alive:
+            alive.discard(v)
+            for w in g.adj[v]:
+                deg[w] -= 1
+                if deg[w] < 3:
+                    low.append(w)
+    return induced_subgraph(g, alive)[0]
+
+
+def connectivity_digest() -> tuple:
+    rng = random.Random(23)
+    graphs = [_relabelled(g.n, sorted(g.edges), rng) for n in range(4, 8) for g in enumerate_small(n)]
+    graphs += [generalized_petersen(n, k) for n in range(5, 41) for k in range(1, (n + 1) // 2)]
+    for a in range(4, 13):
+        for b in range(4, 13):
+            # rim vertices 1 and 3 of a wheel and outer vertices 0 and 2 of GP(n, k) are not adjacent
+            graphs.append(_glued_on_pair(wheel_graph(a), 1, 3, wheel_graph(b), 1, 3))
+            gp = generalized_petersen(a + 1, 1 + b % (a // 2))
+            graphs.append(_glued_on_pair(gp, 0, 2, wheel_graph(b), 1, 3))
+            graphs.append(_glued_on_pair(gp, 0, 2, gp, 0, 2))
+    for a in range(4, 15):
+        for b in range(a, 15):
+            for shared in (1, 2):
+                second = [*range(shared), *range(a, a + b - shared)]
+                edges = _clique_edges(range(a)) + _clique_edges(second)
+                graphs.append(_relabelled(a + b - shared, edges, rng))
+    for n in (20, 40, 60, 100, 200, 300):
+        for c in (4, 6, 10):
+            core = _three_core(Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                               if rng.random() < c / n]))
+            if core.n < 4:
+                continue
+            graphs.append(core)
+            y = next((v for v in range(1, core.n) if not core.has_edge(0, v)), None)
+            if y is not None:
+                graphs.append(_glued_on_pair(core, 0, y, core, 0, y))
+    m = hashlib.sha256()
+    classes = collections.Counter()
+    for g in graphs:
+        what = []
+        for k in (1, 2, 3):
+            try:
+                cut = connectivity_cut(g, k)
+                what.append(None if cut is None else tuple(sorted(cut)))
+            except GraphError as exc:
+                what.append(str(exc))
+        what.append(_connectivity(g))
+        classes[what[-1]] += 1
+        m.update(repr(what).encode())
+    counts = ", ".join(f"{classes[c]} of class {c}" for c in sorted(classes))
+    return m.hexdigest(), f"{len(graphs)} graphs: {counts}"
+
+
 def flows_digest() -> tuple:
     graphs = [g for n in range(2, 7) for g in enumerate_small(n)]
     rng = random.Random(18)
@@ -353,12 +442,13 @@ def main() -> int:
         ("validate", validate_digest),
         ("reduce", reduce_digest),
         ("levels", levels_digest),
+        ("connectivity", connectivity_digest),
     )
     for name, fn in digests:
         digest, what = fn()
         ok = digest == PINNED[name]
         bad += [] if ok else [name]
-        print(f"{name:8} {digest}  {'ok' if ok else 'DIFFERS'}  ({what})")
+        print(f"{name:12} {digest}  {'ok' if ok else 'DIFFERS'}  ({what})")
     return 1 if bad else 0
 
 

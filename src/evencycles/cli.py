@@ -198,8 +198,6 @@ SWEEP_COLUMNS = [
 
 
 def _connectivity_class(g: Graph) -> str:
-    if g.n == 0:
-        return "disconnected"
     return ("disconnected", "connected", "2-connected", "3-connected")[_connectivity(g)]
 
 

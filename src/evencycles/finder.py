@@ -1199,8 +1199,6 @@ def _peel(h: Graph, deg: list) -> set:
     first deletion that may disconnect h (degree 2, neighbours apart).  deg
     is the degree list of h; it is read, not changed."""
     keep = set(h.vertices)
-    if min(deg) > 2:
-        return keep
     deg = deg[:]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)

@@ -309,7 +309,7 @@ def _filter(tag: Optional[str]):
         d = int(digits)
         return lambda g: all(g.degree(v) >= d for v in g.vertices)
     if tag == "3-connected":
-        return lambda g: g.n > 3 and _connectivity(g) == 3
+        return lambda g: _connectivity(g) == 3
     if tag == "density":
         return lambda g: 2 * g.e >= 5 * (g.n - 1)
     raise GraphError(f"unknown filter tag {tag!r}")

@@ -443,6 +443,13 @@ class Block:
     vertices: frozenset
     edges: frozenset
 
+    @classmethod
+    def _trusted(cls, vertices: frozenset, edges: frozenset) -> "Block":
+        """A block read off a valid graph, set without the dataclass __init__."""
+        b = object.__new__(cls)
+        b.__dict__.update(vertices=vertices, edges=edges)
+        return b
+
     def is_k5(self) -> bool:
         return len(self.vertices) == 5 and len(self.edges) == 10
 
@@ -533,24 +540,20 @@ def _decomposition(closed: list, cuts) -> BlockDecomposition:
     for vs, _ in closed:
         vs.sort()
     closed.sort(key=lambda c: c[0])
-    out = tuple([Block(frozenset(vs), frozenset(es)) for vs, es in closed])
+    out = tuple([Block._trusted(frozenset(vs), frozenset(es)) for vs, es in closed])
     return BlockDecomposition(out, frozenset(cuts))
 
 
 def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
     """Smallest cut vertex of the connected graph g - skip, or None."""
-    if g.n - (skip is not None) < 3:
-        return None
-    return _cut_search(g, skip)[0]
+    return _cut_search(g, skip)[0] if g.n - (skip is not None) >= 3 else None
 
 
 def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
     """(smallest cut vertex or None, number of vertices reached) for the
     component of g - skip that holds its smallest vertex, with the edge xy
-    added if extra = (x, y).  It keeps no edge stack: a caller that needs
-    the blocks themselves runs `_block_search`.
-
-    One iterative low-point depth-first search.  `skip` gets a discovery
+    added if extra = (x, y): one iterative low-point depth-first search
+    (`_palm_tree` answers for g itself).  `skip` gets a discovery
     time above every real one, so the search neither enters it nor lowers a
     low point through it, and g - skip is never built; `extra` is read as
     one more entry in the rows of x and y, so g + xy is not built either.
@@ -560,15 +563,12 @@ def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
         x, y = extra
         adj = list(adj)
         adj[x], adj[y] = adj[x] + (y,), adj[y] + (x,)
-    disc = [0] * g.n
-    low = [0] * g.n
+    disc, low = [0] * g.n, [0] * g.n
     if skip is not None:
         disc[skip] = g.n + 1
     root = 1 if skip == 0 else 0
     disc[root] = low[root] = 1
-    timer = 2
-    root_children = 0
-    best = None
+    timer, root_children, best = 2, 0, None
     stack = [(root, -1, iter(adj[root]))]
     while stack:
         v, parent, it = stack[-1]
@@ -594,160 +594,159 @@ def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
     return best, timer - 1
 
 
-_EOS = (0, -1, 0)  # end-of-stack mark on the triple stack; its a matches no vertex
+def _palm_tree(g: Graph) -> tuple:
+    """(num, parent, lowpt1, lowpt2, nd, order, cut) of the depth-first
+    search of g from 0: preorder numbers from 1 (0: not reached), tree
+    parents (-1: none), the two low points, subtree sizes, the reached
+    vertices in preorder, and the smallest cut vertex or None.  Of num[v]
+    and the ends of the fronds out of the subtree of v, lowpt1[v] is the
+    least and lowpt2[v] the least other than lowpt1[v], or num[v]
+    (Hopcroft-Tarjan).  A non-root v is a cut vertex iff a child w has
+    lowpt1[w] >= num[v], the root iff it has two children.  O(n + m)."""
+    n, adj = g.n, g.adj
+    num, parent, low1, low2, nd = [0] * n, [-1] * n, [0] * n, [0] * n, [1] * n
+    if not n:
+        return num, parent, low1, low2, nd, [], None
+    order, cut = [0], n
+    t = num[0] = low1[0] = low2[0] = 1  # the root's lowpt2 is 1 by definition
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, p, it = stack[-1]
+        for w in it:
+            x = num[w]
+            if not x:
+                parent[w] = v
+                order.append(w)
+                t += 1
+                num[w] = low1[w] = low2[w] = t
+                stack.append((w, v, iter(adj[w])))
+                break
+            # a frond up from v; an arc to a descendant has x > num[v] >= lowpt2
+            if x < low2[v] and w != p:
+                if x < low1[v]:
+                    low2[v] = low1[v]
+                    low1[v] = x
+                elif x > low1[v]:
+                    low2[v] = x
+        else:
+            stack.pop()
+            if p < 0:
+                continue
+            nd[p] += nd[v]
+            l1, l2, p1 = low1[v], low2[v], low1[p]
+            if l1 < p1:
+                low1[p] = l1
+                low2[p] = p1 if p1 < l2 else l2
+            elif l1 == p1:
+                if l2 < low2[p]:
+                    low2[p] = l2
+            elif l1 < low2[p]:
+                low2[p] = l1
+            if l1 >= num[p] and 0 < p < cut:
+                cut = p
+    root_cut = t > 1 and nd[order[1]] < t - 1  # the root has a second child
+    return num, parent, low1, low2, nd, order, 0 if root_cut else (cut if cut < n else None)
 
 
-def _has_separation_pair(g: Graph) -> bool:
-    """Whether the 2-connected simple graph g has a separation pair.
+def _has_separation_pair(g: Graph, palm: Optional[tuple] = None) -> bool:
+    """Whether the 2-connected simple graph g has a separation pair; palm
+    is `_palm_tree(g)` if the caller has it.
 
     Hopcroft-Tarjan ("Dividing a graph into triconnected components",
-    SIAM J. Comput. 1973), as corrected by Gutwenger-Mutzel ("A linear time
-    implementation of SPQR-trees", GD 2000), up to the first split.  A
-    depth-first search gives the palm tree with preorder numbers, lowpt1,
-    lowpt2 and subtree sizes ND; the arcs out of each vertex are ordered by
-    phi; the path finder renumbers the vertices so that the children visited
-    first get the highest numbers, marks the arcs that start a path and the
-    first frond into each vertex (high); the path search then runs the
-    type-1 and type-2 checks on its triple stack (h, a, b).  The graph is
-    unchanged until the first split, so the search returns at the first
-    pair it finds and needs no split components, edge stack or multi-edge
-    case.  A vertex of degree 2 has its two neighbours as a pair (n >= 4),
-    and with none the degree-2 check of the path search never fires.
-    O(n + m).
+    SIAM J. Comput. 1973) as corrected by Gutwenger-Mutzel (GD 2000), up to
+    the first split, so with no split components: arcs ordered by phi, a
+    path finder for the new numbers (children visited first get the
+    highest) and the first frond into each vertex (high), and the path
+    search with the type-1 and type-2 checks on its triple stack (h, a, b),
+    in original ids with h and a new numbers (two vertices on one tree path
+    compare alike in either numbering).  A vertex of degree 2 has its
+    neighbours as a pair (n >= 4), so there is no degree-2 check.  O(n + m).
     """
     n, adj = g.n, g.adj
     if n < 4:
         return False
     if any(len(ns) == 2 for ns in adj):
         return True
+    num, parent, low1, low2, nd, order, _ = palm or _palm_tree(g)
 
-    # palm tree: preorder numbers 1..n, then low points and ND bottom-up
-    num, parent = [0] * n, [-1] * n
-    order = [0]
-    num[0] = 1
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if num[w] == 0:
-                parent[w] = v
-                num[w] = len(order) + 1
-                order.append(w)
-                stack.append((w, iter(adj[w])))
-                break
-        else:
-            stack.pop()
-    low1, low2, nd = num[:], num[:], [1] * n
-    for v in reversed(order):
-        l1, l2 = low1[v], low2[v]
-        for w in adj[v]:
-            if parent[w] == v:
-                nd[v] += nd[w]
-                vals = (low1[w], low2[w])
-            elif num[w] < num[v] and w != parent[v]:
-                vals = (num[w],)
-            else:
-                continue
-            for x in vals:
-                if x < l1:
-                    l1, l2 = x, l1
-                elif l1 < x < l2:
-                    l2 = x
-        low1[v], low2[v] = l1, l2
-
-    # arcs out of each vertex, bucket-sorted by phi
-    buckets = [[] for _ in range(3 * n + 3)]
+    # arcs out of each vertex by phi; rows are sorted and fronds differ in
+    # phi, so sorting (phi, w) keeps the order of a bucket sort
+    arcs = [()] * n
     for v in order:
+        nv, pv = num[v], parent[v]
+        keyed = []
         for w in adj[v]:
             if parent[w] == v:
-                buckets[3 * low1[w] + (2 if low2[w] >= num[v] else 0)].append((v, w))
-            elif num[w] < num[v] and w != parent[v]:
-                buckets[3 * num[w] + 1].append((v, w))
-    arcs = [[] for _ in range(n)]
-    for bucket in buckets:
-        for v, w in bucket:
-            arcs[v].append(w)
+                keyed.append((3 * low1[w] + (2 if low2[w] >= nv else 0), w))
+            elif num[w] < nv and w != pv:
+                keyed.append((3 * num[w] + 1, w))
+        arcs[v] = [w for _, w in sorted(keyed)]
 
-    # path finder: new numbers, path starts and high, all indexed by new number
-    new = [0] * n
-    new[0], count = 1, n
-    starts = [[] for _ in range(n + 1)]
-    high = [0] * (n + 1)
-    new_path = True
+    # path finder: new numbers and high.  Every non-root vertex has an arc
+    # out, so paths end with fronds and start at all arcs but the first out
+    # of a non-root vertex.
+    new, high, count = [1] + [0] * (n - 1), [0] * n, n
     stack = [(0, iter(arcs[0]))]
     while stack:
         v, it = stack[-1]
         for w in it:
-            starts[new[v]].append(new_path)
-            new_path = False
             if parent[w] == v:
                 new[w] = count - nd[w] + 1
                 stack.append((w, iter(arcs[w])))
                 break
-            if high[new[w]] == 0:
-                high[new[w]] = new[v]
-            new_path = True
+            if not high[w]:
+                high[w] = new[v]
         else:
             stack.pop()
             count -= 1
-    out, up, size = [()] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    lo1, lo2 = [0] * (n + 1), [0] * (n + 1)
-    for v in order:
-        i = new[v]
-        out[i] = tuple(new[w] for w in arcs[v])
-        up[i] = new[parent[v]] if v else 0
-        size[i] = nd[v]
-        lo1[i] = new[order[low1[v] - 1]]  # a low point is an ancestor, renumbered
-        lo2[i] = new[order[low2[v] - 1]]
 
-    # path search on the new numbers, the root being 1 with the one child 2
-    ts = [_EOS]
-    pos = [0] * (n + 1)
-    stack = [1]
+    # path search from the root 0, which has one child; eos marks the end
+    # of a segment of the triple stack, and its a and b match no vertex
+    eos = (0, -1, -1)
+    ts = [eos]
+    stack = [(0, iter(arcs[0]))]
     while stack:
-        v = stack[-1]
-        k = pos[v]
-        if k < len(out[v]):
-            w = out[v][k]
-            pos[v] = k + 1
-            tree = up[w] == v
-            if starts[v][k]:
+        v, it = stack[-1]
+        for w in it:
+            tree = parent[w] == v
+            if not v or w != arcs[v][0]:  # the arc starts a path
                 # the triples with a above the path's lowest end merge into one
-                a = lo1[w] if tree else w
+                a = new[order[low1[w] - 1]] if tree else new[w]
                 y, b = 0, None
                 while ts[-1][1] > a:
                     h, _, b = ts.pop()
                     y = max(y, h)
                 if tree:
-                    last = w + size[w] - 1
-                    ts.append((last, a, v) if b is None else (max(y, last), a, b))
-                    ts.append(_EOS)
+                    last = new[w] + nd[w] - 1
+                    ts += ((last, a, v) if b is None else (max(y, last), a, b)), eos
                 else:
-                    ts.append((v, a, v) if b is None else (y, a, b))
+                    ts.append((new[v], a, v) if b is None else (y, a, b))
             if tree:
-                stack.append(w)
-            continue
-        stack.pop()
-        if not stack:
-            break
-        w, v = v, stack[-1]
-        k = pos[v] - 1
-        # type 2: {a, b} = {v, b} for the top triple, unless b is a child of v
-        while v != 1 and ts[-1][1] == v:
-            if up[ts[-1][2]] != v:
-                return True
-            ts.pop()
-        # type 1: {lowpt1(w), v} cuts off the subtree of w
-        if lo2[w] >= v and lo1[w] < v and (up[v] != 1 or k < len(out[v]) - 1):
-            return True
-        if starts[v][k]:
-            while ts.pop() is not _EOS:
-                pass
-        while ts[-1] is not _EOS:
-            h, a, b = ts[-1]
-            if a == v or b == v or high[v] <= h:
+                stack.append((w, iter(arcs[w])))
                 break
-            ts.pop()
+        else:
+            stack.pop()
+            if not stack:
+                break
+            w, v = v, stack[-1][0]
+            nv = new[v]
+            # type 2: {a, b} = {v, b} for the top triple, unless b is a child of v
+            while v and ts[-1][1] == nv:
+                if parent[ts[-1][2]] != v:
+                    return True
+                ts.pop()
+            # type 1: {lowpt1(w), v} cuts off the subtree of w, unless v is
+            # the root's child and vw its last arc
+            if low2[w] >= num[v] > low1[w] and (parent[v] or w != arcs[v][-1]):
+                return True
+            if not v or w != arcs[v][0]:
+                while ts.pop() is not eos:
+                    pass
+            while ts[-1] is not eos:
+                h, a, b = ts[-1]
+                if a == nv or b == v or high[v] <= h:
+                    break
+                ts.pop()
     return False
 
 
@@ -757,10 +756,10 @@ def _sparse_certificate(g: Graph) -> Graph:
     3(n - 1) edges.
 
     A breadth-first search is a scan-first search, so H is a sparse
-    certificate of 3-connectivity: H is a subgraph of g with at most
-    3(n - 1) edges and kappa(H) >= min(kappa(g), 3) (Cheriyan, Kao and
-    Thurimella, "Scan-first search and sparse certificates", SIAM J. Comput.
-    1993; Nagamochi and Ibaraki, Algorithmica 1992).  O(n + m).
+    certificate of 3-connectivity: H - S has the components of g - S for
+    every set S of at most two vertices (Cheriyan, Kao and Thurimella,
+    "Scan-first search and sparse certificates", SIAM J. Comput. 1993;
+    Nagamochi and Ibaraki, Algorithmica 1992).  O(n + m).
     """
     n, adj = g.n, g.adj
     if g.e <= 3 * (n - 1):
@@ -790,33 +789,34 @@ def _sparse_certificate(g: Graph) -> Graph:
 
 
 def _connectivity(g: Graph) -> int:
-    """The size of the cut `connectivity_cut(g, 3)` returns, 3 for None,
-    and 0 if g is disconnected: the same two linear tests, without the scan
-    for the smallest separation pair."""
-    c, reached = _cut_search(g) if g.n else (None, 0)
-    if reached < g.n:
+    """0 if g is disconnected, else the size of the cut `connectivity_cut(g,
+    3)` returns (3 for None) capped at n - 1, with K1 connected: the same
+    one search, without the scan for the smallest pair."""
+    if g.n <= 1:
+        return g.n  # K0 is disconnected, K1 connected
+    h = _sparse_certificate(g)
+    palm = _palm_tree(h)
+    if len(palm[5]) < g.n:
         return 0
-    if c is not None:
+    if palm[6] is not None:
         return 1
-    return 2 if _has_separation_pair(_sparse_certificate(g)) else 3
+    return min(2 if _has_separation_pair(h, palm) else 3, g.n - 1)
 
 
-def _separation_pair(g: Graph) -> Optional[frozenset]:
-    """The smallest separation pair of the 2-connected graph g, or None.
-
-    Whether there is one is answered in O(n + m) by `_has_separation_pair`
-    on a sparse certificate of g (`_sparse_certificate`).  If there is, it
-    is {u, smallest cut vertex of g - u} for the first u whose g - u has one
-    (a cut {w, u} with w < u would have shown up at w), one depth-first
-    search of g per u: O((u + 1)(n + m)) for u the pair's smaller vertex.
-    """
-    if not _has_separation_pair(_sparse_certificate(g)):
+def _separation_pair(g: Graph, palm: Optional[tuple] = None) -> Optional[frozenset]:
+    """The smallest separation pair of the 2-connected graph g, or None;
+    palm is the palm tree of its sparse certificate H if the caller has it.
+    If `_has_separation_pair(H)`, the pair is {u, smallest cut vertex of
+    H - u} for the first u whose H - u has one, one search of H per u: a
+    cut {w, u} with w < u would have shown up at w.  O((u + 1)(n + m))."""
+    h = _sparse_certificate(g)
+    if not _has_separation_pair(h, palm):
         return None
-    for u in range(g.n - 1):
-        c = _min_cut_vertex(g, u)
+    for u in range(h.n - 1):
+        c = _min_cut_vertex(h, u)
         if c is not None:
             return frozenset([u, c])
-    return None
+    raise InternalInvariantError("a separation pair that no scan finds")
 
 
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
@@ -824,20 +824,19 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     for graphs with more than k vertices.  Supports k <= 3.
 
     The cut returned is the smallest in lexicographic order: the smallest
-    cut vertex, else (k = 3) the smallest pair.  One depth-first search asks
-    whether g is connected and which is its smallest cut vertex; a
-    2-connected g then goes to `_separation_pair`.
+    cut vertex, else (k = 3) the smallest pair.  One palm-tree search, of
+    the sparse certificate for k = 3, says whether g is connected and which
+    is its smallest cut vertex; `_separation_pair` reuses it.
     """
     if k > 3:
         raise GraphError("connectivity_cut supports k <= 3 only")
-    c, reached = _cut_search(g) if g.n else (None, 0)
-    if reached < g.n:
+    h = _sparse_certificate(g) if k == 3 else g
+    palm = _palm_tree(h)
+    if len(palm[5]) < g.n:
         raise GraphError("connectivity_cut requires a connected graph")
-    if k <= 1:
-        return None
-    if c is not None:
-        return frozenset([c])
-    return None if k == 2 else _separation_pair(g)
+    if k > 1 and palm[6] is not None:
+        return frozenset([palm[6]])
+    return _separation_pair(h, palm) if k == 3 else None
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,22 @@ class TestSweep:
             assert (r[col["oracle_agrees"]] == "") == sparse
             assert sparse or r[col["oracle_agrees"]] == "true"
 
+    def test_sweep_caps_the_class_of_small_complete_graphs(self, tmp_path, capsys):
+        # K1, K2 and K3 have no cut, yet none of them is 3-connected
+        classes = {}
+        for n in (1, 2, 3):
+            out = tmp_path / f"sweep{n}.csv"
+            assert cli.main(["sweep", f"enum:{n}", "--csv", str(out)]) == 0
+            rows = self._read(out)
+            col = {name: i for i, name in enumerate(rows[0])}
+            classes.update((r[col["graph6"]], r[col["connectivity"]]) for r in rows[1:])
+        assert {g6: classes[g6] for g6 in ("@", "A_", "Bw")} == {
+            "@": "connected",
+            "A_": "connected",
+            "Bw": "2-connected",
+        }
+        assert "3-connected" not in classes.values()
+
     def test_sweep_matches_golden_csv(self, tmp_path, capsys):
         # tests/data/sweep_enum7_density.csv: the sweep without its wall-time column
         out = tmp_path / "sweep.csv"
@@ -280,7 +296,9 @@ class TestSweep:
         for g in graphs_:
             try:
                 cut = graphs.connectivity_cut(g, 3)
-                want = "3-connected" if cut is None else ("connected", "2-connected")[len(cut) - 1]
+                # capped at n - 1, as K1-K3 have no cut, with K1 connected
+                kappa = min(3 if cut is None else len(cut), max(g.n - 1, 1))
+                want = ("connected", "2-connected", "3-connected")[kappa - 1]
             except graphs.GraphError:
                 want = "disconnected"
             classes.add(want)

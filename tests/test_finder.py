@@ -695,13 +695,26 @@ class TestMainTheorem:
                 main_theorem(g)
             assert [(name, h is g) for name, h in calls] == [("_block_search", True)], g.sorted_edges()
 
-    def test_peel_keeps_every_vertex_above_degree_two(self, monkeypatch):
-        monkeypatch.setattr(finder, "heapq", None)  # nothing can be peeled: no heap
+    @staticmethod
+    def _min_degree_3_cases():
         cases = [g for n in (6, 7) for g in enumerate_small(n, "min-degree-3")]
-        cases += [k5_path(b) for b in (2, 5, 20)] + [complete_graph(6), petersen_graph()]
-        for g in cases:
+        return cases + [k5_path(b) for b in (2, 5, 20)] + [complete_graph(6), petersen_graph()]
+
+    def test_peel_keeps_every_vertex_above_degree_two(self):
+        for g in self._min_degree_3_cases():
             deg = [g.degree(v) for v in g.vertices]
             assert finder._peel(g, deg) == set(g.vertices), g.sorted_edges()
+
+    def test_reduce_peels_only_below_degree_three(self, monkeypatch):
+        # _peel has no guard of its own: _reduce calls it only when some
+        # degree is <= 2, so a level where nothing can be peeled builds no
+        # heap; a peel graph shows that the spy sees the calls there are
+        mins = []
+        peel = finder._peel
+        monkeypatch.setattr(finder, "_peel", lambda h, deg: mins.append(min(deg)) or peel(h, deg))
+        for g in self._min_degree_3_cases() + [peel_graph(8, 6)]:
+            main_theorem(g)
+        assert mins and max(mins) <= 2
 
     def test_peel_leaves_the_degree_list(self):
         g = peel_graph(8, 6)

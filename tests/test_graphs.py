@@ -207,7 +207,9 @@ class TestPathCycle:
     def test_trusted_constructors_stay_in_the_graph_layer(self):
         # Path._trusted and Cycle._trusted skip the checks, so only the
         # methods that derive from a checked object of the same host use
-        # them, and bfs_path, whose path is read off the rows of its host
+        # them, and bfs_path, whose path is read off the rows of its host;
+        # Block._trusted only _decomposition, whose blocks the low-point
+        # search read off its host
         sites = set()
         for path in sorted(pathlib.Path(graphs.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -231,6 +233,7 @@ class TestPathCycle:
             ("graphs.py", "reverse"),
             ("graphs.py", "arc"),
             ("graphs.py", "canonical"),
+            ("graphs.py", "_decomposition"),
         }
 
     def test_cycle_arcs_and_canonical(self):
@@ -642,9 +645,92 @@ class TestConnectivityCut:
         # GP(5000, 1) has 10^4 vertices and a depth-first path through all
         assert connectivity_cut(generalized_petersen(5000, 1), 3) is None
 
+    def test_three_connectivity_is_one_palm_tree_search(self, monkeypatch):
+        # connectivity_cut(g, 3) and the class read one palm tree, of the
+        # sparse certificate of g, and run no other low-point search
+        calls = []
+        for name in ("_palm_tree", "_cut_search", "_block_search"):
+            f = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        rng = random.Random(23)
+        for g in (complete_graph(7), generalized_petersen(12, 5), relabelled(complete_bipartite(4, 7), rng)):
+            calls.clear()
+            assert connectivity_cut(g, 3) is None
+            assert calls == ["_palm_tree"], g.sorted_edges()
+            calls.clear()
+            assert graphs._connectivity(g) == 3
+            assert calls == ["_palm_tree"], g.sorted_edges()
+
+
+def palm_tree_by_definition(g: Graph, num: list, parent: list) -> tuple:
+    """lowpt1, lowpt2 and ND of the palm tree (num, parent), from the subtree
+    of each vertex and the fronds out of it."""
+    low1, low2, nd = [0] * g.n, [0] * g.n, [1] * g.n
+    for v in g.vertices:
+        if not num[v]:
+            continue
+        below = [x for x in g.vertices if num[x] and _is_descendant(parent, x, v)]
+        ends = {num[y] for x in below for y in g.adj[x] if num[y] < num[x] and y != parent[x]}
+        low1[v] = min(ends | {num[v]})
+        low2[v] = min((ends - {low1[v]}) | {num[v]})
+        nd[v] = len(below)
+    return low1, low2, nd
+
+
+def _is_descendant(parent: list, x: int, v: int) -> bool:
+    while x >= 0 and x != v:
+        x = parent[x]
+    return x == v
+
+
+class TestPalmTree:
+    """The one low-point search behind connectivity_cut(g, 3)."""
+
+    def test_palm_tree_matches_its_definition(self):
+        rng = random.Random(24)
+        cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
+        cases += [relabelled(generalized_petersen(n, k), rng) for n in (5, 8, 11) for k in (1, 2, 3) if 2 * k < n]
+        for g in cases:
+            num, parent, low1, low2, nd, order, cut = graphs._palm_tree(g)
+            assert [num[v] for v in order] == list(range(1, len(order) + 1))
+            assert (order[0], parent[0]) == (0, -1)
+            for v in order[1:]:
+                assert g.has_edge(v, parent[v]) and num[parent[v]] < num[v]
+            assert (low1, low2, nd) == palm_tree_by_definition(g, num, parent), g.sorted_edges()
+            assert (cut, len(order)) == graphs._cut_search(g), g.sorted_edges()
+
 
 class TestSparseCertificate:
     """The three-forest certificate keeps the answer of the separation-pair test."""
+
+    def test_certificate_keeps_every_cut_of_at_most_two_vertices(self):
+        # Cheriyan-Kao-Thurimella, locally: for every set S of at most two
+        # vertices H - S has the components of g - S, so H has the cut
+        # vertices and separation pairs of g, which connectivity_cut reads
+        # off H
+        rng = random.Random(25)
+        cases = [h for n in range(4, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
+        for a in range(4, 15):
+            for b in range(a, 15):
+                for shared in (1, 2):
+                    second = [*range(shared), *range(a, a + b - shared)]
+                    edges = itertools.combinations(range(a), 2)
+                    g = Graph.build(a + b - shared, [*edges, *itertools.combinations(second, 2)])
+                    cases.append(relabelled(g, rng))
+        for n in (10, 12, 16, 20, 30):
+            for p in (0.4, 0.6, 0.8, 0.95):
+                g = random_graph(n, p, rng)
+                cases += [g, relabelled(glued_on_pair(g, 0, 1, g, 2, 3), rng)]
+        sparser = 0
+        for g in cases:
+            h = graphs._sparse_certificate(g)
+            if h is g:
+                continue
+            sparser += 1
+            for size in (0, 1, 2):
+                for s in itertools.combinations(g.vertices, size):
+                    assert components(h, frozenset(s)) == components(g, frozenset(s)), (s, g.sorted_edges())
+        assert sparser >= 150
 
     def assert_certifies(self, g):
         h = graphs._sparse_certificate(g)
