@@ -255,6 +255,8 @@ def _sweep_corpus(source: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     lines = _sweep_corpus(args.corpus)
     tasks = ((i, g6, args.check_oracle) for i, g6 in enumerate(lines))
     swept = disagreements = 0

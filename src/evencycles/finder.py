@@ -26,11 +26,10 @@ from .graphs import (
     Path,
     ThetaGraph,
     _block_search,
-    _cut_search,
     _decomposition,
     _double_cover_walk,
     _menger,
-    _separation_pair,
+    _palm_tree,
     bfs_path,
     blocks,
     components,
@@ -913,7 +912,8 @@ def _long_odd_case(g, d: Cycle, fcomp) -> CyclePairCertificate:
 def _two_connected_with(g: Graph, x: int, y: int) -> bool:
     """Whether g + xy is 2-connected: one search of g that reads xy as an
     edge reaches every vertex and finds no cut vertex."""
-    return g.n >= 3 and _cut_search(g, extra=(x, y)) == (None, g.n)
+    _, _, _, order, cut = _palm_tree(g, extra=(x, y))
+    return g.n >= 3 and cut is None and len(order) == g.n
 
 
 def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
@@ -1167,7 +1167,7 @@ def _reduce(g: Graph) -> Outcome:
                 continue
             closed, cuts, _ = search
             if not cuts:  # h is 2-connected: is it 3-connected?
-                cut = _separation_pair(h)
+                cut = connectivity_cut(h, 3)
                 cert = _three_connected_pair(h) if cut is None else _two_cut(h, cut)
                 return Outcome("certificate", certificate=_lift(cert, ids, g))
             dec = _decomposition(closed, cuts)

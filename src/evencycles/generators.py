@@ -303,8 +303,8 @@ def _filter(tag: Optional[str]):
     GraphError on an unknown tag."""
     if tag is None:
         return lambda g: True
-    if tag == "connected":
-        return is_connected
+    if tag == "connected":  # K0 is disconnected, as in the sweep's class
+        return lambda g: g.n > 0 and is_connected(g)
     if tag.startswith("min-degree-") and (digits := tag.rsplit("-", 1)[1]).isdecimal():
         d = int(digits)
         return lambda g: all(g.degree(v) >= d for v in g.vertices)

@@ -486,7 +486,8 @@ def _block_search(g: Graph, roots) -> tuple:
     vertex stack and of its tree edge on the edge stack, so the block closed
     at the tree edge (p, v) is a slice of each, plus p.  A root with an empty
     row is its own K1 block, and a root is a cut vertex iff it closes more
-    than one block."""
+    than one block.  The blocks keep this search of their own: `_palm_tree`
+    and a pass that labels the blocks took about 1.2 times as long."""
     adj = g.adj
     disc = [0] * g.n
     low = [0] * g.n
@@ -544,72 +545,34 @@ def _decomposition(closed: list, cuts) -> BlockDecomposition:
     return BlockDecomposition(out, frozenset(cuts))
 
 
-def _min_cut_vertex(g: Graph, skip: Optional[int] = None) -> Optional[int]:
-    """Smallest cut vertex of the connected graph g - skip, or None."""
-    return _cut_search(g, skip)[0] if g.n - (skip is not None) >= 3 else None
-
-
-def _cut_search(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
-    """(smallest cut vertex or None, number of vertices reached) for the
-    component of g - skip that holds its smallest vertex, with the edge xy
-    added if extra = (x, y): one iterative low-point depth-first search
-    (`_palm_tree` answers for g itself).  `skip` gets a discovery
-    time above every real one, so the search neither enters it nor lowers a
-    low point through it, and g - skip is never built; `extra` is read as
-    one more entry in the rows of x and y, so g + xy is not built either.
-    """
-    adj = g.adj
+def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
+    """(num, parent, lowpt1, order, cut) of the depth-first search from the
+    smallest vertex of g - skip, with the edge xy added if extra = (x, y):
+    preorder numbers from 1 (0: not reached), tree parents (-1: none), the
+    low points, the reached vertices in preorder, and the smallest cut
+    vertex of the component searched, or None.  Of num[v] and the ends of
+    the fronds out of the subtree of v, lowpt1[v] is the least.  A non-root
+    v is a cut vertex iff a child w has lowpt1[w] >= num[v], the root iff
+    it has two children.  `skip` gets a number above every real one, so the
+    search neither enters it nor lowers a low point through it, and g - skip
+    is never built; `extra` is read as one more entry in the rows of x and
+    y, so g + xy is not built either.  O(n + m).  Only the separation-pair
+    test reads lowpt2 and ND, so `_arcs` derives them: kept here, they made
+    every search 1.3-1.4 times as dear on small graphs."""
+    n, adj = g.n, g.adj
     if extra is not None and not g.has_edge(*extra):
         x, y = extra
         adj = list(adj)
         adj[x], adj[y] = adj[x] + (y,), adj[y] + (x,)
-    disc, low = [0] * g.n, [0] * g.n
+    num, parent, low = [0] * n, [-1] * n, [0] * n
     if skip is not None:
-        disc[skip] = g.n + 1
+        num[skip] = n + 1
     root = 1 if skip == 0 else 0
-    disc[root] = low[root] = 1
-    timer, root_children, best = 2, 0, None
+    if root >= n:
+        return num, parent, low, [], None
+    order, children, cut = [root], 0, n
+    t = num[root] = low[root] = 1
     stack = [(root, -1, iter(adj[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        for w in it:
-            if disc[w] == 0:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(adj[w])))
-                break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if parent == root:
-                root_children += 1
-            elif parent >= 0:
-                if low[v] >= disc[parent] and (best is None or parent < best):
-                    best = parent
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    if root_children > 1 and (best is None or root < best):
-        best = root
-    return best, timer - 1
-
-
-def _palm_tree(g: Graph) -> tuple:
-    """(num, parent, lowpt1, lowpt2, nd, order, cut) of the depth-first
-    search of g from 0: preorder numbers from 1 (0: not reached), tree
-    parents (-1: none), the two low points, subtree sizes, the reached
-    vertices in preorder, and the smallest cut vertex or None.  Of num[v]
-    and the ends of the fronds out of the subtree of v, lowpt1[v] is the
-    least and lowpt2[v] the least other than lowpt1[v], or num[v]
-    (Hopcroft-Tarjan).  A non-root v is a cut vertex iff a child w has
-    lowpt1[w] >= num[v], the root iff it has two children.  O(n + m)."""
-    n, adj = g.n, g.adj
-    num, parent, low1, low2, nd = [0] * n, [-1] * n, [0] * n, [0] * n, [1] * n
-    if not n:
-        return num, parent, low1, low2, nd, [], None
-    order, cut = [0], n
-    t = num[0] = low1[0] = low2[0] = 1  # the root's lowpt2 is 1 by definition
-    stack = [(0, -1, iter(adj[0]))]
     while stack:
         v, p, it = stack[-1]
         for w in it:
@@ -618,45 +581,63 @@ def _palm_tree(g: Graph) -> tuple:
                 parent[w] = v
                 order.append(w)
                 t += 1
-                num[w] = low1[w] = low2[w] = t
+                num[w] = low[w] = t
                 stack.append((w, v, iter(adj[w])))
                 break
-            # a frond up from v; an arc to a descendant has x > num[v] >= lowpt2
-            if x < low2[v] and w != p:
-                if x < low1[v]:
-                    low2[v] = low1[v]
-                    low1[v] = x
-                elif x > low1[v]:
-                    low2[v] = x
+            # a frond up from v; an arc to a descendant has x > num[v] >= lowpt1
+            if x < low[v] and w != p:
+                low[v] = x
         else:
             stack.pop()
-            if p < 0:
+            if p == root:
+                children += 1
+            elif p >= 0:
+                if low[v] >= num[p] and p < cut:
+                    cut = p
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    return num, parent, low, order, root if children > 1 else (cut if cut < n else None)
+
+
+def _arcs(g: Graph, palm: tuple) -> tuple:
+    """(lowpt2, nd, arcs) of the palm tree of the connected graph g.  Of
+    num[v] and the ends of the fronds out of the subtree of v, lowpt2[v] is
+    the least other than lowpt1[v], or num[v] (Hopcroft-Tarjan); nd[v] is
+    the size of that subtree; arcs[v] lists the arcs out of v by phi.  One
+    pass in reverse preorder, so each child is finished before its parent.
+    Rows are sorted and fronds differ in phi, so sorting (phi, w) keeps the
+    order of a bucket sort."""
+    num, parent, low1, order, _ = palm
+    low2, nd, arcs = [0] * g.n, [1] * g.n, [()] * g.n
+    for v in reversed(order):
+        nv, pv, l1 = num[v], parent[v], low1[v]
+        l2, keyed = nv, []
+        for w in g.adj[v]:
+            if parent[w] == v:
+                nd[v] += nd[w]
+                x = low1[w] if low1[w] != l1 else low2[w]  # l1 <= lowpt1[w]
+                keyed.append((3 * low1[w] + (2 if low2[w] >= nv else 0), w))
+            elif num[w] < nv and w != pv:
+                x = num[w] if num[w] != l1 else nv
+                keyed.append((3 * num[w] + 1, w))
+            else:
                 continue
-            nd[p] += nd[v]
-            l1, l2, p1 = low1[v], low2[v], low1[p]
-            if l1 < p1:
-                low1[p] = l1
-                low2[p] = p1 if p1 < l2 else l2
-            elif l1 == p1:
-                if l2 < low2[p]:
-                    low2[p] = l2
-            elif l1 < low2[p]:
-                low2[p] = l1
-            if l1 >= num[p] and 0 < p < cut:
-                cut = p
-    root_cut = t > 1 and nd[order[1]] < t - 1  # the root has a second child
-    return num, parent, low1, low2, nd, order, 0 if root_cut else (cut if cut < n else None)
+            if x < l2:
+                l2 = x
+        low2[v] = l2
+        arcs[v] = [w for _, w in sorted(keyed)]
+    return low2, nd, arcs
 
 
-def _has_separation_pair(g: Graph, palm: Optional[tuple] = None) -> bool:
-    """Whether the 2-connected simple graph g has a separation pair; palm
-    is `_palm_tree(g)` if the caller has it.
+def _has_separation_pair(g: Graph, palm: tuple) -> bool:
+    """Whether the 2-connected simple graph g, whose palm tree is palm, has
+    a separation pair.
 
     Hopcroft-Tarjan ("Dividing a graph into triconnected components",
     SIAM J. Comput. 1973) as corrected by Gutwenger-Mutzel (GD 2000), up to
-    the first split, so with no split components: arcs ordered by phi, a
-    path finder for the new numbers (children visited first get the
-    highest) and the first frond into each vertex (high), and the path
+    the first split, so with no split components: arcs ordered by phi
+    (`_arcs`), a path finder for the new numbers (children visited first get
+    the highest) and the first frond into each vertex (high), and the path
     search with the type-1 and type-2 checks on its triple stack (h, a, b),
     in original ids with h and a new numbers (two vertices on one tree path
     compare alike in either numbering).  A vertex of degree 2 has its
@@ -667,20 +648,8 @@ def _has_separation_pair(g: Graph, palm: Optional[tuple] = None) -> bool:
         return False
     if any(len(ns) == 2 for ns in adj):
         return True
-    num, parent, low1, low2, nd, order, _ = palm or _palm_tree(g)
-
-    # arcs out of each vertex by phi; rows are sorted and fronds differ in
-    # phi, so sorting (phi, w) keeps the order of a bucket sort
-    arcs = [()] * n
-    for v in order:
-        nv, pv = num[v], parent[v]
-        keyed = []
-        for w in adj[v]:
-            if parent[w] == v:
-                keyed.append((3 * low1[w] + (2 if low2[w] >= nv else 0), w))
-            elif num[w] < nv and w != pv:
-                keyed.append((3 * num[w] + 1, w))
-        arcs[v] = [w for _, w in sorted(keyed)]
+    num, parent, low1, order, _ = palm
+    low2, nd, arcs = _arcs(g, palm)
 
     # path finder: new numbers and high.  Every non-root vertex has an arc
     # out, so paths end with fronds and start at all arcs but the first out
@@ -796,47 +765,40 @@ def _connectivity(g: Graph) -> int:
         return g.n  # K0 is disconnected, K1 connected
     h = _sparse_certificate(g)
     palm = _palm_tree(h)
-    if len(palm[5]) < g.n:
+    if len(palm[3]) < g.n:
         return 0
-    if palm[6] is not None:
+    if palm[4] is not None:
         return 1
     return min(2 if _has_separation_pair(h, palm) else 3, g.n - 1)
 
 
-def _separation_pair(g: Graph, palm: Optional[tuple] = None) -> Optional[frozenset]:
-    """The smallest separation pair of the 2-connected graph g, or None;
-    palm is the palm tree of its sparse certificate H if the caller has it.
-    If `_has_separation_pair(H)`, the pair is {u, smallest cut vertex of
-    H - u} for the first u whose H - u has one, one search of H per u: a
-    cut {w, u} with w < u would have shown up at w.  O((u + 1)(n + m))."""
-    h = _sparse_certificate(g)
-    if not _has_separation_pair(h, palm):
-        return None
-    for u in range(h.n - 1):
-        c = _min_cut_vertex(h, u)
-        if c is not None:
-            return frozenset([u, c])
-    raise InternalInvariantError("a separation pair that no scan finds")
-
-
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
-    for graphs with more than k vertices.  Supports k <= 3.
+    for graphs with more than k vertices.  Supports 1 <= k <= 3.
 
     The cut returned is the smallest in lexicographic order: the smallest
     cut vertex, else (k = 3) the smallest pair.  One palm-tree search, of
-    the sparse certificate for k = 3, says whether g is connected and which
-    is its smallest cut vertex; `_separation_pair` reuses it.
+    the sparse certificate H for k = 3, says whether g is connected and
+    which is its smallest cut vertex, and `_has_separation_pair` reuses it.
+    If H has a pair, it is {u, smallest cut vertex of H - u} for the first
+    u whose H - u has one, one search of H per u: a cut {w, u} with w < u
+    would have shown up at w.  O((u + 1)(n + m)).
     """
-    if k > 3:
-        raise GraphError("connectivity_cut supports k <= 3 only")
+    if not 1 <= k <= 3:
+        raise GraphError("connectivity_cut supports 1 <= k <= 3 only")
     h = _sparse_certificate(g) if k == 3 else g
     palm = _palm_tree(h)
-    if len(palm[5]) < g.n:
+    if len(palm[3]) < g.n:
         raise GraphError("connectivity_cut requires a connected graph")
-    if k > 1 and palm[6] is not None:
-        return frozenset([palm[6]])
-    return _separation_pair(h, palm) if k == 3 else None
+    if k > 1 and palm[4] is not None:
+        return frozenset([palm[4]])
+    if k < 3 or not _has_separation_pair(h, palm):
+        return None
+    for u in range(h.n - 1):
+        c = _palm_tree(h, skip=u)[4]
+        if c is not None:
+            return frozenset([u, c])
+    raise InternalInvariantError("a separation pair that no scan finds")
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,21 @@ class TestSweep:
             out, err = capsys.readouterr()
             assert out == "" and "input error" in err, spec
 
+    def test_sweep_rejects_a_job_count_below_one(self, capsys):
+        # 0 or a negative count is bad input, not a serial run
+        for jobs in ("0", "-1"):
+            assert cli.main(["sweep", "enum:5", "--jobs", jobs]) == 2, jobs
+            out, err = capsys.readouterr()
+            assert out == "" and "input error" in err and "--jobs" in err, jobs
+
+    def test_connected_filter_keeps_no_disconnected_graph(self, capsys):
+        # the filter and the sweep's class agree on K0: it is disconnected
+        for n in range(7):
+            for g in generators.enumerate_small(n, "connected"):
+                assert cli._connectivity_class(g) != "disconnected", (n, g.sorted_edges())
+        assert cli.main(["sweep", "enum:0:connected"]) == 0
+        assert "swept 0 graphs" in capsys.readouterr().out
+
     def test_sweep_counts_the_rows_it_writes(self, tmp_path, capsys):
         # a streamed enumeration has no length: the summary counts the rows
         assert cli.main(["sweep", "enum:6:density"]) == 0

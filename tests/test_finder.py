@@ -12,7 +12,7 @@ import types
 import pytest
 from conftest import even_cycle_within
 
-from evencycles import finder, graphs, oracle
+from evencycles import finder, oracle
 from evencycles.codecs import decode_graph6, encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
@@ -467,7 +467,7 @@ class TestTwoPaths:
                         if x == y:
                             continue
                         gp = g.with_edge(x, y)
-                        want = gp.n >= 3 and is_connected(gp) and graphs._min_cut_vertex(gp) is None
+                        want = gp.n >= 3 and is_connected(gp) and connectivity_cut(gp, 2) is None
                         assert finder._two_connected_with(g, x, y) == want, (encode_graph6(g), x, y)
                         agree += want
                         checked += 1
@@ -682,10 +682,10 @@ class TestMainTheorem:
         class Stop(Exception):
             pass
 
-        def stop(h):
+        def stop(h, k):
             raise Stop
 
-        monkeypatch.setattr(finder, "_separation_pair", stop)
+        monkeypatch.setattr(finder, "connectivity_cut", stop)
         calls = []
         self._watch(monkeypatch, calls, names=("_block_search", "components"))
         rng = random.Random(22)

@@ -12,7 +12,7 @@ try:
 except ImportError:  # the networkx cross-checks are skipped without it
     nx = None
 
-from evencycles import graphs, oracle
+from evencycles import finder, graphs, oracle
 from evencycles.generators import (
     complete_bipartite,
     complete_graph,
@@ -417,7 +417,7 @@ def smallest_cut_by_pairs(g: Graph, k: int):
 
 def has_pair_by_scans(g: Graph) -> bool:
     """Reference for _has_separation_pair: some g - u has a cut vertex."""
-    return any(graphs._min_cut_vertex(g, u) is not None for u in g.vertices)
+    return any(graphs._palm_tree(g, skip=u)[4] is not None for u in g.vertices)
 
 
 def k5_star(b: int, hub: int) -> Graph:
@@ -515,6 +515,13 @@ class TestConnectivityCut:
             for k in (1, 2, 3):
                 assert connectivity_cut(g, k) is None
 
+    def test_rejects_k_outside_1_to_3(self):
+        # None would certify k-connectedness, which means nothing for k <= 0
+        for g in (complete_graph(4), cycle_graph(5), Graph(2, frozenset())):
+            for k in (0, -1, 4):
+                with pytest.raises(GraphError, match="1 <= k <= 3"):
+                    connectivity_cut(g, k)
+
     @pytest.mark.parametrize("n", range(3, 16))
     def test_cycles(self, n):
         g = cycle_graph(n)
@@ -541,7 +548,7 @@ class TestConnectivityCut:
         if nx is not None and g.n <= 120:
             assert (nx.node_connectivity(nx.Graph(list(g.edges))) >= 3) == (not want)
         for h in [g] + [relabelled(g, rng) for _ in range(3)]:
-            assert graphs._has_separation_pair(h) == want, h.sorted_edges()
+            assert graphs._has_separation_pair(h, graphs._palm_tree(h)) == want, h.sorted_edges()
             if cut_reference:
                 assert connectivity_cut(h, 3) == smallest_cut_by_pairs(h, 3), h.sorted_edges()
         return want
@@ -555,7 +562,7 @@ class TestConnectivityCut:
                     continue
                 want = has_pair_by_scans(g)
                 for h in (g, relabelled(g, rng), relabelled(g, rng), relabelled(g, rng)):
-                    assert graphs._has_separation_pair(h) == want, h.sorted_edges()
+                    assert graphs._has_separation_pair(h, graphs._palm_tree(h)) == want, h.sorted_edges()
                 counts[want] += 1
         # OEIS A002218 (2-connected) and A006290 (3-connected), orders 3..8
         assert counts[False] == 1 + 1 + 3 + 17 + 136 + 2388
@@ -619,8 +626,8 @@ class TestConnectivityCut:
         assert seen == {False, True}
 
     def test_block_search_answers_as_the_cut_search(self):
-        # from vertex 0, the block search reaches what the cut search
-        # reaches, its smallest cut vertex is the one the cut search finds,
+        # from vertex 0, the block search reaches what the palm tree
+        # reaches, its smallest cut vertex is the one the palm tree finds,
         # and each cut vertex it closes separates g
         rng = random.Random(21)
         cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
@@ -635,7 +642,8 @@ class TestConnectivityCut:
         seen = set()
         for g in cases:
             _, cuts, reached = graphs._block_search(g, (0,))
-            assert (min(cuts, default=None), reached) == graphs._cut_search(g), g.sorted_edges()
+            _, _, _, order, cut = graphs._palm_tree(g)
+            assert (min(cuts, default=None), reached) == (cut, len(order)), g.sorted_edges()
             for c in cuts:
                 assert len(components(g, frozenset([c]))) > len(components(g)), (c, g.sorted_edges())
             seen.add(not cuts)
@@ -649,7 +657,7 @@ class TestConnectivityCut:
         # connectivity_cut(g, 3) and the class read one palm tree, of the
         # sparse certificate of g, and run no other low-point search
         calls = []
-        for name in ("_palm_tree", "_cut_search", "_block_search"):
+        for name in ("_palm_tree", "_block_search"):
             f = getattr(graphs, name)
             monkeypatch.setattr(graphs, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
         rng = random.Random(23)
@@ -660,6 +668,30 @@ class TestConnectivityCut:
             calls.clear()
             assert graphs._connectivity(g) == 3
             assert calls == ["_palm_tree"], g.sorted_edges()
+
+    def test_pair_scan_is_one_palm_tree_search_per_vertex(self, monkeypatch):
+        # the smallest pair {u, c} costs one search of the certificate and
+        # then one search of it minus each vertex up to u; the path theorem's
+        # test of g + xy is one search
+        calls, palm_tree = [], graphs._palm_tree
+        for module in (graphs, finder):
+            monkeypatch.setattr(module, "_palm_tree", lambda *a, **kw: calls.append(a) or palm_tree(*a, **kw))
+        rng = random.Random(26)
+        scanned = set()
+        for a, b in [(4, 4), (5, 7), (8, 6)]:
+            # rim vertices 1 and 3 of a wheel are not adjacent
+            glued = glued_on_pair(wheel_graph(a), 1, 3, wheel_graph(b), 1, 3)
+            for g in [glued] + [relabelled(glued, rng) for _ in range(4)]:
+                calls.clear()
+                cut = connectivity_cut(g, 3)
+                assert cut is not None and len(cut) == 2
+                assert len(calls) == min(cut) + 2, (cut, g.sorted_edges())
+                scanned.add(min(cut))
+                x, y = sorted(cut)
+                calls.clear()
+                assert finder._two_connected_with(g, x, y)
+                assert len(calls) == 1
+        assert len(scanned) > 2
 
 
 def palm_tree_by_definition(g: Graph, num: list, parent: list) -> tuple:
@@ -677,6 +709,15 @@ def palm_tree_by_definition(g: Graph, num: list, parent: list) -> tuple:
     return low1, low2, nd
 
 
+def smallest_cut_vertex_of_component(g: Graph, removed: frozenset, s: int):
+    """The smallest vertex whose removal splits the component of g - removed
+    that holds s, or None: by the components of that component minus each
+    vertex."""
+    comp = next((c for c in components(g, removed) if s in c), ())
+    rest = removed | (frozenset(g.vertices) - frozenset(comp))
+    return next((v for v in comp if len(components(g, rest | {v})) > 1), None)
+
+
 def _is_descendant(parent: list, x: int, v: int) -> bool:
     while x >= 0 and x != v:
         x = parent[x]
@@ -687,17 +728,33 @@ class TestPalmTree:
     """The one low-point search behind connectivity_cut(g, 3)."""
 
     def test_palm_tree_matches_its_definition(self):
+        # the low points (lowpt2 and ND from the arc pass) and the cut
+        # vertex of the search from 0, and on connected graphs the cut
+        # vertex of the search of each g - u, against their definitions
         rng = random.Random(24)
         cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
         cases += [relabelled(generalized_petersen(n, k), rng) for n in (5, 8, 11) for k in (1, 2, 3) if 2 * k < n]
+        skipped = 0
         for g in cases:
-            num, parent, low1, low2, nd, order, cut = graphs._palm_tree(g)
+            palm = graphs._palm_tree(g)
+            num, parent, low1, order, cut = palm
+            low2, nd, _ = graphs._arcs(g, palm)
             assert [num[v] for v in order] == list(range(1, len(order) + 1))
             assert (order[0], parent[0]) == (0, -1)
             for v in order[1:]:
                 assert g.has_edge(v, parent[v]) and num[parent[v]] < num[v]
             assert (low1, low2, nd) == palm_tree_by_definition(g, num, parent), g.sorted_edges()
-            assert (cut, len(order)) == graphs._cut_search(g), g.sorted_edges()
+            assert cut == smallest_cut_vertex_of_component(g, frozenset(), 0), g.sorted_edges()
+            if g.n > 7 or len(order) < g.n:
+                continue
+            for u in g.vertices:
+                _, _, _, order, cut = graphs._palm_tree(g, skip=u)
+                start = 1 if u == 0 else 0
+                comp = next((c for c in components(g, frozenset([u])) if start in c), ())
+                assert sorted(order) == list(comp), (u, g.sorted_edges())
+                assert cut == smallest_cut_vertex_of_component(g, frozenset([u]), start), (u, g.sorted_edges())
+                skipped += 1
+        assert skipped == 2 * sum(n * count for n, count in enumerate((0, 1, 1, 2, 6, 21, 112, 853)))
 
 
 class TestSparseCertificate:
@@ -736,8 +793,8 @@ class TestSparseCertificate:
         h = graphs._sparse_certificate(g)
         assert h.n == g.n and h.edges <= g.edges and h.e <= 3 * (g.n - 1)
         assert h.adj == Graph(h.n, h.edges).adj
-        want = graphs._has_separation_pair(g)
-        assert graphs._has_separation_pair(h) == want, g.sorted_edges()
+        want = graphs._has_separation_pair(g, graphs._palm_tree(g))
+        assert graphs._has_separation_pair(h, graphs._palm_tree(h)) == want, g.sorted_edges()
         return want
 
     def test_2_connected_graphs_to_order_7(self):

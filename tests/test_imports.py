@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private helper it defines is read somewhere in the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -37,3 +39,40 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_defs(sources: dict) -> list:
+    """(module, name) of each module-level private function or class of the
+    modules in `sources` (name -> source) that no expression of any of them
+    reads outside the definition itself."""
+
+    def reads(tree) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    everywhere = sum(map(reads, trees.values()), Counter())
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == reads(node)[node.name]
+    )
+
+
+def test_detects_a_dead_private_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\nclass _Dead:\n    pass\n",
+        "b": "from a import _used, _Dead\n\ndef public():\n    return a._used()\n",
+    }
+    assert dead_private_defs(sources) == [("a", "_Dead"), ("a", "_recursive")]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_defs({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
