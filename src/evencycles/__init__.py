@@ -8,7 +8,6 @@ from .graphs import (
     GraphError,
     InternalInvariantError,
     Path,
-    ThetaGraph,
     blocks,
     connectivity_cut,
     disjoint_paths,

@@ -24,7 +24,6 @@ from .graphs import (
     GraphError,
     InternalInvariantError,
     Path,
-    ThetaGraph,
     _block_search,
     _decomposition,
     _double_cover_walk,
@@ -92,28 +91,25 @@ class K5BlockWitness:
         return K5BlockWitness(blocks(g), g.n, g.e)
 
 
-# Outcome kind -> the one field that an Outcome of that kind populates
-_OUTCOME_FIELD = {
-    "certificate": "certificate",
-    "k5-witness": "witness",
-    "hypothesis-failure": "failure",
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Outcome:
     """Trichotomy of the main theorem: certificate, K5-block witness, or
-    a structured hypothesis-failure report."""
+    a structured hypothesis-failure report.  Exactly one variant is set,
+    and it names the kind."""
 
-    kind: str  # a key of _OUTCOME_FIELD
     certificate: Optional[CyclePairCertificate] = None
     witness: Optional[K5BlockWitness] = None
     failure: Optional[HypothesisFailure] = None
 
     def __post_init__(self):
-        populated = [f for f in _OUTCOME_FIELD.values() if getattr(self, f) is not None]
-        if populated != [_OUTCOME_FIELD.get(self.kind)]:
-            raise GraphError(f"Outcome {self.kind!r} must populate exactly its own variant")
+        if sum(f is not None for f in (self.certificate, self.witness, self.failure)) != 1:
+            raise GraphError("an Outcome must populate exactly one variant")
+
+    @property
+    def kind(self) -> str:
+        if self.certificate is not None:
+            return "certificate"
+        return "k5-witness" if self.witness is not None else "hypothesis-failure"
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +159,7 @@ def _ear_even_cycle(c: Cycle, p: Path) -> Cycle:
     """The even cycle in c plus the path p, which joins two vertices of c
     and is otherwise disjoint from it."""
     u, v = p.start, p.end
-    return theta_even_cycle(ThetaGraph.build(u, v, [c.arc(u, v), c.arc(v, u), p]))
+    return theta_even_cycle([c.arc(u, v), c.arc(v, u), p])
 
 
 def _mapped(p, ids, host: Graph):
@@ -528,6 +524,7 @@ def _pair_b_branches(g, c, d, qd, fset) -> CyclePairCertificate:
 def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCertificate:
     """Certificate from an even cycle b and odd cycle d sharing exactly u, in
     a 3-connected graph g."""
+    b, d = Cycle(g, b.vertices), Cycle(g, d.vertices)  # checked as cycles of g
     if b.length % 2 != 0 or d.length % 2 != 1:
         raise GraphError("need an even b and an odd d")
     if b.vertex_set() & d.vertex_set() != {u}:
@@ -776,7 +773,7 @@ def _theta_into_tree(g, v: int, ws, comp) -> Cycle:
     _require(len(meet) == 1, "tree median of three vertices is unique")
     m = next(iter(meet))
     paths = [Path(g, (v,) + tree_path(parent, w, m)) for w in ws]
-    return theta_even_cycle(ThetaGraph.build(v, m, paths))
+    return theta_even_cycle(paths)
 
 
 def _tree_leaves(g, comp) -> list:
@@ -912,8 +909,8 @@ def _long_odd_case(g, d: Cycle, fcomp) -> CyclePairCertificate:
 def _two_connected_with(g: Graph, x: int, y: int) -> bool:
     """Whether g + xy is 2-connected: one search of g that reads xy as an
     edge reaches every vertex and finds no cut vertex."""
-    _, _, _, order, cut = _palm_tree(g, extra=(x, y))
-    return g.n >= 3 and cut is None and len(order) == g.n
+    _, _, _, reached, cut = _palm_tree(g, extra=(x, y))
+    return g.n >= 3 and cut is None and reached == g.n
 
 
 def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
@@ -1111,10 +1108,10 @@ def main_theorem(g: Graph) -> Outcome:
     cut vertex into its blocks at once, so a tree of K5 blocks costs one
     low-point search and one pass over its blocks."""
     if g.n == 0:
-        return Outcome("hypothesis-failure", failure=HypothesisFailure("order", "empty graph"))
+        return Outcome(failure=HypothesisFailure("order", "empty graph"))
     if 2 * g.e < 5 * (g.n - 1):
         detail = f"e = {g.e} < 5(n-1)/2 = {5 * (g.n - 1) / 2}"
-        return Outcome("hypothesis-failure", failure=HypothesisFailure("density", detail))
+        return Outcome(failure=HypothesisFailure("density", detail))
     return _reduce(g)
 
 
@@ -1169,7 +1166,7 @@ def _reduce(g: Graph) -> Outcome:
             if not cuts:  # h is 2-connected: is it 3-connected?
                 cut = connectivity_cut(h, 3)
                 cert = _three_connected_pair(h) if cut is None else _two_cut(h, cut)
-                return Outcome("certificate", certificate=_lift(cert, ids, g))
+                return Outcome(certificate=_lift(cert, ids, g))
             dec = _decomposition(closed, cuts)
             others = [b for b in dec.blocks if not b.is_k5()]
             dense = next((b for b in others if 2 * len(b.edges) >= 5 * (len(b.vertices) - 1)), None)
@@ -1183,14 +1180,14 @@ def _reduce(g: Graph) -> Outcome:
             wit = K5BlockWitness.build(h)
         _require(no_witness is None, no_witness)
         if edge is None:
-            return Outcome("k5-witness", witness=wit)
+            return Outcome(witness=wit)
         # the pair that uv creates is in the blocks of G[s] around it
         nbrs = set(g.adj[edge[0]]) | set(g.adj[edge[1]])
         blks = ({ids[w] for w in b.vertices} for b in wit.decomposition.blocks)
         sub, ids = induced_subgraph(g, set(edge).union(*(b for b in blks if b & nbrs)))
         cert = oracle.find_consecutive_even_pair_bf(sub, sub.n)
         _require(cert is not None, "reinserted edge must create a consecutive even pair")
-        return Outcome("certificate", certificate=_lift(cert, ids, g))
+        return Outcome(certificate=_lift(cert, ids, g))
 
 
 def _peel(h: Graph, deg: list) -> set:

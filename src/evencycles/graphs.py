@@ -236,51 +236,23 @@ def cycle_from_paths(p: Path, q: Path) -> Cycle:
     return Cycle(p.graph, p.vertices + q.vertices[1:-1])
 
 
-@dataclass(frozen=True)
-class ThetaGraph:
-    """Three internally vertex-disjoint paths between two branch vertices."""
-
-    u: int
-    v: int
-    paths: tuple  # three Paths, each oriented u -> v
-
-    def __post_init__(self):
-        if len(self.paths) != 3:
-            raise GraphError("theta-graph needs exactly three paths")
-        seen = set()
-        short = 0
-        for p in self.paths:
-            if (p.start, p.end) != (self.u, self.v):
-                raise GraphError("theta path not oriented u -> v")
-            inner = set(p.vertices[1:-1])
-            if inner & seen:
-                raise GraphError("theta paths not internally disjoint")
-            seen |= inner
-            if p.length == 1:
-                short += 1
-        if short > 1:
-            raise GraphError("more than one length-1 path in theta-graph")
-
-    @staticmethod
-    def build(u: int, v: int, paths: Sequence[Path]) -> "ThetaGraph":
-        oriented = []
-        for p in paths:
-            if p.start == v:
-                p = p.reverse()
-            oriented.append(p)
-        return ThetaGraph(u, v, tuple(oriented))
-
-
-def theta_even_cycle(t: ThetaGraph) -> Cycle:
-    """The even cycle guaranteed inside a theta-graph.
+def theta_even_cycle(paths: Sequence[Path]) -> Cycle:
+    """The even cycle guaranteed inside a theta-graph: three internally
+    vertex-disjoint paths, in either orientation, between its two branch
+    vertices, the paths' ends.
 
     Among the three pairwise-union cycles (lengths a+b, a+c, b+c) at least
     one is even; ties break by shortest, then least canonical sequence.
+    Building the three cycles checks the theta: a shared inner vertex
+    repeats a vertex, two one-edge paths make a 2-cycle, and mismatched
+    ends fail `cycle_from_paths`.
     """
+    if len(paths) != 3:
+        raise GraphError("theta-graph needs exactly three paths")
     cands = []
     for i in range(3):
         for j in range(i + 1, 3):
-            c = cycle_from_paths(t.paths[i], t.paths[j].reverse())
+            c = cycle_from_paths(paths[i], paths[j])
             if c.length % 2 == 0:
                 cc = c.canonical()
                 cands.append((cc.length, cc.vertices, cc))
@@ -354,6 +326,9 @@ def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path
 def spanning_tree(g: Graph, vertices) -> dict:
     """BFS spanning tree of the (connected) induced subgraph; parent map, root -> None."""
     vs = sorted(vertices)
+    if not vs:
+        raise GraphError("spanning_tree of an empty vertex set")
+    _check_ids(g, vs)
     allowed = set(vs)
     root = vs[0]
     parent = {root: None}
@@ -546,19 +521,20 @@ def _decomposition(closed: list, cuts) -> BlockDecomposition:
 
 
 def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
-    """(num, parent, lowpt1, order, cut) of the depth-first search from the
-    smallest vertex of g - skip, with the edge xy added if extra = (x, y):
+    """(num, parent, lowpt1, reached, cut) of the depth-first search from
+    the smallest vertex of g - skip, with the edge xy added if extra = (x, y):
     preorder numbers from 1 (0: not reached), tree parents (-1: none), the
-    low points, the reached vertices in preorder, and the smallest cut
-    vertex of the component searched, or None.  Of num[v] and the ends of
-    the fronds out of the subtree of v, lowpt1[v] is the least.  A non-root
+    low points, how many vertices it reached, and the smallest cut vertex
+    of the component searched, or None.  Of num[v] and the ends of the
+    fronds out of the subtree of v, lowpt1[v] is the least.  A non-root
     v is a cut vertex iff a child w has lowpt1[w] >= num[v], the root iff
     it has two children.  `skip` gets a number above every real one, so the
     search neither enters it nor lowers a low point through it, and g - skip
     is never built; `extra` is read as one more entry in the rows of x and
     y, so g + xy is not built either.  O(n + m).  Only the separation-pair
-    test reads lowpt2 and ND, so `_arcs` derives them: kept here, they made
-    every search 1.3-1.4 times as dear on small graphs."""
+    test reads lowpt2, ND and the preorder, so `_arcs` derives them: kept
+    here, lowpt2 and ND made every search 1.3-1.4 times as dear on small
+    graphs."""
     n, adj = g.n, g.adj
     if extra is not None and not g.has_edge(*extra):
         x, y = extra
@@ -569,8 +545,8 @@ def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
         num[skip] = n + 1
     root = 1 if skip == 0 else 0
     if root >= n:
-        return num, parent, low, [], None
-    order, children, cut = [root], 0, n
+        return num, parent, low, 0, None
+    children, cut = 0, n
     t = num[root] = low[root] = 1
     stack = [(root, -1, iter(adj[root]))]
     while stack:
@@ -579,7 +555,6 @@ def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
             x = num[w]
             if not x:
                 parent[w] = v
-                order.append(w)
                 t += 1
                 num[w] = low[w] = t
                 stack.append((w, v, iter(adj[w])))
@@ -596,18 +571,24 @@ def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
                     cut = p
                 if low[v] < low[p]:
                     low[p] = low[v]
-    return num, parent, low, order, root if children > 1 else (cut if cut < n else None)
+    return num, parent, low, t, root if children > 1 else (cut if cut < n else None)
 
 
 def _arcs(g: Graph, palm: tuple) -> tuple:
-    """(lowpt2, nd, arcs) of the palm tree of the connected graph g.  Of
-    num[v] and the ends of the fronds out of the subtree of v, lowpt2[v] is
-    the least other than lowpt1[v], or num[v] (Hopcroft-Tarjan); nd[v] is
-    the size of that subtree; arcs[v] lists the arcs out of v by phi.  One
-    pass in reverse preorder, so each child is finished before its parent.
-    Rows are sorted and fronds differ in phi, so sorting (phi, w) keeps the
-    order of a bucket sort."""
-    num, parent, low1, order, _ = palm
+    """(lowpt2, nd, arcs, order) of the palm tree of the connected graph g.
+    Of num[v] and the ends of the fronds out of the subtree of v, lowpt2[v]
+    is the least other than lowpt1[v], or num[v] (Hopcroft-Tarjan); nd[v] is
+    the size of that subtree; arcs[v] lists the arcs out of v by phi; order
+    lists the reached vertices (0 < num[v] <= reached, so not skip) in
+    preorder, rebuilt from num by one bucket pass.  One pass in reverse
+    preorder, so each child is finished before its parent.  Rows are sorted
+    and fronds differ in phi, so sorting (phi, w) keeps the order of a
+    bucket sort."""
+    num, parent, low1, reached, _ = palm
+    order = [0] * reached
+    for v, x in enumerate(num):
+        if 0 < x <= reached:
+            order[x - 1] = v
     low2, nd, arcs = [0] * g.n, [1] * g.n, [()] * g.n
     for v in reversed(order):
         nv, pv, l1 = num[v], parent[v], low1[v]
@@ -626,7 +607,7 @@ def _arcs(g: Graph, palm: tuple) -> tuple:
                 l2 = x
         low2[v] = l2
         arcs[v] = [w for _, w in sorted(keyed)]
-    return low2, nd, arcs
+    return low2, nd, arcs, order
 
 
 def _has_separation_pair(g: Graph, palm: tuple) -> bool:
@@ -648,8 +629,8 @@ def _has_separation_pair(g: Graph, palm: tuple) -> bool:
         return False
     if any(len(ns) == 2 for ns in adj):
         return True
-    num, parent, low1, order, _ = palm
-    low2, nd, arcs = _arcs(g, palm)
+    num, parent, low1 = palm[:3]
+    low2, nd, arcs, order = _arcs(g, palm)
 
     # path finder: new numbers and high.  Every non-root vertex has an arc
     # out, so paths end with fronds and start at all arcs but the first out
@@ -765,7 +746,7 @@ def _connectivity(g: Graph) -> int:
         return g.n  # K0 is disconnected, K1 connected
     h = _sparse_certificate(g)
     palm = _palm_tree(h)
-    if len(palm[3]) < g.n:
+    if palm[3] < g.n:
         return 0
     if palm[4] is not None:
         return 1
@@ -788,7 +769,7 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
         raise GraphError("connectivity_cut supports 1 <= k <= 3 only")
     h = _sparse_certificate(g) if k == 3 else g
     palm = _palm_tree(h)
-    if len(palm[3]) < g.n:
+    if palm[3] < g.n:
         raise GraphError("connectivity_cut requires a connected graph")
     if k > 1 and palm[4] is not None:
         return frozenset([palm[4]])

@@ -246,6 +246,17 @@ class TestLemmaPipelines:
         cert = pair_from_shared_vertex(g, b, d, 0)
         assert_valid_pair(cert, g)
 
+    def test_shared_vertex_reads_the_cycles_in_g(self):
+        # b and d are checked as cycles of g, not of the graph they came with
+        k = complete_graph(12)
+        with pytest.raises(GraphError):
+            pair_from_shared_vertex(generalized_petersen(7, 2), Cycle(k, (0, 1, 2, 3)), Cycle(k, (0, 4, 5)), 0)
+        g = complete_graph(7)
+        h = Graph.build(7, g.sorted_edges())
+        cert = pair_from_shared_vertex(g, Cycle(h, (0, 1, 2, 3)), Cycle(h, (0, 4, 5)), 0)
+        assert_valid_pair(cert, g)
+        assert cert.c1.graph is g and cert.c2.graph is g
+
     def test_shared_vertex_validates_intersection(self):
         g = complete_graph(7)
         with pytest.raises(GraphError):
@@ -776,17 +787,19 @@ class TestMainTheorem:
 class TestOutcomeTypes:
     def test_outcome_exactly_one_variant(self):
         with pytest.raises(GraphError):
+            Outcome()
+        with pytest.raises(TypeError):  # the variant is named, never positional
             Outcome("certificate")
         w = K5BlockWitness.build(complete_graph(5))
+        f = HypothesisFailure("density")
         with pytest.raises(GraphError):
-            Outcome("both", witness=w, failure=HypothesisFailure("density"))
-        # the populated field must be the one that kind names
+            Outcome(witness=w, failure=f)
+        # the kind is the one variant that is set
         c = main_theorem(complete_graph(6)).certificate
-        with pytest.raises(GraphError):
-            Outcome("k5-witness", certificate=c)
-        with pytest.raises(GraphError):
-            Outcome("certificate", witness=w)
-        assert Outcome("certificate", certificate=c).certificate is c
+        assert Outcome(certificate=c).certificate is c
+        assert Outcome(certificate=c).kind == "certificate"
+        assert Outcome(witness=w).kind == "k5-witness"
+        assert Outcome(failure=f).kind == "hypothesis-failure"
 
     def test_witness_validation(self):
         with pytest.raises(GraphError):

@@ -28,7 +28,6 @@ from evencycles.graphs import (
     Graph,
     GraphError,
     Path,
-    ThetaGraph,
     bfs_path,
     blocks,
     components,
@@ -266,14 +265,35 @@ class TestPathCycle:
 
     def test_theta_even_cycle(self):
         g = Graph.build(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
-        t = ThetaGraph.build(0, 1, [Path(g, (0, 1)), Path(g, (0, 2, 1)), Path(g, (0, 3, 4, 1))])
-        c = theta_even_cycle(t)
+        c = theta_even_cycle([Path(g, (0, 1)), Path(g, (0, 2, 1)), Path(g, (0, 3, 4, 1))])
         assert c.length == 4
 
     def test_theta_rejects_two_trivial_paths(self):
         g = complete_graph(4)
         with pytest.raises(GraphError):
-            ThetaGraph.build(0, 1, [Path(g, (0, 1)), Path(g, (0, 1)), Path(g, (0, 2, 1))])
+            theta_even_cycle([Path(g, (0, 1)), Path(g, (0, 1)), Path(g, (0, 2, 1))])
+
+    def test_theta_even_cycle_takes_paths_in_any_order(self):
+        # the branch vertices are the paths' ends, so every order of the
+        # three paths, each taken either way, gives the same cycle: the one
+        # even cycle of lengths 2, 3, 4, and the least of three tied C4s
+        g = Graph.build(8, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7), (7, 1)])
+        h = complete_bipartite(2, 3)
+        cases = [
+            ([Path(g, (0, 2, 1)), Path(g, (0, 3, 4, 1)), Path(g, (0, 5, 6, 7, 1))], (0, 2, 1, 7, 6, 5)),
+            ([Path(h, (0, 4, 1)), Path(h, (0, 3, 1)), Path(h, (0, 2, 1))], (0, 2, 1, 3)),
+        ]
+        for paths, want in cases:
+            for order in itertools.permutations(paths):
+                for flips in itertools.product((False, True), repeat=3):
+                    got = theta_even_cycle([p.reverse() if f else p for p, f in zip(order, flips)])
+                    assert got.vertices == want, (order, flips)
+        # paths that share an inner vertex or have different ends are no theta
+        g = complete_graph(6)
+        with pytest.raises(GraphError, match="repeated vertex"):
+            theta_even_cycle([Path(g, (0, 2, 1)), Path(g, (0, 3, 2, 4, 1)), Path(g, (0, 5, 1))])
+        with pytest.raises(GraphError, match="do not share endpoints"):
+            theta_even_cycle([Path(g, (0, 2, 1)), Path(g, (0, 3, 4)), Path(g, (0, 5, 1))])
 
 
 class TestTraversal:
@@ -321,6 +341,14 @@ class TestTraversal:
         parent = spanning_tree(g, range(5))
         seq = tree_path(parent, 2, 3)
         assert seq[0] == 2 and seq[-1] == 3
+
+    def test_spanning_tree_checks_its_vertices(self):
+        g = cycle_graph(5)
+        with pytest.raises(GraphError, match="empty vertex set"):
+            spanning_tree(g, ())
+        for bad in (-1, 5):
+            with pytest.raises(GraphError, match="unknown vertex id"):
+                spanning_tree(g, [bad])
 
 
 class TestSurgeries:
@@ -642,8 +670,8 @@ class TestConnectivityCut:
         seen = set()
         for g in cases:
             _, cuts, reached = graphs._block_search(g, (0,))
-            _, _, _, order, cut = graphs._palm_tree(g)
-            assert (min(cuts, default=None), reached) == (cut, len(order)), g.sorted_edges()
+            _, _, _, palm_reached, cut = graphs._palm_tree(g)
+            assert (min(cuts, default=None), reached) == (cut, palm_reached), g.sorted_edges()
             for c in cuts:
                 assert len(components(g, frozenset([c]))) > len(components(g)), (c, g.sorted_edges())
             seen.add(not cuts)
@@ -737,21 +765,24 @@ class TestPalmTree:
         skipped = 0
         for g in cases:
             palm = graphs._palm_tree(g)
-            num, parent, low1, order, cut = palm
-            low2, nd, _ = graphs._arcs(g, palm)
-            assert [num[v] for v in order] == list(range(1, len(order) + 1))
+            num, parent, low1, reached, cut = palm
+            order = sorted((v for v in g.vertices if 0 < num[v] <= reached), key=num.__getitem__)
+            low2, nd, _, arcs_order = graphs._arcs(g, palm)
+            assert [num[v] for v in order] == list(range(1, reached + 1))
+            assert arcs_order == order
             assert (order[0], parent[0]) == (0, -1)
             for v in order[1:]:
                 assert g.has_edge(v, parent[v]) and num[parent[v]] < num[v]
             assert (low1, low2, nd) == palm_tree_by_definition(g, num, parent), g.sorted_edges()
             assert cut == smallest_cut_vertex_of_component(g, frozenset(), 0), g.sorted_edges()
-            if g.n > 7 or len(order) < g.n:
+            if g.n > 7 or reached < g.n:
                 continue
             for u in g.vertices:
-                _, _, _, order, cut = graphs._palm_tree(g, skip=u)
+                num, _, _, reached, cut = graphs._palm_tree(g, skip=u)
                 start = 1 if u == 0 else 0
                 comp = next((c for c in components(g, frozenset([u])) if start in c), ())
-                assert sorted(order) == list(comp), (u, g.sorted_edges())
+                got = [v for v in g.vertices if 0 < num[v] <= reached]
+                assert (reached, got) == (len(comp), list(comp)), (u, g.sorted_edges())
                 assert cut == smallest_cut_vertex_of_component(g, frozenset([u]), start), (u, g.sorted_edges())
                 skipped += 1
         assert skipped == 2 * sum(n * count for n, count in enumerate((0, 1, 1, 2, 6, 21, 112, 853)))
