@@ -107,13 +107,13 @@ from evencycles.oracle import CyclePairCertificate, PathPairCertificate
 PINNED = {
     "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
     "paths": "c4849d90e16c50b27648c94da067a00d537f7759690b4cbd4b252e5d3e7ff9f5",
-    "sweep": "0c60e4e02955eb7ef85a651a736f222324d89dea87e4f707fb37e47bd6c0e188",
-    "main": "4c3a0941ee0d9d2e61e3f16dcfa018da8a48713c5fa6119889906319ace059cd",
+    "sweep": "22853b79455cf978ad8ea5b0b5a1d6224f5c0aa232b1caf213762e1d2fd4d4db",
+    "main": "7e862f2d91c241ac9de61ba82147563488caa7239c4cb2e86b6db55d865ce043",
     "flows": "e105c84cd9cd7496274a25dedc1f4911dbf22865d4b115f656681118919346e1",
     "odd": "3c32fab16218ada399ada64137ce3e34e19e54a9dbf48213cea85b6f764e95b8",
     "validate": "dbe480a77f54d5d72c43ed89faba5ab314f6fbb6eee5ccfd1d304fdab5d6d56f",
-    "reduce": "7b86122ea49a00a45f5d713ade386853af40ea5a5e2918ad4fa2510562541ce0",
-    "levels": "f1f9371c493df77a97097f493481055f0e28c2e799c3e11328d1dc6b5abc43fe",
+    "reduce": "e6c568be9a3debbc20199054f39699f8cfb9b2261bfa123f1d51ee7cab82f9b1",
+    "levels": "ac5d13f74a9f48d0c6ebcf8261f8a70e6d85a78537294fa72c7fdd3de7fdf500",
     "connectivity": "16453f9f04544eeefa1d24522e6425f0b00b7ab0dcd3c29fd7220d2331cbee3c",
 }
 

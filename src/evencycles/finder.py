@@ -29,6 +29,7 @@ from .graphs import (
     _double_cover_walk,
     _menger,
     _palm_tree,
+    _sparse_certificate,
     bfs_path,
     blocks,
     components,
@@ -1106,7 +1107,8 @@ def main_theorem(g: Graph) -> Outcome:
     The reduction is one loop over vertex sets of g (`_reduce`), so the
     call stack does not grow with the input, and it splits a graph with a
     cut vertex into its blocks at once, so a tree of K5 blocks costs one
-    low-point search and one pass over its blocks."""
+    low-point search and one pass over its blocks; a 3-connected level
+    runs its proof on its sparse certificate, at most 3(n - 1) edges."""
     if g.n == 0:
         return Outcome(failure=HypothesisFailure("order", "empty graph"))
     if 2 * g.e < 5 * (g.n - 1):
@@ -1138,7 +1140,10 @@ def _reduce(g: Graph) -> Outcome:
     `components` answers the first question; else one low-point search
     (`_block_search`) answers the first and the fourth (`components` runs
     only if h is disconnected), and its blocks become `Block`s only if
-    there is a cut vertex."""
+    there is a cut vertex.  The search, the cut and the 3-connected proof
+    read the sparse certificate H of h, which keeps its cuts of <= 2
+    vertices; the blocks, dense or not by the edges of h, and `_two_cut`
+    read h."""
     s, no_witness, edge = frozenset(g.vertices), None, None
     while True:
         h, ids = (g, range(g.n)) if len(s) == g.n else induced_subgraph(g, s)
@@ -1146,9 +1151,10 @@ def _reduce(g: Graph) -> Outcome:
         if h.n > 5:
             deg = [len(row) for row in h.adj]
             peel = min(deg) <= 2
-            low = None if peel else next(((u, v) for u, row in enumerate(h.adj) if deg[u] <= 5
+            low = None if peel else next(((u, v) for u, row in enumerate(h.adj) if deg[u] == 3
                                           for v in row if v > u and deg[u] + deg[v] <= 6), None)
-            search = None if peel or low else _block_search(h, (0,))
+            sparse = None if peel or low else _sparse_certificate(h)
+            search = None if sparse is None else _block_search(sparse, (0,))
             if search is None or search[2] < h.n:  # is h connected?
                 comps = components(h)
                 if len(comps) > 1:
@@ -1162,11 +1168,11 @@ def _reduce(g: Graph) -> Outcome:
                 edge = ids[low[0]], ids[low[1]]
                 s, no_witness = s - set(edge), None
                 continue
-            closed, cuts, _ = search
-            if not cuts:  # h is 2-connected: is it 3-connected?
-                cut = connectivity_cut(h, 3)
-                cert = _three_connected_pair(h) if cut is None else _two_cut(h, cut)
+            if not search[1]:  # h is 2-connected: is it 3-connected?
+                cut = connectivity_cut(sparse, 3)
+                cert = _three_connected_pair(sparse) if cut is None else _two_cut(h, cut)
                 return Outcome(certificate=_lift(cert, ids, g))
+            closed, cuts, _ = search if sparse is h else _block_search(h, (0,))
             dec = _decomposition(closed, cuts)
             others = [b for b in dec.blocks if not b.is_k5()]
             dense = next((b for b in others if 2 * len(b.edges) >= 5 * (len(b.vertices) - 1)), None)

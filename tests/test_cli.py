@@ -34,12 +34,12 @@ class TestFind:
         f = write_graph(tmp_path, complete_graph(7))
         assert cli.main(["find", f]) == 0
         assert capsys.readouterr().out == (
-            "certificate: lengths 4 and 6\n  cycle 1: 0 1 4 3\n  cycle 2: 0 1 4 5 6 3\n"
+            "certificate: lengths 4 and 6\n  cycle 1: 0 2 1 3\n  cycle 2: 0 3 2 5 1 4\n"
         )
         f = write_graph(tmp_path, complete_graph(8))
         assert cli.main(["find", f, "--json"]) == 0
         assert capsys.readouterr().out == (
-            '{"cycles": [[0, 1, 4, 3], [0, 1, 4, 5, 6, 3]], "graph": {"format": "auto", '
+            '{"cycles": [[0, 2, 1, 3], [0, 3, 2, 5, 1, 4]], "graph": {"format": "auto", '
             '"n": 8}, "kind": "cycle-pair", "lengths": [4, 6]}\n'
         )
 

@@ -689,11 +689,14 @@ class TestMainTheorem:
 
     def test_two_connected_level_is_one_search(self, monkeypatch):
         # a 2-connected level asks for its separation pair after one
-        # low-point search, with no components pass before it
+        # low-point search, with no components pass before it; the search
+        # and the cut read g itself when e <= 3(n - 1), else one spanning
+        # subgraph of g with at most 3(n - 1) edges (its sparse certificate)
         class Stop(Exception):
             pass
 
         def stop(h, k):
+            calls.append(("connectivity_cut", h))
             raise Stop
 
         monkeypatch.setattr(finder, "connectivity_cut", stop)
@@ -704,7 +707,31 @@ class TestMainTheorem:
             calls.clear()
             with pytest.raises(Stop):
                 main_theorem(g)
-            assert [(name, h is g) for name, h in calls] == [("_block_search", True)], g.sorted_edges()
+            assert [name for name, _ in calls] == ["_block_search", "connectivity_cut"], g.sorted_edges()
+            h = calls[0][1]
+            assert calls[1][1] is h
+            if g.e <= 3 * (g.n - 1):
+                assert h is g
+            else:
+                assert h.n == g.n and h.edges <= g.edges and h.e <= 3 * (g.n - 1)
+                assert is_connected(h)
+
+    def test_dense_three_connected_level_runs_the_proof_on_its_certificate(self, monkeypatch):
+        # the 3-connected proof of a dense level reads the sparse certificate
+        # H of the level, at most 3(n - 1) edges, and its certificate, made of
+        # cycles of H, still validates in g
+        seen = []
+        proof = finder._three_connected_pair
+        monkeypatch.setattr(finder, "_three_connected_pair", lambda h: seen.append(h) or proof(h))
+        rng = random.Random(26)
+        gnp = [Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 10 / n])
+               for n in (40, 60, 90, 120)]
+        peel = [peel_graph(k, m) for k, m in ((8, 12), (20, 60), (40, 600))]
+        for g in [complete_graph(n) for n in range(6, 61)] + peel + gnp:
+            seen.clear()
+            out = main_theorem(g)
+            assert out.kind == "certificate" and oracle.validate(out.certificate, g)[0], g.sorted_edges()
+            assert len(seen) == 1 and seen[0].e <= 3 * (seen[0].n - 1), g.sorted_edges()
 
     @staticmethod
     def _min_degree_3_cases():

@@ -855,6 +855,29 @@ class TestSparseCertificate:
                     assert connectivity_cut(h, 3) == smallest_cut_by_pairs(h, 3)
         assert seen == {False, True}
 
+    def test_block_search_and_cut_read_the_same_on_the_certificate(self):
+        # what a dense level of main_theorem reads off H in place of g: the
+        # reached count and cut vertices of one low-point search, and the cut
+        rng = random.Random(26)
+        cases = [g for n in range(1, 8) for g in enumerate_small(n)]
+        cases += [complete_graph(n) for n in range(6, 41)]
+        for a, b in ((6, 6), (8, 12), (20, 9)):  # K_a and K_b sharing a cut vertex
+            g = Graph.build(a + b - 1, [*itertools.combinations(range(a), 2),
+                                        *itertools.combinations(range(a - 1, a + b - 1), 2)])
+            cases.append(relabelled(g, rng))
+        for n in (10, 15, 25, 40, 60):
+            for p in (0.3, 0.5, 0.8):
+                g = random_graph(n, p, rng)
+                cases += [g, relabelled(glued_on_pair(g, 0, 1, g, 2, 3), rng)]
+        sparser = 0
+        for g in filter(is_connected, cases):
+            h = graphs._sparse_certificate(g)
+            sparser += h is not g
+            want, got = graphs._block_search(g, (0,)), graphs._block_search(h, (0,))
+            assert (got[2], got[1]) == (want[2], want[1]), g.sorted_edges()
+            assert connectivity_cut(h, 3) == connectivity_cut(g, 3), g.sorted_edges()
+        assert sparser >= 60
+
 
 class TestDisjointPaths:
     def test_menger_success(self):
