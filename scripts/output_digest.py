@@ -57,7 +57,8 @@ pinned below:
   certificate is read), and on the 3-cores of seeded G(n, c/n), alone and
   glued to a copy of themselves on a pair, hashed one `repr` of the three
   sorted cuts, or the error, and the class at a time (2030 graphs, 551
-  of them 3-connected).
+  of them 3-connected).  Before a graph is hashed, each cut must separate
+  it and the class must be that of the k = 3 cut; the script stops if not.
 
 A refactor that should not change any output must leave all ten equal.
 Run from the repository root:
@@ -96,6 +97,7 @@ from evencycles.graphs import (
     GraphError,
     _connectivity,
     _menger,
+    components,
     connectivity_cut,
     disjoint_paths,
     fan,
@@ -114,7 +116,7 @@ PINNED = {
     "validate": "dbe480a77f54d5d72c43ed89faba5ab314f6fbb6eee5ccfd1d304fdab5d6d56f",
     "reduce": "e6c568be9a3debbc20199054f39699f8cfb9b2261bfa123f1d51ee7cab82f9b1",
     "levels": "ac5d13f74a9f48d0c6ebcf8261f8a70e6d85a78537294fa72c7fdd3de7fdf500",
-    "connectivity": "16453f9f04544eeefa1d24522e6425f0b00b7ab0dcd3c29fd7220d2331cbee3c",
+    "connectivity": "30fcfaa241045c7defec7748d19bf42ed9ce0c0209389b9da09729f704791381",
 }
 
 
@@ -313,7 +315,15 @@ def connectivity_digest() -> tuple:
                 what.append(None if cut is None else tuple(sorted(cut)))
             except GraphError as exc:
                 what.append(str(exc))
+                continue
+            # the cut is checked before it is hashed: g - cut is disconnected
+            if cut is not None and len(components(g, cut)) < 2:
+                raise AssertionError(f"{sorted(cut)} does not separate {sorted(g.edges)}")
         what.append(_connectivity(g))
+        # the class is that of the k = 3 cut: 0 on an error, its size, or 3 for none
+        size = 0 if isinstance(what[2], str) else 3 if what[2] is None else len(what[2])
+        if what[-1] != min(size, g.n - 1):
+            raise AssertionError(f"class {what[-1]} disagrees with the cut {what[2]} of {sorted(g.edges)}")
         classes[what[-1]] += 1
         m.update(repr(what).encode())
     counts = ", ".join(f"{classes[c]} of class {c}" for c in sorted(classes))

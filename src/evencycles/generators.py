@@ -55,6 +55,8 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if min(a, b) < 0:
+        raise GraphError(f"K_{{{a},{b}}} needs sides >= 0")
     return Graph.build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -109,24 +111,27 @@ def petersen_graph() -> Graph:
     return generalized_petersen(5, 2)
 
 
-_FAMILIES = {
-    "k5-block-tree": lambda spec: gen_k5_block_tree(spec.params[0], spec.seed),
-    "complete": lambda spec: complete_graph(spec.params[0]),
-    "complete-bipartite": lambda spec: complete_bipartite(*spec.params[:2]),
-    "cycle": lambda spec: cycle_graph(spec.params[0]),
-    "theta": lambda spec: theta_graph(*spec.params[:3]),
-    "wheel": lambda spec: wheel_graph(spec.params[0]),
-    "prism": lambda spec: prism_graph(),
-    "petersen": lambda spec: petersen_graph(),
+_FAMILIES = {  # family: (number of parameters, generator of (params, seed))
+    "k5-block-tree": (1, lambda params, seed: gen_k5_block_tree(*params, seed)),
+    "complete": (1, lambda params, seed: complete_graph(*params)),
+    "complete-bipartite": (2, lambda params, seed: complete_bipartite(*params)),
+    "cycle": (1, lambda params, seed: cycle_graph(*params)),
+    "theta": (3, lambda params, seed: theta_graph(*params)),
+    "wheel": (1, lambda params, seed: wheel_graph(*params)),
+    "prism": (0, lambda params, seed: prism_graph()),
+    "petersen": (0, lambda params, seed: petersen_graph()),
 }
 
 
 def gen_named(spec: GeneratorSpec) -> Graph:
     if spec.family not in _FAMILIES:
         raise GraphError(f"unknown family {spec.family!r}")
+    count, gen = _FAMILIES[spec.family]
+    if len(spec.params) != count:
+        raise GraphError(f"{spec.family} takes {count} parameter(s), got {len(spec.params)}")
     try:
-        return _FAMILIES[spec.family](spec)
-    except (IndexError, TypeError) as exc:
+        return gen(spec.params, spec.seed)
+    except TypeError as exc:
         raise GraphError(f"bad parameters {spec.params} for {spec.family}") from exc
 
 

@@ -42,19 +42,25 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphError("negative order")
+        n = self.n
+        if not isinstance(n, int) or n < 0:
+            raise GraphError(f"order must be an int >= 0, not {n!r}")
         if not isinstance(self.edges, frozenset):
             # a list or tuple could repeat an edge, which `e` and `adj` would count twice
             kind = type(self.edges).__name__
             raise GraphError(f"edges must be a frozenset, not {kind}; use Graph.build")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"bad edge ({u}, {v}) for order {self.n}")
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int)
+                    and isinstance(e[1], int) and 0 <= e[0] < e[1] < n):
+                raise GraphError(f"bad edge {e!r} for order {n}")
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
+        try:
+            pairs = frozenset([_norm_edge(*e) for e in edges])
+        except TypeError as exc:  # an edge that is no pair, or ids that do not compare
+            raise GraphError("edges must be pairs of vertex ids") from exc
+        return Graph(n, pairs)
 
     @classmethod
     def _trusted(cls, n: int, edges: frozenset, adj: tuple) -> "Graph":
@@ -289,10 +295,7 @@ def components(g: Graph, removed: frozenset = frozenset()) -> list:
 
 
 def is_connected(g: Graph, removed: frozenset = frozenset()) -> bool:
-    rest = g.n - len(set(removed))
-    if rest <= 1:
-        return True
-    return len(components(g, frozenset(removed))) == 1
+    return len(components(g, frozenset(removed))) <= 1
 
 
 def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path]:
@@ -522,35 +525,29 @@ def _decomposition(closed: list, cuts) -> BlockDecomposition:
     return BlockDecomposition(out, frozenset(cuts))
 
 
-def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
+def _palm_tree(g: Graph, extra=None) -> tuple:
     """(num, parent, lowpt1, reached, cut) of the depth-first search from
-    the smallest vertex of g - skip, with the edge xy added if extra = (x, y):
-    preorder numbers from 1 (0: not reached), tree parents (-1: none), the
-    low points, how many vertices it reached, and the smallest cut vertex
-    of the component searched, or None.  Of num[v] and the ends of the
-    fronds out of the subtree of v, lowpt1[v] is the least.  A non-root
-    v is a cut vertex iff a child w has lowpt1[w] >= num[v], the root iff
-    it has two children.  `skip` gets a number above every real one, so the
-    search neither enters it nor lowers a low point through it, and g - skip
-    is never built; `extra` is read as one more entry in the rows of x and
-    y, so g + xy is not built either.  O(n + m).  Only the separation-pair
-    test reads lowpt2, ND and the preorder, so `_arcs` derives them: kept
-    here, lowpt2 and ND made every search 1.3-1.4 times as dear on small
-    graphs."""
+    vertex 0 of g, with the edge xy added if extra = (x, y): preorder
+    numbers from 1 (0: not reached), tree parents (-1: none), the low
+    points, how many vertices it reached, and the smallest cut vertex of
+    the component of 0, or None.  Of num[v] and the ends of the fronds out
+    of the subtree of v, lowpt1[v] is the least.  A non-root v is a cut
+    vertex iff a child w has lowpt1[w] >= num[v], the root iff it has two
+    children.  `extra` is read as one more entry in the rows of x and y, so
+    g + xy is not built.  O(n + m).  Only the separation-pair test reads
+    lowpt2, ND and the preorder, so `_arcs` derives them: kept here, lowpt2
+    and ND made every search 1.3-1.4 times as dear on small graphs."""
     n, adj = g.n, g.adj
     if extra is not None and not g.has_edge(*extra):
         x, y = extra
         adj = list(adj)
         adj[x], adj[y] = adj[x] + (y,), adj[y] + (x,)
     num, parent, low = [0] * n, [-1] * n, [0] * n
-    if skip is not None:
-        num[skip] = n + 1
-    root = 1 if skip == 0 else 0
-    if root >= n:
+    if not n:
         return num, parent, low, 0, None
     children, cut = 0, n
-    t = num[root] = low[root] = 1
-    stack = [(root, -1, iter(adj[root]))]
+    t = num[0] = low[0] = 1
+    stack = [(0, -1, iter(adj[0]))]
     while stack:
         v, p, it = stack[-1]
         for w in it:
@@ -566,14 +563,14 @@ def _palm_tree(g: Graph, skip: Optional[int] = None, extra=None) -> tuple:
                 low[v] = x
         else:
             stack.pop()
-            if p == root:
+            if p == 0:
                 children += 1
-            elif p >= 0:
+            elif p > 0:
                 if low[v] >= num[p] and p < cut:
                     cut = p
                 if low[v] < low[p]:
                     low[p] = low[v]
-    return num, parent, low, t, root if children > 1 else (cut if cut < n else None)
+    return num, parent, low, t, 0 if children > 1 else (cut if cut < n else None)
 
 
 def _arcs(g: Graph, palm: tuple) -> tuple:
@@ -581,15 +578,14 @@ def _arcs(g: Graph, palm: tuple) -> tuple:
     Of num[v] and the ends of the fronds out of the subtree of v, lowpt2[v]
     is the least other than lowpt1[v], or num[v] (Hopcroft-Tarjan); nd[v] is
     the size of that subtree; arcs[v] lists the arcs out of v by phi; order
-    lists the reached vertices (0 < num[v] <= reached, so not skip) in
-    preorder, rebuilt from num by one bucket pass.  One pass in reverse
-    preorder, so each child is finished before its parent.  Rows are sorted
-    and fronds differ in phi, so sorting (phi, w) keeps the order of a
-    bucket sort."""
+    lists the reached vertices in preorder, rebuilt from num by one bucket
+    pass.  One pass in reverse preorder, so each child is finished before
+    its parent.  Rows are sorted and fronds differ in phi, so sorting
+    (phi, w) keeps the order of a bucket sort."""
     num, parent, low1, reached, _ = palm
     order = [0] * reached
     for v, x in enumerate(num):
-        if 0 < x <= reached:
+        if x:
             order[x - 1] = v
     low2, nd, arcs = [0] * g.n, [1] * g.n, [()] * g.n
     for v in reversed(order):
@@ -612,9 +608,9 @@ def _arcs(g: Graph, palm: tuple) -> tuple:
     return low2, nd, arcs, order
 
 
-def _has_separation_pair(g: Graph, palm: tuple) -> bool:
-    """Whether the 2-connected simple graph g, whose palm tree is palm, has
-    a separation pair.
+def _separation_pair(g: Graph, palm: tuple) -> Optional[frozenset]:
+    """A separation pair {a, b} of the 2-connected simple graph g, whose
+    palm tree is palm, or None if g has none.
 
     Hopcroft-Tarjan ("Dividing a graph into triconnected components",
     SIAM J. Comput. 1973) as corrected by Gutwenger-Mutzel (GD 2000), up to
@@ -623,14 +619,17 @@ def _has_separation_pair(g: Graph, palm: tuple) -> bool:
     the highest) and the first frond into each vertex (high), and the path
     search with the type-1 and type-2 checks on its triple stack (h, a, b),
     in original ids with h and a new numbers (two vertices on one tree path
-    compare alike in either numbering).  A vertex of degree 2 has its
-    neighbours as a pair (n >= 4), so there is no degree-2 check.  O(n + m).
+    compare alike in either numbering).  The pair is the first one met: the
+    neighbours of the first vertex of degree 2 (a pair as n >= 4, so the
+    search has no degree-2 check), else {v, b} of the first type-2 check or
+    {lowpt1(w), v} of the first type-1 check that holds.  O(n + m).
     """
     n, adj = g.n, g.adj
     if n < 4:
-        return False
-    if any(len(ns) == 2 for ns in adj):
-        return True
+        return None
+    for ns in adj:
+        if len(ns) == 2:
+            return frozenset(ns)
     num, parent, low1 = palm[:3]
     low2, nd, arcs, order = _arcs(g, palm)
 
@@ -685,12 +684,12 @@ def _has_separation_pair(g: Graph, palm: tuple) -> bool:
             # type 2: {a, b} = {v, b} for the top triple, unless b is a child of v
             while v and ts[-1][1] == nv:
                 if parent[ts[-1][2]] != v:
-                    return True
+                    return frozenset([v, ts[-1][2]])
                 ts.pop()
             # type 1: {lowpt1(w), v} cuts off the subtree of w, unless v is
             # the root's child and vw its last arc
             if low2[w] >= num[v] > low1[w] and (parent[v] or w != arcs[v][-1]):
-                return True
+                return frozenset([order[low1[w] - 1], v])
             if not v or w != arcs[v][0]:
                 while ts.pop() is not eos:
                     pass
@@ -699,7 +698,7 @@ def _has_separation_pair(g: Graph, palm: tuple) -> bool:
                 if a == nv or b == v or high[v] <= h:
                     break
                 ts.pop()
-    return False
+    return None
 
 
 def _sparse_certificate(g: Graph) -> Graph:
@@ -745,31 +744,26 @@ def _sparse_certificate(g: Graph) -> Graph:
 
 
 def _connectivity(g: Graph) -> int:
-    """0 if g is disconnected, else the size of the cut `connectivity_cut(g,
-    3)` returns (3 for None) capped at n - 1, with K1 connected: the same
-    one search, without the scan for the smallest pair."""
+    """0 if g is disconnected, else the size of the cut that
+    `connectivity_cut(g, 3)` returns (3 for None), at most n - 1."""
     if g.n <= 1:
         return g.n  # K0 is disconnected, K1 connected
-    h = _sparse_certificate(g)
-    palm = _palm_tree(h)
-    if palm[3] < g.n:
+    try:
+        cut = connectivity_cut(g, 3)
+    except GraphError:
         return 0
-    if palm[4] is not None:
-        return 1
-    return min(2 if _has_separation_pair(h, palm) else 3, g.n - 1)
+    return min(3 if cut is None else len(cut), g.n - 1)
 
 
 def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
     for graphs with more than k vertices.  Supports 1 <= k <= 3.
 
-    The cut returned is the smallest in lexicographic order: the smallest
-    cut vertex, else (k = 3) the smallest pair.  One palm-tree search, of
-    the sparse certificate H for k = 3, says whether g is connected and
-    which is its smallest cut vertex, and `_has_separation_pair` reuses it.
-    If H has a pair, it is {u, smallest cut vertex of H - u} for the first
-    u whose H - u has one, one search of H per u: a cut {w, u} with w < u
-    would have shown up at w.  O((u + 1)(n + m)).
+    One palm-tree search, of the sparse certificate H for k = 3, says
+    whether g is connected and which is its smallest cut vertex; that
+    vertex is the cut if there is one.  Else (k = 3) `_separation_pair`
+    reads the same palm tree and returns the first pair its path search
+    meets, which need not be the smallest.  O(n + m).
     """
     if not 1 <= k <= 3:
         raise GraphError("connectivity_cut supports 1 <= k <= 3 only")
@@ -779,13 +773,7 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
         raise GraphError("connectivity_cut requires a connected graph")
     if k > 1 and palm[4] is not None:
         return frozenset([palm[4]])
-    if k < 3 or not _has_separation_pair(h, palm):
-        return None
-    for u in range(h.n - 1):
-        c = _palm_tree(h, skip=u)[4]
-        if c is not None:
-            return frozenset([u, c])
-    raise InternalInvariantError("a separation pair that no scan finds")
+    return _separation_pair(h, palm) if k == 3 else None
 
 
 # ---------------------------------------------------------------------------

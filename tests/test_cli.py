@@ -168,6 +168,25 @@ class TestGen:
     def test_gen_bad_params(self, capsys):
         assert cli.main(["gen", "complete"]) == 2
 
+    def test_gen_rejects_a_wrong_parameter_count(self, capsys):
+        # extra parameters were once dropped without a word
+        for argv in (["complete", "4", "9"], ["prism", "4"], ["complete-bipartite", "3"],
+                     ["theta", "2", "3"], ["petersen", "1"]):
+            assert cli.main(["gen", *argv]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and f"input error: {argv[0]} takes " in err, argv
+        assert cli.main(["gen", "prism"]) == 0
+        assert capsys.readouterr().out.startswith("n 6")
+
+    def test_gen_rejects_a_negative_side(self, capsys):
+        # K_{-1,3} was once an edgeless graph on two vertices, with exit 0
+        for sides in (["--", "-1", "3"], ["--", "3", "-1"]):
+            assert cli.main(["gen", "complete-bipartite", *sides]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "input error" in err and "sides >= 0" in err
+        assert cli.main(["gen", "complete-bipartite", "0", "3"]) == 0
+        assert capsys.readouterr().out.startswith("n 3")
+
 
 class TestSweep:
     def _read(self, path):
@@ -301,9 +320,9 @@ class TestSweep:
         assert "swept 2 graphs" in capsys.readouterr().out
 
     def test_connectivity_class_is_that_of_the_smallest_cut(self):
-        # the sweep and the "3-connected" filter read the class without the
-        # scan for the smallest separation pair; it must be the class of
-        # the cut connectivity_cut(g, 3) returns
+        # the sweep and the "3-connected" filter read the class off the cut
+        # connectivity_cut(g, 3) returns: the smallest cut vertex, else the
+        # first separation pair the path search meets
         graphs_ = [g for n in range(1, 8) for g in generators.enumerate_small(n)]
         graphs_ += [generators.generalized_petersen(n, k) for n in (5, 8, 12) for k in (1, 2)]
         graphs_ += [gen_k5_block_tree(b, b) for b in (1, 2, 5)]

@@ -403,6 +403,18 @@ class TestThreeConnected:
             three_connected_pair(cycle_graph(6))
         assert exc.value.name == "connectivity"
 
+    def test_rejects_a_disconnected_graph(self):
+        # two disjoint K4s, and a K6 beside a K4 for cycles that share one vertex
+        k4 = complete_graph(4).edges
+        two_k4 = Graph.build(8, [*k4, *((u + 4, v + 4) for u, v in k4)])
+        with pytest.raises(HypothesisFailure) as exc:
+            three_connected_pair(two_k4)
+        assert (exc.value.name, exc.value.detail) == ("connectivity", "graph is disconnected")
+        k6_k4 = Graph.build(10, [*complete_graph(6).edges, *((u + 6, v + 6) for u, v in k4)])
+        with pytest.raises(HypothesisFailure) as exc:
+            pair_from_shared_vertex(k6_k4, Cycle(k6_k4, (0, 1, 2, 3)), Cycle(k6_k4, (0, 4, 5)), 0)
+        assert (exc.value.name, exc.value.detail) == ("connectivity", "graph is disconnected")
+
 
 class TestTwoPaths:
     def test_k5_terminals(self):

@@ -107,6 +107,24 @@ class TestGraph:
         with pytest.raises(GraphError, match="frozenset"):
             Graph(3, [(0, 1)])
 
+    def test_malformed_graph_is_a_graph_error(self):
+        # each of these was once accepted and crashed later with a TypeError,
+        # or raised a bare ValueError or TypeError
+        for n in (2.5, "3", None, -1):
+            with pytest.raises(GraphError, match="order"):
+                Graph(n, frozenset())
+        for edge in ((0, 1.0), (0.0, 1), ("0", "1"), (0, 1, 2), (0,), frozenset({0, 1})):
+            with pytest.raises(GraphError, match="bad edge"):
+                Graph(3, frozenset({edge}))
+        for edges in ([(0, 1, 2)], [(0, "1")], [(0,)], [0, 1], None):
+            with pytest.raises(GraphError, match="pairs of vertex ids"):
+                Graph.build(3, edges)
+        for edges in ([(0, 1.0)], [("a", "b")]):
+            with pytest.raises(GraphError, match="bad edge"):
+                Graph.build(3, edges)
+        with pytest.raises(GraphError, match="order"):
+            Graph.build(2.5, [])
+
 
 def rebuilt_adj(g: Graph) -> tuple:
     """The adjacency of g built from its edge set alone."""
@@ -424,7 +442,13 @@ class TestBlocks:
         path4 = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
         assert connectivity_cut(path4, 2) in (frozenset([1]), frozenset([2]))
         assert connectivity_cut(complete_graph(4), 3) is None
-        assert connectivity_cut(cycle_graph(5), 3) == frozenset([0, 2])
+        cut = connectivity_cut(cycle_graph(5), 3)
+        assert len(cut) == 2 and separates(cycle_graph(5), cut)
+
+
+def separates(g: Graph, cut) -> bool:
+    """Whether g - cut is disconnected."""
+    return len(components(g, frozenset(cut))) > 1
 
 
 def smallest_cut_by_pairs(g: Graph, k: int):
@@ -444,8 +468,28 @@ def smallest_cut_by_pairs(g: Graph, k: int):
 
 
 def has_pair_by_scans(g: Graph) -> bool:
-    """Reference for _has_separation_pair: some g - u has a cut vertex."""
-    return any(graphs._palm_tree(g, skip=u)[4] is not None for u in g.vertices)
+    """Reference for _separation_pair: some g - u has a cut vertex."""
+    rest = frozenset(g.vertices)
+    return any(blocks(induced_subgraph(g, rest - {u})[0]).cut_vertices for u in g.vertices)
+
+
+def assert_cut_agrees(g: Graph, k: int):
+    """connectivity_cut(g, k) against the pairwise reference: the same
+    smallest cut vertex, and a pair that separates g exactly when the
+    reference finds a pair."""
+    cut, want = connectivity_cut(g, k), smallest_cut_by_pairs(g, k)
+    if want is None or len(want) == 1:
+        assert cut == want, (k, g.sorted_edges())
+    else:
+        assert cut is not None and len(cut) == 2 and separates(g, cut), (k, cut, g.sorted_edges())
+
+
+def assert_pair_law(g: Graph, want: bool):
+    """The pair that _separation_pair and connectivity_cut(g, 3) return on
+    the 2-connected g separates g, and is there exactly when want is."""
+    for pair in (graphs._separation_pair(g, graphs._palm_tree(g)), connectivity_cut(g, 3)):
+        assert (pair is not None) == want, g.sorted_edges()
+        assert pair is None or (len(set(pair)) == 2 and separates(g, pair)), (pair, g.sorted_edges())
 
 
 def k5_star(b: int, hub: int) -> Graph:
@@ -512,11 +556,12 @@ def glued_cliques(a: int, b: int) -> Graph:
 
 
 class TestConnectivityCut:
-    """connectivity_cut returns exactly the cut the pairwise reference finds."""
+    """connectivity_cut returns the smallest cut vertex the pairwise
+    reference finds, else a separating pair exactly when it finds one."""
 
     def assert_matches_reference(self, g):
         for k in (2, 3):
-            assert connectivity_cut(g, k) == smallest_cut_by_pairs(g, k), (k, g.edges)
+            assert_cut_agrees(g, k)
 
     def test_connected_graphs_to_order_7(self):
         rng = random.Random(7)
@@ -554,7 +599,7 @@ class TestConnectivityCut:
     def test_cycles(self, n):
         g = cycle_graph(n)
         self.assert_matches_reference(g)
-        assert connectivity_cut(g, 3) == (None if n == 3 else frozenset([0, 2]))
+        assert (connectivity_cut(g, 3) is None) == (n == 3)
 
     @pytest.mark.parametrize("rim", range(3, 16))
     def test_wheels(self, rim):
@@ -569,16 +614,15 @@ class TestConnectivityCut:
         assert connectivity_cut(g, 2) is None
         assert connectivity_cut(g, 3) == frozenset([a - 2, a - 1])
 
-    def assert_pair_test_agrees(self, g, rng, cut_reference=True):
-        """The linear test, the scan reference and the cut itself agree on g
-        and on three relabellings of it (each gives another DFS order)."""
+    def assert_pair_test_agrees(self, g, rng):
+        """The linear test and the scan reference agree on g and on three
+        relabellings of it (each gives another DFS order), and the pair
+        found separates."""
         want = has_pair_by_scans(g)
         if nx is not None and g.n <= 120:
             assert (nx.node_connectivity(nx.Graph(list(g.edges))) >= 3) == (not want)
         for h in [g] + [relabelled(g, rng) for _ in range(3)]:
-            assert graphs._has_separation_pair(h, graphs._palm_tree(h)) == want, h.sorted_edges()
-            if cut_reference:
-                assert connectivity_cut(h, 3) == smallest_cut_by_pairs(h, 3), h.sorted_edges()
+            assert_pair_law(h, want)
         return want
 
     def test_pair_test_on_2_connected_graphs_to_order_8(self):
@@ -590,7 +634,7 @@ class TestConnectivityCut:
                     continue
                 want = has_pair_by_scans(g)
                 for h in (g, relabelled(g, rng), relabelled(g, rng), relabelled(g, rng)):
-                    assert graphs._has_separation_pair(h, graphs._palm_tree(h)) == want, h.sorted_edges()
+                    assert_pair_law(h, want)
                 counts[want] += 1
         # OEIS A002218 (2-connected) and A006290 (3-connected), orders 3..8
         assert counts[False] == 1 + 1 + 3 + 17 + 136 + 2388
@@ -646,11 +690,10 @@ class TestConnectivityCut:
                 core = three_core(random_graph(n, c / n, rng))
                 if core.n < 6 or connectivity_cut(core, 2) is not None:
                     continue
-                small = core.n <= 40
-                seen.add(self.assert_pair_test_agrees(core, rng, cut_reference=small))
+                seen.add(self.assert_pair_test_agrees(core, rng))
                 x, y = next((0, v) for v in range(1, core.n) if not core.has_edge(0, v))
                 glued = glued_on_pair(core, x, y, core, x, y)
-                seen.add(self.assert_pair_test_agrees(glued, rng, cut_reference=small))
+                seen.add(self.assert_pair_test_agrees(glued, rng))
         assert seen == {False, True}
 
     def test_block_search_answers_as_the_cut_search(self):
@@ -697,29 +740,36 @@ class TestConnectivityCut:
             assert graphs._connectivity(g) == 3
             assert calls == ["_palm_tree"], g.sorted_edges()
 
-    def test_pair_scan_is_one_palm_tree_search_per_vertex(self, monkeypatch):
-        # the smallest pair {u, c} costs one search of the certificate and
-        # then one search of it minus each vertex up to u; the path theorem's
-        # test of g + xy is one search
+    def test_a_pair_costs_one_palm_tree_search(self, monkeypatch):
+        # the pair is the first one the path search meets in the palm tree
+        # of the certificate, so no search follows it, wherever the pair's
+        # ids lie; the path theorem's test of g + xy is one search too
         calls, palm_tree = [], graphs._palm_tree
         for module in (graphs, finder):
             monkeypatch.setattr(module, "_palm_tree", lambda *a, **kw: calls.append(a) or palm_tree(*a, **kw))
         rng = random.Random(26)
-        scanned = set()
+        cases = []
         for a, b in [(4, 4), (5, 7), (8, 6)]:
             # rim vertices 1 and 3 of a wheel are not adjacent
             glued = glued_on_pair(wheel_graph(a), 1, 3, wheel_graph(b), 1, 3)
-            for g in [glued] + [relabelled(glued, rng) for _ in range(4)]:
-                calls.clear()
-                cut = connectivity_cut(g, 3)
-                assert cut is not None and len(cut) == 2
-                assert len(calls) == min(cut) + 2, (cut, g.sorted_edges())
-                scanned.add(min(cut))
-                x, y = sorted(cut)
-                calls.clear()
-                assert finder._two_connected_with(g, x, y)
-                assert len(calls) == 1
-        assert len(scanned) > 2
+            cases += [glued] + [relabelled(glued, rng) for _ in range(4)]
+        # two GP(500, 3) glued on their outer vertices 0 and 2, which then
+        # swap ids with the two largest: a scan for the smallest pair would
+        # search the graph once per vertex
+        gp = generalized_petersen(500, 3)
+        glued = glued_on_pair(gp, 0, 2, gp, 0, 2)
+        top = {0: glued.n - 2, 2: glued.n - 1, glued.n - 2: 0, glued.n - 1: 2}
+        cases.append(Graph.build(glued.n, [(top.get(u, u), top.get(v, v)) for u, v in glued.edges]))
+        for g in cases:
+            calls.clear()
+            cut = connectivity_cut(g, 3)
+            assert cut is not None and len(cut) == 2 and separates(g, cut), g.sorted_edges()
+            assert len(calls) == 1, (cut, g.sorted_edges())
+            x, y = sorted(cut)
+            calls.clear()
+            assert finder._two_connected_with(g, x, y)
+            assert len(calls) == 1
+        assert cut == {1996, 1997}  # the glued GP(500, 3) has 1998 vertices and this one pair
 
 
 def palm_tree_by_definition(g: Graph, num: list, parent: list) -> tuple:
@@ -737,12 +787,12 @@ def palm_tree_by_definition(g: Graph, num: list, parent: list) -> tuple:
     return low1, low2, nd
 
 
-def smallest_cut_vertex_of_component(g: Graph, removed: frozenset, s: int):
-    """The smallest vertex whose removal splits the component of g - removed
-    that holds s, or None: by the components of that component minus each
+def smallest_cut_vertex_of_component(g: Graph):
+    """The smallest vertex whose removal splits the component of g that
+    holds 0, or None: by the components of that component minus each
     vertex."""
-    comp = next((c for c in components(g, removed) if s in c), ())
-    rest = removed | (frozenset(g.vertices) - frozenset(comp))
+    comp = next((c for c in components(g) if 0 in c), ())
+    rest = frozenset(g.vertices) - frozenset(comp)
     return next((v for v in comp if len(components(g, rest | {v})) > 1), None)
 
 
@@ -757,12 +807,10 @@ class TestPalmTree:
 
     def test_palm_tree_matches_its_definition(self):
         # the low points (lowpt2 and ND from the arc pass) and the cut
-        # vertex of the search from 0, and on connected graphs the cut
-        # vertex of the search of each g - u, against their definitions
+        # vertex of the search from 0 against their definitions
         rng = random.Random(24)
         cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
         cases += [relabelled(generalized_petersen(n, k), rng) for n in (5, 8, 11) for k in (1, 2, 3) if 2 * k < n]
-        skipped = 0
         for g in cases:
             palm = graphs._palm_tree(g)
             num, parent, low1, reached, cut = palm
@@ -774,18 +822,7 @@ class TestPalmTree:
             for v in order[1:]:
                 assert g.has_edge(v, parent[v]) and num[parent[v]] < num[v]
             assert (low1, low2, nd) == palm_tree_by_definition(g, num, parent), g.sorted_edges()
-            assert cut == smallest_cut_vertex_of_component(g, frozenset(), 0), g.sorted_edges()
-            if g.n > 7 or reached < g.n:
-                continue
-            for u in g.vertices:
-                num, _, _, reached, cut = graphs._palm_tree(g, skip=u)
-                start = 1 if u == 0 else 0
-                comp = next((c for c in components(g, frozenset([u])) if start in c), ())
-                got = [v for v in g.vertices if 0 < num[v] <= reached]
-                assert (reached, got) == (len(comp), list(comp)), (u, g.sorted_edges())
-                assert cut == smallest_cut_vertex_of_component(g, frozenset([u]), start), (u, g.sorted_edges())
-                skipped += 1
-        assert skipped == 2 * sum(n * count for n, count in enumerate((0, 1, 1, 2, 6, 21, 112, 853)))
+            assert cut == smallest_cut_vertex_of_component(g), g.sorted_edges()
 
 
 class TestSparseCertificate:
@@ -824,8 +861,8 @@ class TestSparseCertificate:
         h = graphs._sparse_certificate(g)
         assert h.n == g.n and h.edges <= g.edges and h.e <= 3 * (g.n - 1)
         assert h.adj == Graph(h.n, h.edges).adj
-        want = graphs._has_separation_pair(g, graphs._palm_tree(g))
-        assert graphs._has_separation_pair(h, graphs._palm_tree(h)) == want, g.sorted_edges()
+        want = graphs._separation_pair(g, graphs._palm_tree(g)) is not None
+        assert_pair_law(h, want)
         return want
 
     def test_2_connected_graphs_to_order_7(self):
@@ -852,7 +889,7 @@ class TestSparseCertificate:
                 for h in (g, glued):
                     assert h.e > 3 * (h.n - 1)
                     seen.add(self.assert_certifies(h))
-                    assert connectivity_cut(h, 3) == smallest_cut_by_pairs(h, 3)
+                    assert_cut_agrees(h, 3)
         assert seen == {False, True}
 
     def test_block_search_and_cut_read_the_same_on_the_certificate(self):
