@@ -107,7 +107,7 @@ from evencycles.graphs import (
 from evencycles.oracle import CyclePairCertificate, PathPairCertificate
 
 PINNED = {
-    "cycles": "4c2b4d7698743ae2453a16d76ad78de8710a086ff6695c22403a704150177e5f",
+    "cycles": "8b042156aaf443f4ba9298fadddf3fddaa4196c52e97e5fbc5fb784b9195e50d",
     "paths": "c4849d90e16c50b27648c94da067a00d537f7759690b4cbd4b252e5d3e7ff9f5",
     "sweep": "22853b79455cf978ad8ea5b0b5a1d6224f5c0aa232b1caf213762e1d2fd4d4db",
     "main": "7e862f2d91c241ac9de61ba82147563488caa7239c4cb2e86b6db55d865ce043",

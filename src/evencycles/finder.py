@@ -917,9 +917,10 @@ def _two_connected_with(g: Graph, x: int, y: int) -> bool:
 def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
     """g - xy, once (g, x, y) is checked against the hypotheses of
     two_paths_diff_two; HypothesisFailure names the first one violated."""
-    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
-        raise HypothesisFailure("terminals", f"bad terminal pair ({x}, {y})")
-    if not _two_connected_with(g, x, y):
+    n = g.n
+    if not (isinstance(x, int) and isinstance(y, int) and x != y and 0 <= x < n and 0 <= y < n):
+        raise HypothesisFailure("terminals", f"bad terminal pair ({x!r}, {y!r})")
+    if not (g._two_connected or _two_connected_with(g, x, y)):  # g + xy is, if g is
         raise HypothesisFailure("2-connectivity", "g + xy is not 2-connected")
     adj = g.adj
     deg = [len(row) for row in adj]
@@ -1017,27 +1018,24 @@ def _paths_case_four_cycle(h, x, y, four):
     (h - F, x, a), whose paths go on to y through F.  F attaches to x and a
     only then, so h - F keeps the degree of every other vertex."""
     x1, a, x2 = four
-    seen, queue = {x, x1, a, x2, y}, [y]  # F by one search from y
+    stop = {x, x1, a, x2}
+    parent, queue = {y: None}, [y]  # F by one search from y, which enters no stop vertex
     for v in queue:
         for w in h.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    fset = set(queue)
-    outside = frozenset(v for v in h.vertices if v not in fset)
+            if w not in parent:
+                parent[w] = v  # for a stop vertex, its first neighbour in F
+                if w not in stop:
+                    queue.append(w)
     for near, far in ((x1, x2), (x2, x1)):
-        if any(w in fset for w in h.adj[near]):
-            p = bfs_path(h, {near}, {y}, outside - {near})
-            _require(p is not None, "component of y is reachable from its neighbor")
-            p1 = Path(h, (x,) + p.vertices)
-            p2 = Path(h, (x, far, a) + p.vertices)
-            return PathPairCertificate.make(x, y, p1, p2)
-    p = bfs_path(h, {a}, {y}, outside - {a})
-    _require(p is not None, "2-connectivity forces a to reach y through F")
-    sub, ids = induced_subgraph(h, outside)
+        if near in parent:  # the tree path is a shortest near-y path through F
+            p = tree_path(parent, near, y)
+            return PathPairCertificate.make(x, y, Path(h, (x, *p)), Path(h, (x, far, a, *p)))
+    _require(a in parent, "2-connectivity forces a to reach y through F")
+    tail = tree_path(parent, a, y)[1:]
+    sub, ids = induced_subgraph(h, set(h.vertices).difference(queue))
     sx, sa = ids.index(x), ids.index(a)
     _require(_two_connected_with(sub, sx, sa), "h - F plus the edge xa is 2-connected")
-    return sub, sx, sa, lambda q: Path(h, tuple(ids[v] for v in q.vertices) + p.vertices[1:])
+    return sub, sx, sa, lambda q: Path(h, tuple(ids[v] for v in q.vertices) + tail)
 
 
 def _paths_case_contract(h, x, y):

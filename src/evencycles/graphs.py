@@ -81,6 +81,13 @@ class Graph:
             ns.sort()
         return tuple(map(tuple, nbrs))
 
+    @cached_property
+    def _two_connected(self) -> bool:
+        """Whether g is 2-connected: one search reaches all n >= 3 vertices
+        and finds no cut vertex."""
+        _, _, _, reached, cut = _palm_tree(self)
+        return self.n >= 3 and cut is None and reached == self.n
+
     @property
     def e(self) -> int:
         return len(self.edges)
@@ -98,10 +105,16 @@ class Graph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def without_edge(self, u: int, v: int) -> "Graph":
+    def _edge(self, u: int, v: int) -> tuple[int, int]:
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise GraphError(f"vertex ids must be ints, not ({u!r}, {v!r})")
         e = _norm_edge(u, v)
         if not (0 <= e[0] and e[1] < self.n):
             raise GraphError(f"bad edge {e} for order {self.n}")
+        return e
+
+    def without_edge(self, u: int, v: int) -> "Graph":
+        e = self._edge(u, v)
         if e not in self.edges:
             return self
         adj = list(self.adj)
@@ -110,9 +123,7 @@ class Graph:
         return Graph._trusted(self.n, self.edges - {e}, tuple(adj))
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        e = _norm_edge(u, v)
-        if not (0 <= e[0] and e[1] < self.n):
-            raise GraphError(f"bad edge {e} for order {self.n}")
+        e = self._edge(u, v)
         if e in self.edges:
             return self
         adj = list(self.adj)
@@ -144,12 +155,12 @@ class Path:
             raise GraphError("empty path")
         if len(set(vs)) != len(vs):
             raise GraphError(f"repeated vertex in path {vs}")
-        if len(vs) == 1 and not 0 <= vs[0] < self.graph.n:
-            raise GraphError(f"path vertex {vs[0]} outside graph of order {self.graph.n}")
+        if not isinstance(vs[0], int) or len(vs) == 1 and not 0 <= vs[0] < self.graph.n:
+            raise GraphError(f"path vertex {vs[0]!r} outside graph of order {self.graph.n}")
         edges = self.graph.edges  # the vertices are distinct, so a != b
-        for a, b in zip(vs, vs[1:]):
-            if ((a, b) if a < b else (b, a)) not in edges:
-                raise GraphError(f"non-edge ({a}, {b}) in path {vs}")
+        for a, b in zip(vs, vs[1:]):  # ints only: (0, 1.0) == (0, 1) is in edges
+            if not isinstance(b, int) or ((a, b) if a < b else (b, a)) not in edges:
+                raise GraphError(f"non-edge ({a!r}, {b!r}) in path {vs}")
 
     @property
     def length(self) -> int:
@@ -185,10 +196,12 @@ class Cycle:
             raise GraphError(f"cycle too short: {vs}")
         if len(set(vs)) != len(vs):
             raise GraphError(f"repeated vertex in cycle {vs}")
+        if not isinstance(vs[0], int):
+            raise GraphError(f"cycle vertex {vs[0]!r} is not an int")
         edges = self.graph.edges  # the vertices are distinct, so a != b
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            if ((a, b) if a < b else (b, a)) not in edges:
-                raise GraphError(f"non-edge ({a}, {b}) in cycle {vs}")
+        for a, b in zip(vs, vs[1:] + vs[:1]):  # ints only: (0, 1.0) == (0, 1) is in edges
+            if not isinstance(b, int) or ((a, b) if a < b else (b, a)) not in edges:
+                raise GraphError(f"non-edge ({a!r}, {b!r}) in cycle {vs}")
 
     @property
     def length(self) -> int:

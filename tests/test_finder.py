@@ -12,7 +12,7 @@ import types
 import pytest
 from conftest import even_cycle_within
 
-from evencycles import finder, oracle
+from evencycles import finder, graphs, oracle
 from evencycles.codecs import decode_graph6, encode_graph6
 from evencycles.finder import (
     HypothesisFailure,
@@ -45,7 +45,9 @@ from evencycles.graphs import (
     Graph,
     GraphError,
     Path,
+    bfs_path,
     blocks,
+    components,
     connectivity_cut,
     is_bipartite,
     is_connected,
@@ -433,9 +435,12 @@ class TestTwoPaths:
         with pytest.raises(HypothesisFailure) as exc:
             two_paths_diff_two(Graph.build(6, [(0, 1)]), 0, 1)
         assert exc.value.name == "2-connectivity"
-        with pytest.raises(HypothesisFailure) as exc:
-            two_paths_diff_two(complete_graph(4), 2, 2)
-        assert exc.value.name == "terminals"
+        # a terminal must be an int, as a vertex id of Graph is: 1.0 and "1"
+        # once passed the range check and raised a bare TypeError
+        for x, y in ((2, 2), (0, 5), (0, 1.0), (0, "1"), (None, 1)):
+            with pytest.raises(HypothesisFailure) as exc:
+                two_paths_diff_two(complete_graph(5), x, y)
+            assert exc.value.name == "terminals", (x, y)
 
     def test_edge_degree_sum_failure(self):
         # square 0-1-2-3 with terminals 4, 5; the edge (0, 1) joins two
@@ -495,6 +500,90 @@ class TestTwoPaths:
                         agree += want
                         checked += 1
         assert (checked, agree) == (49368, 24642)
+
+    def test_two_connectivity_verdict_is_g_plus_xy_one_spanning_block(self):
+        # every pair x < y of every graph of order <= 7, 2-connected or not,
+        # asked of one Graph object per graph, so that every pair after the
+        # first reads the cached verdict on g
+        verdicts = {}
+        for n in range(1, 8):
+            for g in enumerate_small(n):
+                for x in range(n):
+                    for y in range(x + 1, n):
+                        dec = blocks(g.with_edge(x, y))
+                        spans = len(dec.blocks) == 1 and dec.blocks[0].vertices == set(g.vertices)
+                        want = n >= 3 and spans
+                        try:
+                            finder._check_path_hypotheses(g, x, y)
+                            got = True
+                        except HypothesisFailure as exc:
+                            got = exc.name != "2-connectivity"
+                        assert got == want, (encode_graph6(g), x, y)
+                        key = (want, g._two_connected)
+                        verdicts[key] = verdicts.get(key, 0) + 1
+        # g + xy is 2-connected from the cache, from the per-pair search,
+        # or not at all
+        assert verdicts == {(True, True): 10789, (True, False): 1532, (False, False): 12363}
+
+    def test_a_graph_checks_its_two_connectivity_once(self, monkeypatch):
+        # the complement of C7 is 2-connected, so its 21 pairs make one
+        # search of g between them, not one each
+        g = Graph.build(7, [(u, v) for u in range(7) for v in range(u + 2, 7) if (u, v) != (0, 6)])
+        searched, palm_tree = [], graphs._palm_tree
+        for module in (graphs, finder):
+            monkeypatch.setattr(
+                module, "_palm_tree", lambda *a, **kw: searched.append(a[0]) or palm_tree(*a, **kw)
+            )
+        for x in range(7):
+            for y in range(x + 1, 7):
+                assert oracle.validate(two_paths_diff_two(g, x, y), g)[0], (x, y)
+        assert sum(h is g for h in searched) == 1
+
+    def test_four_cycle_step_paths_are_shortest_through_f(self, monkeypatch):
+        # on every step on a 4-cycle x x1 a x2, the certificate's path from
+        # x1 or x2 (x1 if it sees F), or the lift's path from a, goes on to
+        # y by a shortest path through F, the component of y in
+        # h - {x, x1, a, x2}, as bfs_path measures it in h[F + {near}]
+        steps, step = [], finder._paths_case_four_cycle
+
+        def spy(*args):
+            steps.append((*args, step(*args)))
+            return steps[-1][-1]
+
+        monkeypatch.setattr(finder, "_paths_case_four_cycle", spy)
+        # every instance of order <= 7, and the golden ones: no instance of
+        # order <= 7 hands on a smaller one from this step, two golden ones do
+        instances = [
+            (g, x, y)
+            for n in range(4, 8)
+            for g in enumerate_small(n)
+            for x, y in itertools.combinations(range(n), 2)
+        ]
+        instances += [(decode_graph6(c["graph6"]), c["x"], c["y"]) for c in TWO_PATHS_GOLDEN["cases"]]
+        for g, x, y in instances:
+            try:
+                two_paths_diff_two(g, x, y)
+            except HypothesisFailure:
+                pass
+        branches = {}
+        for h, x, y, (x1, a, x2), out in steps:
+            stop = frozenset({x, x1, a, x2})
+            fset = next(set(c) for c in components(h, stop) if y in c)
+            if isinstance(out, oracle.PathPairCertificate):
+                near = out.p1.vertices[1]
+                assert near == (x1 if any(w in fset for w in h.adj[x1]) else x2)
+                far = x2 if near == x1 else x1
+                assert out.p2.vertices == (x, far, a) + out.p1.vertices[1:]
+                tail = out.p1.length - 1
+            else:
+                sub, sx, sa, lift = out
+                q = bfs_path(sub, {sx}, {sa})
+                near, tail = a, lift(q).length - q.length
+            outside = frozenset(h.vertices) - fset - {near}
+            assert tail == bfs_path(h, {near}, {y}, outside).length, (encode_graph6(h), x, y)
+            kind = "certificate" if near != a else "instance"
+            branches[kind] = branches.get(kind, 0) + 1
+        assert branches == {"certificate": 3243, "instance": 2}
 
     def test_golden_digest(self):
         # every terminal pair x < y of every graph of order <= 7, as one

@@ -124,6 +124,11 @@ class TestGraph:
                 Graph.build(3, edges)
         with pytest.raises(GraphError, match="order"):
             Graph.build(2.5, [])
+        g = complete_graph(4)
+        for u, v in ((0, 1.0), (0, "1"), ("0", 1), (None, 2)):
+            for edit in (g.with_edge, g.without_edge, g.without_edge(0, 1).with_edge):
+                with pytest.raises(GraphError, match="ints"):
+                    edit(u, v)
 
 
 def rebuilt_adj(g: Graph) -> tuple:
@@ -195,6 +200,19 @@ class TestPathCycle:
         # with two or more vertices a vertex outside g is a non-edge, as before
         with pytest.raises(GraphError, match="non-edge"):
             Path(g, (0, 7))
+
+    def test_vertex_ids_must_be_ints(self):
+        # 1.0 == 1, so a float id once passed the edge test, and a later
+        # step crashed with a bare TypeError on it
+        g = complete_graph(7)
+        for vs in ((1.0,), ("1",), (0, 1.0), (0.0, 1), (0, "1"), (0, 1, 2.0)):
+            with pytest.raises(GraphError):
+                Path(g, vs)
+        for vs in ((0, 1.0, 2), (0.0, 1, 2), (0, 1, 2.0), ("0", 1, 2), (0, "1", 2)):
+            with pytest.raises(GraphError):
+                Cycle(g, vs)
+        with pytest.raises(GraphError):
+            finder.pair_from_shared_vertex(g, Cycle(g, (0, 1.0, 2, 3)), Cycle(g, (0, 4, 5)), 0)
 
     def test_derived_paths_and_cycles_are_the_checked_ones(self):
         # canonical(), arc() and reverse() derive their objects from a checked
