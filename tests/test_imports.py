@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private helper it defines is read somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every private helper it defines is read somewhere in the package, and a
+vertex id is checked by one rule."""
 
 import ast
 import pathlib
@@ -76,3 +77,56 @@ def test_detects_a_dead_private_helper():
 
 def test_no_dead_private_helpers():
     assert dead_private_defs({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+# the functions that may test `type(v) is int`: the id rule itself, and
+# Graph's check of its order and edges, where a call of the rule per edge
+# end made Graph() 1.7x slower
+ID_RULE_HOMES = {"_is_vertex", "Graph.__post_init__"}
+
+
+def stray_id_checks(source: str) -> list:
+    """(line, where) of each `isinstance(x, int)` in `source`, int alone or
+    in a tuple of types, and of each `type(x) is int` or `is not int`
+    outside ID_RULE_HOMES; `where` is the dotted name of the enclosing
+    function or class, or "" at module level."""
+    found = []
+
+    def is_int(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1:2]
+            if kinds and isinstance(kinds[0], ast.Tuple):
+                kinds = kinds[0].elts
+            if any(map(is_int, kinds)):
+                found.append((node.lineno, where))
+        if isinstance(node, ast.Compare) and where not in ID_RULE_HOMES:
+            sides = [node.left, *node.comparators]
+            typed = any(isinstance(s, ast.Call) and isinstance(s.func, ast.Name) and s.func.id == "type" for s in sides)
+            if typed and any(map(is_int, sides)):
+                found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_a_stray_id_check():
+    source = (
+        "def _is_vertex(v, n):\n    return type(v) is int and 0 <= v < n\n\n"
+        "class Graph:\n    def __post_init__(self):\n        return type(self.n) is not int\n\n"
+        "def f(v):\n    return isinstance(v, (str, int)) or int is type(v)\n"
+    )
+    assert stray_id_checks(source) == [(9, "f"), (9, "f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_one_vertex_id_rule(path):
+    # isinstance(v, int) takes a bool for an id, and an id rule written out
+    # again is one that can drift from `graphs._is_vertex`
+    assert stray_id_checks(path.read_text()) == []
