@@ -1,7 +1,8 @@
 """Command-line surface: find / paths / spectrum / modcheck / gen / sweep.
 
 Exit codes: 0 certificate or witness, 1 hypothesis failure (or nothing to
-report), 2 input error, 3 internal-invariant error or any other crash.
+report), 2 input error or output that cannot be written, 3
+internal-invariant error or any other crash.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 import time
 import traceback
@@ -346,6 +348,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InputError, GuardExceeded, GraphError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a missing output directory, or a reader of stdout that left
+        if isinstance(exc, BrokenPipeError):  # else the flush of stdout at exit fails again
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except finder.HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .graphs import (
     _is_two_connected,
     _is_vertex,
     _menger,
+    _separation_pair,
     _sparse_certificate,
     bfs_path,
     blocks,
@@ -1120,15 +1121,15 @@ def _reduce(g: Graph) -> Outcome:
     removed on the way; the last such edge then gives a certificate in the
     blocks around it.  A level with n > 5 asks, in this order: is G[s]
     connected, can a vertex of degree <= 2 go (`_peel`), is there a low-sum
-    edge, is there a cut vertex, and if not, which is the smallest
-    separation pair.  If its degree list says a vertex or an edge goes,
-    `components` answers the first question; else one low-point search
-    (`_block_search`) answers the first and the fourth (`components` runs
-    only if h is disconnected), and its blocks become `Block`s only if
-    there is a cut vertex.  The search, the cut and the 3-connected proof
-    read the sparse certificate H of h, which keeps its cuts of <= 2
-    vertices; the blocks, dense or not by the edges of h, and `_two_cut`
-    read h."""
+    edge, is there a cut vertex, and if not, is there a separation pair.
+    If its degree list says a vertex or an edge goes, `components` answers
+    the first question; else one low-point search (`_block_search`) answers
+    the first, the fourth and, read by `_separation_pair`, the fifth
+    (`components` runs only if h is disconnected), and its blocks become
+    `Block`s only if there is a cut vertex.  The search, the pair and the
+    3-connected proof read the sparse certificate H of h, which keeps its
+    cuts of <= 2 vertices; the blocks, dense or not by the edges of h, and
+    `_two_cut` read h."""
     s, no_witness, edge = frozenset(g.vertices), None, None
     while True:
         h, ids = (g, range(g.n)) if len(s) == g.n else induced_subgraph(g, s)
@@ -1140,7 +1141,7 @@ def _reduce(g: Graph) -> Outcome:
                                           for v in row if v > u and deg[u] + deg[v] <= 6), None)
             sparse = None if peel or low else _sparse_certificate(h)
             search = None if sparse is None else _block_search(sparse, (0,))
-            if search is None or search[2] < h.n:  # is h connected?
+            if search is None or search[3] < h.n:  # is h connected?
                 comps = components(h)
                 if len(comps) > 1:
                     best = max(comps, key=lambda c: _slack(h, set(c)))
@@ -1153,11 +1154,11 @@ def _reduce(g: Graph) -> Outcome:
                 edge = ids[low[0]], ids[low[1]]
                 s, no_witness = s - set(edge), None
                 continue
-            if not search[1]:  # h is 2-connected: is it 3-connected?
-                cut = connectivity_cut(sparse, 3)
+            if not search[5]:  # h is 2-connected: is it 3-connected?
+                cut = _separation_pair(sparse, search)
                 cert = _three_connected_pair(sparse) if cut is None else _two_cut(h, cut)
                 return Outcome(certificate=_lift(cert, ids, g))
-            closed, cuts, _ = search if sparse is h else _block_search(h, (0,))
+            closed, cuts = (search if sparse is h else _block_search(h, (0,)))[4:]
             dec = _decomposition(closed, cuts)
             others = [b for b in dec.blocks if not b.is_k5()]
             dense = next((b for b in others if 2 * len(b.edges) >= 5 * (len(b.vertices) - 1)), None)

@@ -64,10 +64,13 @@ class Graph:
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         try:
-            pairs = frozenset([_norm_edge(*e) for e in edges])
+            pairs = [_norm_edge(*e) for e in edges]
         except TypeError as exc:  # an edge that is no pair, or ids that do not compare
             raise GraphError("edges must be pairs of vertex ids") from exc
-        return Graph(n, pairs)
+        g = Graph(n, frozenset(pairs))
+        if g.e < len(pairs):  # a repeat, which the set may have folded (1, 0.0) into
+            _check_ids(g, [v for e in pairs for v in e])
+        return g
 
     @classmethod
     def _trusted(cls, n: int, edges: frozenset, adj: tuple) -> "Graph":
@@ -316,8 +319,7 @@ def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path
     target set; deterministic via sorted expansion; read off the rows of g
     from checked sources, so the path is built unchecked.
     """
-    sources = sorted(set(sources) - set(forbidden))
-    _check_ids(g, sources)
+    sources = sorted(set(_check_ids(g, sources)) - set(forbidden))
     targets = set(targets)
     parent = {s: None for s in sources}
     queue = deque(sources)
@@ -341,10 +343,9 @@ def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path
 
 def spanning_tree(g: Graph, vertices) -> dict:
     """BFS spanning tree of the (connected) induced subgraph; parent map, root -> None."""
-    vs = sorted(vertices)
+    vs = sorted(_check_ids(g, vertices))
     if not vs:
         raise GraphError("spanning_tree of an empty vertex set")
-    _check_ids(g, vs)
     allowed = set(vs)
     root = vs[0]
     parent = {root: None}
@@ -377,11 +378,13 @@ def tree_path(parent: dict, a: int, b: int) -> tuple:
 # induced subgraphs and contraction
 
 
-def _check_ids(g: Graph, vs) -> None:
-    n = g.n
+def _check_ids(g: Graph, vs) -> list:
+    """vs as a list, each a vertex id of g: checked before a set folds 1.0 into 1."""
+    vs, n = list(vs), g.n
     for v in vs:
         if not _is_vertex(v, n):
             raise GraphError(f"unknown vertex id {v!r}")
+    return vs
 
 
 def induced_subgraph(g: Graph, s) -> tuple:
@@ -390,8 +393,7 @@ def induced_subgraph(g: Graph, s) -> tuple:
     Returns (graph, mapping) where mapping[i] is the original id of new
     vertex i (original ids in sorted order).
     """
-    s = sorted(set(s))
-    _check_ids(g, s)
+    s = sorted(set(_check_ids(g, s)))
     idx = {v: i for i, v in enumerate(s)}
     # idx is monotone, so each row stays sorted
     adj = tuple([tuple([idx[w] for w in g.adj[v] if w in idx]) for v in s])
@@ -406,10 +408,9 @@ def contract(g: Graph, s) -> tuple:
     id of survivor i (original ids in sorted order), and the contracted
     vertex is the last one, graph.n - 1, with no entry in ids.
     """
-    s = frozenset(s)
+    s = frozenset(_check_ids(g, s))
     if not s:
         raise GraphError("cannot contract an empty set")
-    _check_ids(g, s)
     survivors = [v for v in g.vertices if v not in s]
     new_id = {v: i for i, v in enumerate(survivors)}
     sid = len(survivors)
@@ -465,67 +466,70 @@ class BlockDecomposition:
 def blocks(g: Graph) -> BlockDecomposition:
     """Biconnected components: the low-point search `_block_search` from
     every vertex not yet reached, so once per component, then `_decomposition`."""
-    return _decomposition(*_block_search(g, g.vertices)[:2])
+    return _decomposition(*_block_search(g, g.vertices)[4:])
 
 
-def _block_search(g: Graph, roots) -> tuple:
+def _block_search(g: Graph, roots, extra=None) -> tuple:
     """Tarjan's low-point depth-first search ("Depth-first search and linear
-    graph algorithms", SIAM J. Comput. 1972) from each root not yet reached.
+    graph algorithms", SIAM J. Comput. 1972) from each root not yet reached,
+    of g plus the edge xy if extra = (x, y), read as one more entry in the
+    rows of x and y.  The blocks and every cut question read it.  O(n + m).
 
-    Returns (closed, cuts, reached): each block as it closes, a pair of lists
-    (vertices, edges); the set of cut vertices; and the number of vertices
-    reached.  Each stack frame keeps the positions of its vertex on the
-    vertex stack and of its tree edge on the edge stack, so the block closed
-    at the tree edge (p, v) is a slice of each, plus p.  A root with an empty
-    row is its own K1 block, and a root is a cut vertex iff it closes more
-    than one block.  The blocks keep this search of their own: `_palm_tree`
-    and a pass that labels the blocks took about 1.2 times as long."""
-    adj = g.adj
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = 1
-    cuts = set()
+    Returns (num, parent, lowpt1, reached, closed, cuts): preorder numbers
+    from 1 (0: not reached), tree parents (-1: none), the least of num[v]
+    and the ends of the fronds out of the subtree of v, the number of
+    vertices reached, the blocks as they close, each a pair of lists
+    (vertices, edges), and the set of cut vertices.  A stack frame keeps the
+    stack positions of its vertex and tree edge, so the block closed at the
+    tree edge (p, v) is a slice of each, plus p.  A root with an empty row
+    is its own K1 block, and a root is a cut vertex iff it has two children.
+    `_arcs` derives lowpt2 and ND, which only the pair test reads."""
+    n, adj = g.n, g.adj
+    if extra is not None and not g.has_edge(*extra):
+        x, y = extra
+        adj = list(adj)
+        adj[x], adj[y] = adj[x] + (y,), adj[y] + (x,)
+    num, parent, low = [0] * n, [-1] * n, [0] * n
+    t, cuts = 0, set()
     vertex_stack, edge_stack, closed = [], [], []
     for r in roots:
-        if disc[r]:
+        if num[r]:
             continue
-        disc[r] = low[r] = timer
-        timer += 1
+        t += 1
+        num[r] = low[r] = t
         if not adj[r]:
             closed.append(([r], []))
             continue
-        root_blocks = 0
         stack = [(r, -1, iter(adj[r]), 0, 0)]
         while stack:
             v, p, it, at_v, at_e = stack[-1]
+            nv = num[v]
             for w in it:
-                if disc[w] == 0:
+                nw = num[w]
+                if not nw:
+                    parent[w] = v
                     stack.append((w, v, iter(adj[w]), len(vertex_stack), len(edge_stack)))
                     vertex_stack.append(w)
                     edge_stack.append((v, w) if v < w else (w, v))
-                    disc[w] = low[w] = timer
-                    timer += 1
+                    t += 1
+                    num[w] = low[w] = t
                     break
-                if w != p and disc[w] < disc[v]:
+                if nw < nv and w != p:  # a frond up from v
                     edge_stack.append((v, w) if v < w else (w, v))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                    if nw < low[v]:
+                        low[v] = nw
             else:
                 stack.pop()
                 if p < 0:
                     continue
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if low[v] >= disc[p]:
+                if low[v] >= num[p]:
                     closed.append((vertex_stack[at_v:] + [p], edge_stack[at_e:]))
                     del vertex_stack[at_v:], edge_stack[at_e:]
-                    if p != r:
+                    if p != r or nv > num[r] + 1:  # the root cuts iff a child past its first closes
                         cuts.add(p)
-                    else:
-                        root_blocks += 1
-        if root_blocks > 1:
-            cuts.add(r)
-    return closed, cuts, timer - 1
+    return num, parent, low, t, closed, cuts
 
 
 def _decomposition(closed: list, cuts) -> BlockDecomposition:
@@ -539,69 +543,22 @@ def _decomposition(closed: list, cuts) -> BlockDecomposition:
 
 def _is_two_connected(g: Graph, extra=None) -> bool:
     """Whether g, plus the edge xy if extra = (x, y), is 2-connected: one
-    `_palm_tree` search reaches all n >= 3 vertices and finds no cut vertex."""
-    _, _, _, reached, cut = _palm_tree(g, extra)
-    return g.n >= 3 and cut is None and reached == g.n
+    `_block_search` from 0 reaches all n >= 3 vertices and finds no cut vertex."""
+    search = _block_search(g, g.vertices[:1], extra)
+    return g.n >= 3 and search[3] == g.n and not search[5]
 
 
-def _palm_tree(g: Graph, extra=None) -> tuple:
-    """(num, parent, lowpt1, reached, cut) of the depth-first search from
-    vertex 0 of g, with the edge xy added if extra = (x, y): preorder
-    numbers from 1 (0: not reached), tree parents (-1: none), the low
-    points, how many vertices it reached, and the smallest cut vertex of
-    the component of 0, or None.  Of num[v] and the ends of the fronds out
-    of the subtree of v, lowpt1[v] is the least.  A non-root v is a cut
-    vertex iff a child w has lowpt1[w] >= num[v], the root iff it has two
-    children.  `extra` is read as one more entry in the rows of x and y, so
-    g + xy is not built.  O(n + m).  Only the separation-pair test reads
-    lowpt2, ND and the preorder, so `_arcs` derives them: kept here, lowpt2
-    and ND made every search 1.3-1.4 times as dear on small graphs."""
-    n, adj = g.n, g.adj
-    if extra is not None and not g.has_edge(*extra):
-        x, y = extra
-        adj = list(adj)
-        adj[x], adj[y] = adj[x] + (y,), adj[y] + (x,)
-    num, parent, low = [0] * n, [-1] * n, [0] * n
-    if not n:
-        return num, parent, low, 0, None
-    children, cut = 0, n
-    t = num[0] = low[0] = 1
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, p, it = stack[-1]
-        for w in it:
-            x = num[w]
-            if not x:
-                parent[w] = v
-                t += 1
-                num[w] = low[w] = t
-                stack.append((w, v, iter(adj[w])))
-                break
-            # a frond up from v; an arc to a descendant has x > num[v] >= lowpt1
-            if x < low[v] and w != p:
-                low[v] = x
-        else:
-            stack.pop()
-            if p == 0:
-                children += 1
-            elif p > 0:
-                if low[v] >= num[p] and p < cut:
-                    cut = p
-                if low[v] < low[p]:
-                    low[p] = low[v]
-    return num, parent, low, t, 0 if children > 1 else (cut if cut < n else None)
-
-
-def _arcs(g: Graph, palm: tuple) -> tuple:
-    """(lowpt2, nd, arcs, order) of the palm tree of the connected graph g.
-    Of num[v] and the ends of the fronds out of the subtree of v, lowpt2[v]
-    is the least other than lowpt1[v], or num[v] (Hopcroft-Tarjan); nd[v] is
-    the size of that subtree; arcs[v] lists the arcs out of v by phi; order
-    lists the reached vertices in preorder, rebuilt from num by one bucket
-    pass.  One pass in reverse preorder, so each child is finished before
-    its parent.  Rows are sorted and fronds differ in phi, so sorting
-    (phi, w) keeps the order of a bucket sort."""
-    num, parent, low1, reached, _ = palm
+def _arcs(g: Graph, search: tuple) -> tuple:
+    """(lowpt2, nd, arcs, order) of the palm tree that search, a
+    `_block_search` of the connected graph g from 0, found.  Of num[v] and
+    the ends of the fronds out of the subtree of v, lowpt2[v] is the least
+    other than lowpt1[v], or num[v] (Hopcroft-Tarjan); nd[v] is the size of
+    that subtree; arcs[v] lists the arcs out of v by phi; order lists the
+    reached vertices in preorder, rebuilt from num by one bucket pass.  One
+    pass in reverse preorder, so each child is finished before its parent.
+    Rows are sorted and fronds differ in phi, so sorting (phi, w) keeps the
+    order of a bucket sort."""
+    num, parent, low1, reached = search[:4]
     order = [0] * reached
     for v, x in enumerate(num):
         if x:
@@ -627,9 +584,9 @@ def _arcs(g: Graph, palm: tuple) -> tuple:
     return low2, nd, arcs, order
 
 
-def _separation_pair(g: Graph, palm: tuple) -> Optional[frozenset]:
-    """A separation pair {a, b} of the 2-connected simple graph g, whose
-    palm tree is palm, or None if g has none.
+def _separation_pair(g: Graph, search: tuple) -> Optional[frozenset]:
+    """A separation pair {a, b} of the 2-connected simple graph g, or None
+    if g has none; search is the `_block_search` of g from 0.
 
     Hopcroft-Tarjan ("Dividing a graph into triconnected components",
     SIAM J. Comput. 1973) as corrected by Gutwenger-Mutzel (GD 2000), up to
@@ -649,8 +606,8 @@ def _separation_pair(g: Graph, palm: tuple) -> Optional[frozenset]:
     for ns in adj:
         if len(ns) == 2:
             return frozenset(ns)
-    num, parent, low1 = palm[:3]
-    low2, nd, arcs, order = _arcs(g, palm)
+    num, parent, low1 = search[:3]
+    low2, nd, arcs, order = _arcs(g, search)
 
     # path finder: new numbers and high.  Every non-root vertex has an arc
     # out, so paths end with fronds and start at all arcs but the first out
@@ -731,7 +688,7 @@ def _sparse_certificate(g: Graph) -> Graph:
     "Scan-first search and sparse certificates", SIAM J. Comput. 1993;
     Nagamochi and Ibaraki, Algorithmica 1992).  O(n + m), and O(n) on a
     near-complete g: a pass stops once it has seen every vertex.
-    `connectivity_cut(g, 3)` reads H, and so do the block search, the cut
+    `connectivity_cut(g, 3)` reads H, and so do the block search, the pair
     and the 3-connected proof of a level of `finder._reduce`; that level
     reads g itself for its blocks and a 2-cut.
     """
@@ -778,21 +735,21 @@ def connectivity_cut(g: Graph, k: int) -> Optional[frozenset]:
     """A vertex cut of size < k if one exists; None certifies k-connectedness
     for graphs with more than k vertices.  Supports 1 <= k <= 3.
 
-    One palm-tree search, of the sparse certificate H for k = 3, says
+    One `_block_search` from 0, of the sparse certificate H for k = 3, says
     whether g is connected and which is its smallest cut vertex; that
     vertex is the cut if there is one.  Else (k = 3) `_separation_pair`
-    reads the same palm tree and returns the first pair its path search
+    reads the same search and returns the first pair its path search
     meets, which need not be the smallest.  O(n + m).
     """
     if not 1 <= k <= 3:
         raise GraphError("connectivity_cut supports 1 <= k <= 3 only")
     h = _sparse_certificate(g) if k == 3 else g
-    palm = _palm_tree(h)
-    if palm[3] < g.n:
+    search = _block_search(h, g.vertices[:1])
+    if search[3] < g.n:
         raise GraphError("connectivity_cut requires a connected graph")
-    if k > 1 and palm[4] is not None:
-        return frozenset([palm[4]])
-    return _separation_pair(h, palm) if k == 3 else None
+    if k > 1 and search[5]:
+        return frozenset([min(search[5])])
+    return _separation_pair(h, search) if k == 3 else None
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +848,7 @@ def disjoint_paths(g: Graph, a, b, k: int):
     Returns (paths, None) on success and (None, separator) otherwise.  Paths
     have one endpoint in a, the other in b, and no internal vertex in a | b.
     """
-    a, b = frozenset(a), frozenset(b)
-    _check_ids(g, a | b)
+    a, b = frozenset(_check_ids(g, a)), frozenset(_check_ids(g, b))
     if a & b:
         raise GraphError("disjoint_paths requires disjoint endpoint sets")
     return _menger(g, a, b, k)
@@ -904,9 +860,8 @@ def fan(g: Graph, u: int, targets, k: int, allowed=None):
     Internal vertices are confined to `allowed` (default: everything) minus
     the targets.  Returns a list of Paths sorted by target, or None.
     """
-    targets = frozenset(targets)
-    allowed = frozenset(g.vertices if allowed is None else allowed)
-    _check_ids(g, [u, *targets, *allowed])  # a list: a set union drops 1.0 beside 1
+    targets = frozenset(_check_ids(g, [u, *targets])[1:])  # u is checked too
+    allowed = frozenset(g.vertices if allowed is None else _check_ids(g, allowed))
     if u in targets:
         raise GraphError("fan requires a centre that is not a target")
     paths, _ = _menger(g, frozenset([u]), targets, k, supply=k, allowed=allowed | targets | {u})

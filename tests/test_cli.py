@@ -168,6 +168,13 @@ class TestGen:
     def test_gen_bad_params(self, capsys):
         assert cli.main(["gen", "complete"]) == 2
 
+    def test_gen_to_an_unwritable_path_is_an_output_error(self, tmp_path, capsys):
+        # a missing directory is a failing output, not a crash: exit 2, one line
+        out = tmp_path / "missing" / "x.g6"
+        assert cli.main(["gen", "complete", "5", "--out", str(out)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("output error: ") and err.count("\n") == 1, err
+
     def test_gen_rejects_a_wrong_parameter_count(self, capsys):
         # extra parameters were once dropped without a word
         for argv in (["complete", "4", "9"], ["prism", "4"], ["complete-bipartite", "3"],
@@ -282,6 +289,27 @@ class TestSweep:
         corpus.write_bytes(encode_graph6(complete_graph(5)).encode() + b"\n\xff\n")
         assert cli.main(["sweep", str(corpus)]) == 2
         assert "cannot read corpus" in capsys.readouterr().err
+
+    def test_sweep_to_an_unwritable_csv_is_an_output_error(self, tmp_path, capsys):
+        for jobs in ("1", "2"):
+            target = tmp_path / "missing" / "out.csv"
+            assert cli.main(["sweep", "enum:4", "--jobs", jobs, "--csv", str(target)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("output error: ") and err.count("\n") == 1, err
+
+    def test_sweep_into_a_closed_pipe_is_an_output_error(self):
+        # `evencycles sweep enum:7 | head -2`: the reader leaves after two
+        # lines, and the sweep exits 2 with one line, not a traceback
+        src = pathlib.Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "evencycles.cli", "sweep", "enum:7"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as run:
+            head = [run.stdout.readline() for _ in range(2)]
+            run.stdout.close()
+            err = run.stderr.read().decode()
+            assert run.wait() == 2, err
+        assert head[0].decode().rstrip("\r\n") == ",".join(cli.SWEEP_COLUMNS)
+        assert err.splitlines() == ["output error: [Errno 32] Broken pipe"]
 
     def test_sweep_bad_spec(self, capsys):
         assert cli.main(["sweep", "enum:not-a-number"]) == 2

@@ -61,6 +61,26 @@ THREE_CONNECTED_GOLDEN = json.loads((DATA / "three_connected_golden.json").read_
 TWO_PATHS_GOLDEN = json.loads((DATA / "two_paths_golden.json").read_text())
 
 
+def source_lines_run(fn, call) -> set:
+    """The source lines of the function fn, stripped, that run during call()."""
+    lines, first = inspect.getsourcelines(fn)
+    ran, old = set(), sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+        if event == "line":
+            ran.add(lines[frame.f_lineno - first].strip())
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(old)
+    return ran
+
+
 def assert_valid_pair(cert, g):
     ok, why = oracle.validate(cert, g)
     assert ok, why
@@ -403,6 +423,29 @@ class TestThreeConnected:
             assert oracle.validate(three_connected_pair(g), g)[0], (n, k)
         assert ran == set(names)
 
+    def test_cubic_endgame_short_arc(self):
+        # graph6 IRDKAEHH_, cubic of order 10, from a seeded search over
+        # relabelled cubic graphs: B and D are matched 5-cycles, and an edge
+        # of one has partners one apart on the other, so that edge and its
+        # partners close a C4 beside the C6 of the length-3 arc
+        g, certs = decode_graph6("IRDKAEHH_"), []
+        ran = source_lines_run(finder._cubic_endgame, lambda: certs.append(three_connected_pair(g)))
+        assert "return _certify(g, Cycle(g, (e[0], e[1], match[e[1]], match[e[0]])), c6)" in ran
+        (cert,) = certs
+        assert oracle.validate(cert, g)[0]
+        assert (cert.c1.vertices, cert.c2.vertices) == ((0, 2, 9, 6), (1, 3, 2, 9, 6, 7))
+
+    def test_long_odd_case_with_the_smaller_neighbour_first(self):
+        # graph6 Gp_ZIo, cubic of order 8, from the same search: the first
+        # leaf u of F sees D at a and b > a, two steps apart along D from a,
+        # so v1 = a and v3 = b
+        g, certs = decode_graph6("Gp_ZIo"), []
+        ran = source_lines_run(finder._long_odd_case, lambda: certs.append(three_connected_pair(g)))
+        assert "v1, v3 = a, bvert" in ran
+        (cert,) = certs
+        assert oracle.validate(cert, g)[0]
+        assert (cert.c1.vertices, cert.c2.vertices) == ((2, 3, 5, 6), (0, 1, 6, 5, 3, 2))
+
     def test_generalized_petersen_golden(self):
         # the exact cycles on every non-bipartite GP(n, k) with n <= 25
         for case in THREE_CONNECTED_GOLDEN:
@@ -544,8 +587,8 @@ class TestTwoPaths:
         # the complement of C7 is 2-connected, so its 21 pairs make one
         # search of g between them, not one each
         g = Graph.build(7, [(u, v) for u in range(7) for v in range(u + 2, 7) if (u, v) != (0, 6)])
-        searched, palm_tree = [], graphs._palm_tree
-        monkeypatch.setattr(graphs, "_palm_tree", lambda *a, **kw: searched.append(a[0]) or palm_tree(*a, **kw))
+        searched, search = [], graphs._block_search
+        monkeypatch.setattr(graphs, "_block_search", lambda *a: searched.append(a[0]) or search(*a))
         for x in range(7):
             for y in range(x + 1, 7):
                 assert oracle.validate(two_paths_diff_two(g, x, y), g)[0], (x, y)
@@ -802,25 +845,30 @@ class TestMainTheorem:
 
     def test_two_connected_level_is_one_search(self, monkeypatch):
         # a 2-connected level asks for its separation pair after one
-        # low-point search, with no components pass before it; the search
-        # and the cut read g itself when e <= 3(n - 1), else one spanning
-        # subgraph of g with at most 3(n - 1) edges (its sparse certificate)
+        # low-point search, with no components pass before it, and the pair
+        # test reads that search: the graph is searched once, with no
+        # connectivity_cut; the search and the pair read g itself when
+        # e <= 3(n - 1), else one spanning subgraph of g with at most
+        # 3(n - 1) edges (its sparse certificate)
         class Stop(Exception):
             pass
 
-        def stop(h, k):
-            calls.append(("connectivity_cut", h))
+        def stop(h, search):
+            calls.append(("_separation_pair", h))
+            assert search is found[-1]
             raise Stop
 
-        monkeypatch.setattr(finder, "connectivity_cut", stop)
-        calls = []
-        self._watch(monkeypatch, calls, names=("_block_search", "components"))
+        monkeypatch.setattr(finder, "_separation_pair", stop)
+        calls, found = [], []
+        self._watch(monkeypatch, calls, names=("_block_search", "components", "connectivity_cut"))
+        watched = finder._block_search
+        monkeypatch.setattr(finder, "_block_search", lambda *a: found.append(watched(*a)) or found[-1])
         rng = random.Random(22)
         for g in [complete_graph(7)] + [relabelled(complete_bipartite(4, m), rng) for m in (5, 8, 13)]:
             calls.clear()
             with pytest.raises(Stop):
                 main_theorem(g)
-            assert [name for name, _ in calls] == ["_block_search", "connectivity_cut"], g.sorted_edges()
+            assert [name for name, _ in calls] == ["_block_search", "_separation_pair"], g.sorted_edges()
             h = calls[0][1]
             assert calls[1][1] is h
             if g.e <= 3 * (g.n - 1):

@@ -157,7 +157,21 @@ ENTRY_POINTS = {
     "two_paths_diff_two": lambda g, v: finder.two_paths_diff_two(g, v, 4),
     "pair_from_shared_vertex": _shared_vertex_pair,
     "xy_path_lengths": lambda g, v: oracle.xy_path_lengths(g, v, 4),
+    "bfs_path-forbidden-twin": lambda g, v: bfs_path(g, [v], {4}, {int(v)}),
 }
+
+# entry points that gather ids into a set, which would fold v into int(v):
+# each gets v beside int(v), in either order
+FOLDING = {
+    "Graph.build": lambda g, a, b: Graph.build(g.n, [(a, 4), (4, b)]),
+    "induced_subgraph": lambda g, a, b: induced_subgraph(g, [a, b]),
+    "contract": lambda g, a, b: contract(g, [a, b]),
+    "disjoint_paths": lambda g, a, b: disjoint_paths(g, [a, b], [5], 1),
+    "fan": lambda g, a, b: fan(g, 6, [4, a, b], 2),
+}
+for _name, _call in FOLDING.items():
+    ENTRY_POINTS[f"{_name}-twin-last"] = lambda g, v, call=_call: call(g, int(v), v)
+    ENTRY_POINTS[f"{_name}-twin-first"] = lambda g, v, call=_call: call(g, v, int(v))
 
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
@@ -544,7 +558,7 @@ def assert_cut_agrees(g: Graph, k: int):
 def assert_pair_law(g: Graph, want: bool):
     """The pair that _separation_pair and connectivity_cut(g, 3) return on
     the 2-connected g separates g, and is there exactly when want is."""
-    for pair in (graphs._separation_pair(g, graphs._palm_tree(g)), connectivity_cut(g, 3)):
+    for pair in (graphs._separation_pair(g, graphs._block_search(g, (0,))), connectivity_cut(g, 3)):
         assert (pair is not None) == want, g.sorted_edges()
         assert pair is None or (len(set(pair)) == 2 and separates(g, pair)), (pair, g.sorted_edges())
 
@@ -754,9 +768,9 @@ class TestConnectivityCut:
         assert seen == {False, True}
 
     def test_block_search_answers_as_the_cut_search(self):
-        # from vertex 0, the block search reaches what the palm tree
-        # reaches, its smallest cut vertex is the one the palm tree finds,
-        # and each cut vertex it closes separates g
+        # from vertex 0, the block search reaches the component of 0, its
+        # smallest cut vertex is the smallest vertex that splits that
+        # component, and each cut vertex it closes separates g
         rng = random.Random(21)
         cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
         cases += [relabelled(gen_k5_block_tree(b, b), rng) for b in range(1, 41)]
@@ -769,9 +783,10 @@ class TestConnectivityCut:
         cases += [random_graph(n, c / n, rng) for n in (10, 30, 100, 300) for c in (1.5, 3, 6, 12)]
         seen = set()
         for g in cases:
-            _, cuts, reached = graphs._block_search(g, (0,))
-            _, _, _, palm_reached, cut = graphs._palm_tree(g)
-            assert (min(cuts, default=None), reached) == (cut, palm_reached), g.sorted_edges()
+            _, _, _, reached, _, cuts = graphs._block_search(g, (0,))
+            component = next(c for c in components(g) if 0 in c)
+            want = (smallest_cut_vertex_of_component(g), len(component))
+            assert (min(cuts, default=None), reached) == want, g.sorted_edges()
             for c in cuts:
                 assert len(components(g, frozenset([c]))) > len(components(g)), (c, g.sorted_edges())
             seen.add(not cuts)
@@ -784,25 +799,23 @@ class TestConnectivityCut:
     def test_three_connectivity_is_one_palm_tree_search(self, monkeypatch):
         # connectivity_cut(g, 3) and the class read one palm tree, of the
         # sparse certificate of g, and run no other low-point search
-        calls = []
-        for name in ("_palm_tree", "_block_search"):
-            f = getattr(graphs, name)
-            monkeypatch.setattr(graphs, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        calls, search = [], graphs._block_search
+        monkeypatch.setattr(graphs, "_block_search", lambda *a: calls.append(a[0]) or search(*a))
         rng = random.Random(23)
         for g in (complete_graph(7), generalized_petersen(12, 5), relabelled(complete_bipartite(4, 7), rng)):
             calls.clear()
             assert connectivity_cut(g, 3) is None
-            assert calls == ["_palm_tree"], g.sorted_edges()
+            assert calls == [graphs._sparse_certificate(g)], g.sorted_edges()
             calls.clear()
             assert graphs._connectivity(g) == 3
-            assert calls == ["_palm_tree"], g.sorted_edges()
+            assert calls == [graphs._sparse_certificate(g)], g.sorted_edges()
 
     def test_a_pair_costs_one_palm_tree_search(self, monkeypatch):
         # the pair is the first one the path search meets in the palm tree
         # of the certificate, so no search follows it, wherever the pair's
         # ids lie; the path theorem's test of g + xy is one search too
-        calls, palm_tree = [], graphs._palm_tree
-        monkeypatch.setattr(graphs, "_palm_tree", lambda *a, **kw: calls.append(a) or palm_tree(*a, **kw))
+        calls, search = [], graphs._block_search
+        monkeypatch.setattr(graphs, "_block_search", lambda *a: calls.append(a) or search(*a))
         rng = random.Random(26)
         cases = []
         for a, b in [(4, 4), (5, 7), (8, 6)]:
@@ -868,8 +881,8 @@ class TestPalmTree:
         cases = [h for n in range(1, 8) for g in enumerate_small(n) for h in (g, relabelled(g, rng))]
         cases += [relabelled(generalized_petersen(n, k), rng) for n in (5, 8, 11) for k in (1, 2, 3) if 2 * k < n]
         for g in cases:
-            palm = graphs._palm_tree(g)
-            num, parent, low1, reached, cut = palm
+            palm = graphs._block_search(g, (0,))
+            num, parent, low1, reached, _, cuts = palm
             order = sorted((v for v in g.vertices if 0 < num[v] <= reached), key=num.__getitem__)
             low2, nd, _, arcs_order = graphs._arcs(g, palm)
             assert [num[v] for v in order] == list(range(1, reached + 1))
@@ -878,7 +891,7 @@ class TestPalmTree:
             for v in order[1:]:
                 assert g.has_edge(v, parent[v]) and num[parent[v]] < num[v]
             assert (low1, low2, nd) == palm_tree_by_definition(g, num, parent), g.sorted_edges()
-            assert cut == smallest_cut_vertex_of_component(g), g.sorted_edges()
+            assert min(cuts, default=None) == smallest_cut_vertex_of_component(g), g.sorted_edges()
 
 
 class TestSparseCertificate:
@@ -917,7 +930,7 @@ class TestSparseCertificate:
         h = graphs._sparse_certificate(g)
         assert h.n == g.n and h.edges <= g.edges and h.e <= 3 * (g.n - 1)
         assert h.adj == Graph(h.n, h.edges).adj
-        want = graphs._separation_pair(g, graphs._palm_tree(g)) is not None
+        want = graphs._separation_pair(g, graphs._block_search(g, (0,))) is not None
         assert_pair_law(h, want)
         return want
 
@@ -967,7 +980,7 @@ class TestSparseCertificate:
             h = graphs._sparse_certificate(g)
             sparser += h is not g
             want, got = graphs._block_search(g, (0,)), graphs._block_search(h, (0,))
-            assert (got[2], got[1]) == (want[2], want[1]), g.sorted_edges()
+            assert (got[3], got[5]) == (want[3], want[5]), g.sorted_edges()
             assert connectivity_cut(h, 3) == connectivity_cut(g, 3), g.sorted_edges()
         assert sparser >= 60
 
