@@ -63,7 +63,10 @@ pinned below:
 A refactor that should not change any output must leave all ten equal.
 Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/output_digest.py
+    PYTHONPATH=src python3 scripts/output_digest.py [NAME ...]
+
+Names pick digests to run (say `paths validate`); with none, all ten run.
+An unknown name exits 2.
 """
 
 import collections
@@ -440,22 +443,26 @@ def validate_digest() -> tuple:
     return m.hexdigest(), f"{sum(verdicts.values())} checks, {verdicts[True]} accepted"
 
 
-def main() -> int:
+def main(names) -> int:
+    digests = {
+        "cycles": cycles_digest,
+        "paths": paths_digest,
+        "sweep": sweep_digest,
+        "main": main_digest,
+        "flows": flows_digest,
+        "odd": odd_digest,
+        "validate": validate_digest,
+        "reduce": reduce_digest,
+        "levels": levels_digest,
+        "connectivity": connectivity_digest,
+    }
+    unknown = [name for name in names if name not in digests]
+    if unknown:
+        print(f"unknown digest {unknown[0]!r}; the digests are: {' '.join(digests)}", file=sys.stderr)
+        return 2
     bad = []
-    digests = (
-        ("cycles", cycles_digest),
-        ("paths", paths_digest),
-        ("sweep", sweep_digest),
-        ("main", main_digest),
-        ("flows", flows_digest),
-        ("odd", odd_digest),
-        ("validate", validate_digest),
-        ("reduce", reduce_digest),
-        ("levels", levels_digest),
-        ("connectivity", connectivity_digest),
-    )
-    for name, fn in digests:
-        digest, what = fn()
+    for name in names or digests:
+        digest, what = digests[name]()
         ok = digest == PINNED[name]
         bad += [] if ok else [name]
         print(f"{name:12} {digest}  {'ok' if ok else 'DIFFERS'}  ({what})")
@@ -463,4 +470,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -75,7 +75,7 @@ def _certify(g, c1: Cycle, c2: Cycle) -> CyclePairCertificate:
 
 @dataclass(frozen=True)
 class K5BlockWitness:
-    """Every block of the graph is a K5 and 4 divides n-1 (K1 is the b=0 case)."""
+    """Every block of the graph is a K5, and n - 1 = 4b for its b blocks (K1 is the b=0 case)."""
 
     decomposition: BlockDecomposition
     n: int
@@ -88,6 +88,8 @@ class K5BlockWitness:
             raise GraphError("K5BlockWitness: e != 5(n-1)/2")
         if self.n > 1 and not all(b.is_k5() for b in self.decomposition.blocks):
             raise GraphError("K5BlockWitness: non-K5 block")
+        if self.n > 1 and 4 * len(self.decomposition.blocks) != self.n - 1:
+            raise GraphError("K5BlockWitness: n - 1 != 4b for b blocks")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -910,24 +912,18 @@ def _check_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
         raise HypothesisFailure("terminals", f"bad terminal pair ({x!r}, {y!r})")
     if not (g._two_connected or _is_two_connected(g, (x, y))):  # g + xy is, if g is
         raise HypothesisFailure("2-connectivity", "g + xy is not 2-connected")
-    adj = g.adj
-    deg = [len(row) for row in adj]
-    for v, dv in enumerate(deg):
-        if dv < 3 and v != x and v != y:
-            raise HypothesisFailure("minimum degree", f"vertex {v} has degree {dv}")
+    low_vertices, low_edges = g._low_degree  # cached, so shared by every pair of g
+    for v in low_vertices:
+        if v != x and v != y:
+            raise HypothesisFailure("minimum degree", f"vertex {v} has degree {g.degree(v)}")
     h = g.without_edge(x, y)
-    for u in g.vertices:  # the edges uv, u < v, in sorted order
-        if u == x or u == y:
-            continue
-        for v in adj[u]:
-            if v > u and v != x and v != y and deg[u] + deg[v] < 7:
-                # Bondy-Vince: two x-y paths differ by one or two, and by two
-                # when g - xy is bipartite, since then all have one parity
-                if is_bipartite(h)[0]:
-                    return h
-                raise HypothesisFailure(
-                    "edge degree sum", f"edge ({u}, {v}) has degree sum < 7"
-                )
+    for u, v in low_edges:
+        if u != x and u != y and v != x and v != y:
+            # Bondy-Vince: two x-y paths differ by one or two, and by two
+            # when g - xy is bipartite, since then all have one parity
+            if is_bipartite(h)[0]:
+                return h
+            raise HypothesisFailure("edge degree sum", f"edge ({u}, {v}) has degree sum < 7")
     return h
 
 

@@ -14,7 +14,6 @@ with no entry.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -94,6 +93,14 @@ class Graph:
     @cached_property
     def _two_connected(self) -> bool:
         return _is_two_connected(self)
+
+    @cached_property
+    def _low_degree(self) -> tuple:
+        """(vertices of degree < 3, edges uv with u < v of degree sum < 7),
+        each sorted: what the path theorem's degree hypotheses read."""
+        deg = [len(row) for row in self.adj]
+        low = tuple(v for v, d in enumerate(deg) if d < 3)
+        return low, tuple(sorted(e for e in self.edges if deg[e[0]] + deg[e[1]] < 7))
 
     @property
     def e(self) -> int:
@@ -294,16 +301,13 @@ def components(g: Graph, removed: frozenset = frozenset()) -> list:
     for s in g.vertices:
         if s in seen:
             continue
-        comp = [s]
+        comp = [s]  # also the breadth-first queue
         seen.add(s)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        for v in comp:
             for w in g.adj[v]:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
-                    queue.append(w)
         out.append(tuple(sorted(comp)))
     return out
 
@@ -317,24 +321,22 @@ def bfs_path(g: Graph, sources, targets, forbidden=frozenset()) -> Optional[Path
 
     Internal vertices avoid both forbidden and (by first-hit stopping) the
     target set; deterministic via sorted expansion; read off the rows of g
-    from checked sources, so the path is built unchecked.
+    from checked ids, so the path is built unchecked.
     """
-    sources = sorted(set(_check_ids(g, sources)) - set(forbidden))
-    targets = set(targets)
-    parent = {s: None for s in sources}
-    queue = deque(sources)
-    for s in sources:
+    forbidden, targets = set(_check_ids(g, forbidden)), set(_check_ids(g, targets))
+    queue = sorted(set(_check_ids(g, sources)) - forbidden)
+    parent = {s: None for s in queue}
+    for s in queue:
         if s in targets:
             return Path._trusted(g, (s,))
-    while queue:
-        v = queue.popleft()
+    for v in queue:
         for w in g.adj[v]:
             if w in parent or w in forbidden:
                 continue
             parent[w] = v
             if w in targets:
                 seq = [w]
-                while seq[-1] is not None and parent[seq[-1]] is not None:
+                while parent[seq[-1]] is not None:
                     seq.append(parent[seq[-1]])
                 return Path._trusted(g, tuple(reversed(seq)))
             queue.append(w)
@@ -349,9 +351,8 @@ def spanning_tree(g: Graph, vertices) -> dict:
     allowed = set(vs)
     root = vs[0]
     parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    queue = [root]
+    for v in queue:
         for w in g.adj[v]:
             if w in allowed and w not in parent:
                 parent[w] = v
@@ -880,9 +881,8 @@ def is_bipartite(g: Graph):
             continue
         color[root] = 0
         parent = {root: None}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        for v in queue:
             for w in g.adj[v]:
                 if w not in color:
                     color[w] = 1 - color[v]
@@ -905,9 +905,10 @@ def _double_cover_walk(g: Graph, s: int, t: int, parity: int) -> Optional[tuple]
     adj = g.adj
     parent = [-1] * (2 * g.n)
     parent[src] = src
-    queue = deque([src])
-    while queue and parent[dst] < 0:
-        node = queue.popleft()
+    queue = [src]
+    for node in queue:
+        if parent[dst] >= 0:
+            break
         flip = (node & 1) ^ 1
         for w in adj[node >> 1]:
             nxt = 2 * w + flip

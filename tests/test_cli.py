@@ -381,3 +381,14 @@ class TestDocParsing:
         }
         with pytest.raises(Exception):
             cli.doc_to_certificate(doc, g)
+
+
+class TestOutputDigestScript:
+    def test_an_unknown_digest_name_exits_2_before_any_digest_runs(self):
+        script = pathlib.Path(__file__).parents[1] / "scripts" / "output_digest.py"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, str(script), "cycles", "nosuch"], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 2 and not run.stdout
+        assert run.stderr.startswith("unknown digest 'nosuch'")

@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import heapq
 import inspect
@@ -476,6 +477,42 @@ class TestThreeConnected:
         assert (exc.value.name, exc.value.detail) == ("connectivity", "graph is disconnected")
 
 
+def scanned_path_hypotheses(g: Graph, x: int, y: int) -> Graph:
+    """`finder._check_path_hypotheses` as it was before `Graph._low_degree`:
+    every degree and every edge scanned on each call.  The reference that
+    the cached scan must match, failure text included."""
+    if not (graphs._is_vertex(x, g.n) and graphs._is_vertex(y, g.n) and x != y):
+        raise HypothesisFailure("terminals", f"bad terminal pair ({x!r}, {y!r})")
+    if not (g._two_connected or graphs._is_two_connected(g, (x, y))):
+        raise HypothesisFailure("2-connectivity", "g + xy is not 2-connected")
+    adj = g.adj
+    deg = [len(row) for row in adj]
+    for v, dv in enumerate(deg):
+        if dv < 3 and v != x and v != y:
+            raise HypothesisFailure("minimum degree", f"vertex {v} has degree {dv}")
+    h = g.without_edge(x, y)
+    for u in g.vertices:  # the edges uv, u < v, in sorted order
+        if u == x or u == y:
+            continue
+        for v in adj[u]:
+            if v > u and v != x and v != y and deg[u] + deg[v] < 7:
+                if is_bipartite(h)[0]:
+                    return h
+                raise HypothesisFailure(
+                    "edge degree sum", f"edge ({u}, {v}) has degree sum < 7"
+                )
+    return h
+
+
+def _hypotheses_outcome(check, g: Graph, x: int, y: int) -> tuple:
+    """What check(g, x, y) did: the graph it returned, or the failure it raised."""
+    try:
+        h = check(g, x, y)
+    except HypothesisFailure as exc:
+        return exc.name, exc.detail
+    return "ok", h.n, h.edges
+
+
 class TestTwoPaths:
     def test_k5_terminals(self):
         g = complete_graph(5)
@@ -593,6 +630,43 @@ class TestTwoPaths:
             for y in range(x + 1, 7):
                 assert oracle.validate(two_paths_diff_two(g, x, y), g)[0], (x, y)
         assert sum(h is g for h in searched) == 1
+
+    def test_cached_degree_scan_matches_the_per_pair_scan(self):
+        # every graph of order <= 7 and every ordered terminal pair, equal
+        # terminals too: the same graph back, or the same first failure with
+        # the same text; the `paths` digest sees only minimum degree 3
+        tally = {}
+        for n in range(1, 8):
+            for g in enumerate_small(n):
+                for x in range(n):
+                    for y in range(n):
+                        want = _hypotheses_outcome(scanned_path_hypotheses, g, x, y)
+                        got = _hypotheses_outcome(finder._check_path_hypotheses, g, x, y)
+                        assert got == want, (encode_graph6(g), x, y)
+                        tally[want[0]] = tally.get(want[0], 0) + 1
+        assert tally == {
+            "terminals": 8475, "2-connectivity": 24726, "minimum degree": 14886,
+            "edge degree sum": 2878, "ok": 6878,
+        }
+
+    def test_a_graph_scans_its_degrees_once(self, monkeypatch):
+        # every ordered pair of every graph of order 6, each a new Graph:
+        # the degree scan runs once for a graph whose pairs pass the
+        # 2-connectivity check, whatever they fail after it, and never
+        # for one whose pairs all fail before it
+        scans, scan = [], Graph._low_degree.func
+        counted = functools.cached_property(lambda g: scans.append(g) or scan(g))
+        counted.__set_name__(Graph, "_low_degree")
+        monkeypatch.setattr(Graph, "_low_degree", counted)
+        reached = []
+        for g in enumerate_small(6):
+            g = Graph.build(g.n, g.edges)
+            names = {_hypotheses_outcome(finder._check_path_hypotheses, g, x, y)[0]
+                     for x in range(6) for y in range(6)}
+            if names - {"terminals", "2-connectivity"}:
+                reached.append(g)
+        assert [id(g) for g in scans] == [id(g) for g in reached]
+        assert len(reached) == 97
 
     def test_four_cycle_step_paths_are_shortest_through_f(self, monkeypatch):
         # on every step on a 4-cycle x x1 a x2, the certificate's path from
@@ -994,6 +1068,18 @@ class TestOutcomeTypes:
             K5BlockWitness(blocks(complete_graph(6)), 6, 15)
         with pytest.raises(GraphError):
             K5BlockWitness(blocks(complete_graph(5)), 5, 9)
+
+    def test_witness_block_count_agrees_with_n_and_e(self):
+        # n = 9 and e = 20 agree with each other (9 = 1 mod 4, 2e = 5(n - 1))
+        # but not with one K5 block, which has n - 1 = 4 and e = 10
+        with pytest.raises(GraphError, match="n - 1 != 4b"):
+            K5BlockWitness(blocks(complete_graph(5)), 9, 20)
+        with pytest.raises(GraphError, match="n - 1 != 4b"):
+            K5BlockWitness(blocks(gen_k5_block_tree(3)), 9, 20)
+        for b in (1, 2, 5):
+            g = gen_k5_block_tree(b)
+            assert len(K5BlockWitness(blocks(g), g.n, g.e).decomposition.blocks) == b
+        K5BlockWitness(blocks(Graph.build(1, [])), 1, 0)  # K1: b = 0 and its one K1 block
 
 
 class TestCycleTwoModFour:

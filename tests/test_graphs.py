@@ -425,6 +425,21 @@ class TestTraversal:
             with pytest.raises(GraphError, match="unknown vertex id"):
                 bfs_path(g, {bad}, {2})
 
+    def test_bfs_path_checks_its_targets(self):
+        # a target that is no vertex once passed unchecked: {7} answered
+        # "no path" and {3.0}, equal to 3, the path (0, 3)
+        g = complete_graph(5)
+        for bad in (7, -1, 3.0, True, "3"):
+            with pytest.raises(GraphError, match="unknown vertex id"):
+                bfs_path(g, [0], {bad})
+
+    def test_bfs_path_checks_its_forbidden_ids(self):
+        # {1.0} once forbade the vertex 1, and {9} was ignored
+        g = cycle_graph(5)
+        for bad in (9, -1, 1.0, True, "1"):
+            with pytest.raises(GraphError, match="unknown vertex id"):
+                bfs_path(g, [0], {2}, {bad})
+
     def test_spanning_tree_path(self):
         g = cycle_graph(5)
         parent = spanning_tree(g, range(5))

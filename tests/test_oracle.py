@@ -239,6 +239,43 @@ class TestValidate:
         cert = PathPairCertificate(0, 3, FakePath(seq1), FakePath(seq2))
         assert oracle.validate(cert, g) == (why == "ok", why)
 
+    USES_XY = (False, "validity: path uses the edge xy")
+    DIFFERENCE = (False, "difference: path lengths do not differ by two")
+    TERMINALS = (False, "terminals: path endpoints are not {x, y}")
+    REPEATED = (False, "validity: repeated path vertex")
+
+    @pytest.mark.parametrize(
+        "x, y, seq1, seq2, with_xy, without_xy",
+        [
+            # the path xy, either way round, for either terminal order
+            (0, 4, (0, 4), (0, 1, 2, 4), USES_XY, (False, "validity: non-edge (0, 4)")),
+            (0, 4, (4, 0), (0, 1, 2, 4), USES_XY, (False, "validity: non-edge (4, 0)")),
+            (4, 0, (0, 4), (4, 1, 2, 0), USES_XY, (False, "validity: non-edge (0, 4)")),
+            (4, 0, (4, 0), (4, 1, 2, 0), USES_XY, (False, "validity: non-edge (4, 0)")),
+            (0, 4, (0, 1, 2, 4), (0, 4), USES_XY, (False, "validity: non-edge (0, 4)")),
+            # 3-vertex paths, which end at x and y without the edge xy
+            (0, 4, (0, 1, 4), (0, 1, 2, 3, 4), (True, "ok"), (True, "ok")),
+            (0, 4, (4, 1, 0), (0, 2, 1, 3, 4), (True, "ok"), (True, "ok")),
+            (0, 4, (0, 1, 4), (0, 1, 2, 4), DIFFERENCE, DIFFERENCE),
+            (0, 4, (0, 4, 1), (0, 1, 2, 3, 4), TERMINALS, (False, "validity: non-edge (0, 4)")),
+            # x == y: a simple path with both ends x is the vertex x alone
+            (0, 0, (0,), (0,), DIFFERENCE, DIFFERENCE),
+            (1, 1, (1,), (1,), DIFFERENCE, DIFFERENCE),
+            (0, 0, (0,), (0, 1, 0), REPEATED, REPEATED),
+            (0, 0, (0, 0), (0, 1, 2), REPEATED, REPEATED),
+            (0, 0, (0,), (0, 1, 2), TERMINALS, TERMINALS),
+            (2, 2, (2,), (2, 3, 4), TERMINALS, TERMINALS),
+        ],
+    )
+    def test_path_pair_use_of_the_edge_xy(self, x, y, seq1, seq2, with_xy, without_xy):
+        # a path with ends {x, y} that passed the simplicity check uses the
+        # edge xy exactly when it is that edge; checked against K5, which is
+        # g + xy for {x, y} = {0, 4}, and against K5 - xy
+        cert = PathPairCertificate(x, y, FakePath(seq1), FakePath(seq2))
+        k5 = complete_graph(5)
+        assert oracle.validate(cert, k5) == with_xy
+        assert oracle.validate(cert, Graph(5, k5.edges - {(0, 4)})) == without_xy
+
     def test_path_pair_accepts(self):
         g = complete_graph(5)
         cert = PathPairCertificate.make(0, 1, Path(g, (0, 2, 1)), Path(g, (0, 3, 4, 2, 1)))
