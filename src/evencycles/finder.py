@@ -376,12 +376,13 @@ def combine_quasi_diagonal(b: Cycle, d: Cycle, connectors) -> CyclePairCertifica
 
     Two connectors: b, d disjoint, both b-endpoints quasi-diagonal.
     One connector: b and d share one vertex u, which is the first connector
-    as the one-vertex path (u,).
+    as the one-vertex path (u,).  The b-endpoints s1, s2 must be
+    quasi-diagonal: the b-arc from s1 to s2 has length l(b)/2 -+ 1, read
+    off b with no `QuasiDiagonalStructure` built.
     """
     if b.length % 2 != 0 or d.length % 2 != 1:
         raise GraphError("combine_quasi_diagonal needs an even b and an odd d")
     g = b.graph
-    qd = quasi_diagonal(b)
     bset, dset = b.vertex_set(), d.vertex_set()
     shared, connectors = bset & dset, list(connectors)
     if not connectors or len(shared) + len(connectors) != 2:
@@ -399,7 +400,7 @@ def combine_quasi_diagonal(b: Cycle, d: Cycle, connectors) -> CyclePairCertifica
     if set(p1.vertices) & set(p2.vertices):
         raise GraphError("connectors are not disjoint")
     (s1, t1), (s2, t2) = (p1.start, p1.end), (p2.start, p2.end)
-    if not qd.is_quasi_diagonal(s1, s2):
+    if abs(b.arc_length(s1, s2) - b.length // 2) != 1:
         raise GraphError(f"b-endpoints {s1}, {s2} are not quasi-diagonal")
 
     target = (b.length // 2 - 1) % 2
@@ -441,7 +442,12 @@ def _pair_from_disjoint_odd_even(g: Graph, d: Cycle, start: Cycle) -> CyclePairC
 
 def _pair_tree_attachment(g, c, qd, fset) -> CyclePairCertificate:
     """l(C) = 2 mod 4: attach the chord-free Qdi component to a spanning
-    tree of F and pick the even cycle the parity identity guarantees."""
+    tree of F and pick the even cycle the parity identity guarantees.
+
+    Each of the k attachment paths Q_i closes a cycle with the short and
+    with the long C-arc between its ends, of lengths l(Q_i) + k -+ 1, so
+    the identity is checked on those lengths, and only the first even
+    cycle and its partner two longer are built and certified."""
     chord = c.chords()
     if chord:
         u0, v0 = chord[0]
@@ -458,28 +464,25 @@ def _pair_tree_attachment(g, c, qd, fset) -> CyclePairCertificate:
         attach[u] = min(nbrs)
     parent = spanning_tree(g, fset)
 
-    cycles = []
-    total_w = 0
+    triples = []
     for i in range(k):
         ui, uj = q[i], q[(i + 1) % k]
         vi, vj = attach[ui], attach[uj]
-        qi_seq = (ui,) + tree_path(parent, vi, vj) + (uj,)
-        qpath = Path(g, qi_seq)
-        total_w += qpath.length
-        arc1 = c.arc(ui, uj)
-        short, long_ = (arc1, c.arc(uj, ui).reverse())
+        qpath = Path(g, (ui,) + tree_path(parent, vi, vj) + (uj,))
+        short, long_ = c.arc(ui, uj), c.arc(uj, ui).reverse()
         if short.length != k - 1:
             short, long_ = long_, short
         _require(short.length == k - 1 and long_.length == k + 1, "quasi-diagonal arcs")
-        cycles.append((cycle_from_paths(short, qpath), cycle_from_paths(long_, qpath)))
+        triples.append((short, long_, qpath))
 
-    total = sum(ci.length for ci, _ in cycles)
+    total_w = sum(qpath.length for _, _, qpath in triples)
+    total = sum(short.length + qpath.length for short, _, qpath in triples)
     # parity identity: sum l(C_i) = (k-1) * l(C)/2 + l(W), which is even
     _require(total == (k - 1) * c.length // 2 + total_w, "parity identity value")
     _require(total % 2 == 0, "parity identity: sum of attachment cycles is even")
-    for ci, ci_long in cycles:
-        if ci.length % 2 == 0:
-            return _certify(g, ci, ci_long)
+    for short, long_, qpath in triples:
+        if (short.length + qpath.length) % 2 == 0:
+            return _certify(g, cycle_from_paths(short, qpath), cycle_from_paths(long_, qpath))
     raise InternalInvariantError("parity identity guarantees an even attachment cycle")
 
 

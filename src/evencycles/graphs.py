@@ -557,14 +557,13 @@ def _arcs(g: Graph, search: tuple) -> tuple:
     that subtree; arcs[v] lists the arcs out of v by phi; order lists the
     reached vertices in preorder, rebuilt from num by one bucket pass.  One
     pass in reverse preorder, so each child is finished before its parent.
-    Rows are sorted and fronds differ in phi, so sorting (phi, w) keeps the
-    order of a bucket sort."""
-    num, parent, low1, reached = search[:4]
-    order = [0] * reached
+    Rows are sorted and fronds differ in phi, so sorting the integer keys
+    phi * n + w keeps the order of a bucket sort."""
+    (num, parent, low1, reached), n = search[:4], g.n
+    order, low2, nd, arcs = [0] * reached, [0] * n, [1] * n, [()] * n
     for v, x in enumerate(num):
         if x:
             order[x - 1] = v
-    low2, nd, arcs = [0] * g.n, [1] * g.n, [()] * g.n
     for v in reversed(order):
         nv, pv, l1 = num[v], parent[v], low1[v]
         l2, keyed = nv, []
@@ -572,16 +571,17 @@ def _arcs(g: Graph, search: tuple) -> tuple:
             if parent[w] == v:
                 nd[v] += nd[w]
                 x = low1[w] if low1[w] != l1 else low2[w]  # l1 <= lowpt1[w]
-                keyed.append((3 * low1[w] + (2 if low2[w] >= nv else 0), w))
+                keyed.append((3 * low1[w] + (2 if low2[w] >= nv else 0)) * n + w)
             elif num[w] < nv and w != pv:
                 x = num[w] if num[w] != l1 else nv
-                keyed.append((3 * num[w] + 1, w))
+                keyed.append((3 * num[w] + 1) * n + w)
             else:
                 continue
             if x < l2:
                 l2 = x
         low2[v] = l2
-        arcs[v] = [w for _, w in sorted(keyed)]
+        keyed.sort()
+        arcs[v] = [k % n for k in keyed]
     return low2, nd, arcs, order
 
 
@@ -932,12 +932,12 @@ def _odd_walk_length(g: Graph, s: int, bound: int, level: list) -> Optional[int]
     an edge inside it: such an edge closes a walk of length 2d + 1, and a
     closed walk with no such edge changes level at every step, so it is
     even.  The search stops at that level, or at the first level d with
-    2d + 1 >= bound.  It writes `level` only at vertices >= s; `level` is
-    -1 on every vertex on entry and on return.
+    2d + 1 >= bound.  It writes `level` only at vertices >= s.  The ones it
+    reaches hold level[s] < 0 on entry and again on return, or -1 if the
+    search ran out: then the component of s in G[>= s] is bipartite.
     """
-    adj = g.adj
+    adj, reset, queue = g.adj, level[s], [s]  # queue: also the vertices to reset
     level[s] = 0
-    queue = [s]  # also the vertices to reset
     try:
         for v in queue:
             d = level[v]
@@ -951,10 +951,11 @@ def _odd_walk_length(g: Graph, s: int, bound: int, level: list) -> Optional[int]
                     queue.append(w)
                 elif level[w] == d:
                     return 2 * d + 1
+        reset = -1
         return None
     finally:
         for v in queue:
-            level[v] = -1
+            level[v] = reset
 
 
 def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
@@ -965,32 +966,31 @@ def shortest_odd_cycle(g: Graph) -> Optional[Cycle]:
     bipartite double cover of all of g gives (`_double_cover_walk`), in
     canonical form.
 
-    Cost: one `is_bipartite` pass answers a bipartite g.  Otherwise each
-    start s runs a plain breadth-first search of G[>= s] that stops at the
-    first level d holding an edge, as a shortest odd closed walk through s
-    there has length 2d + 1 (`_odd_walk_length`), or once 2d + 1 reaches
-    the shortest length found so far (at first, the length of the odd cycle
-    `is_bipartite` returned).  Leaving out the vertices below s changes no
-    answer.  A shortest odd cycle, of length L, lies in G[>= s*] for its
-    smallest vertex s*, so s* still measures L.  A start below s* measures
-    at least what it would measure in all of g, and that is more than L,
-    as an odd closed walk of length L is a cycle (else it would hold a
-    shorter odd one).  So no start searches past radius (L - 1) / 2, a
-    triangle ends the loop over starts, and only the chosen s gets the
-    double-cover search.  O(n(n + m)) in the worst case, O(n + m) when
-    vertex 0 lies on a triangle.
+    Cost: each start s runs a plain breadth-first search of G[>= s] that
+    stops at the first level d holding an edge, as a shortest odd closed
+    walk through s there has length 2d + 1 (`_odd_walk_length`), or once
+    2d + 1 reaches the shortest length found so far (2n + 1 at first).  A
+    search that runs out proves the component of s in G[>= s] bipartite,
+    and each vertex t it reached would search a part of it, so t is no
+    start: a bipartite g costs one linear pass.  Leaving out the vertices
+    below s changes no answer.  A shortest odd cycle, of length L, lies in
+    G[>= s*] for its smallest vertex s*, so s* still measures L.  A start
+    below s* measures at least what it would measure in all of g, and that
+    is more than L, as an odd closed walk of length L is a cycle (else it
+    would hold a shorter odd one).  So once L is found no start searches
+    past radius (L - 1) / 2, a triangle ends the loop over starts, and only
+    the chosen s gets the double-cover search.  O(n(n + m)) in the worst
+    case, O(n + m) when g is bipartite or vertex 0 lies on a triangle.
     """
-    ok, witness = is_bipartite(g)
-    if ok:
-        return None
-    level = [-1] * g.n
-    best, start = witness.length + 1, None
+    level, best, start = [-2] * g.n, 2 * g.n + 1, None  # level -1: no start needed
     for s in g.vertices:
-        length = _odd_walk_length(g, s, best, level)
+        length = None if level[s] == -1 else _odd_walk_length(g, s, best, level)
         if length is not None:
             best, start = length, s
             if best == 3:
                 break
+    if start is None:
+        return None
     walk = _double_cover_walk(g, start, start, 1)[1:]
     if len(walk) != best or len(set(walk)) != best:  # best is odd: _odd_walk_length set it
         raise InternalInvariantError("shortest odd closed walk is not simple")

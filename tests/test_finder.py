@@ -270,6 +270,27 @@ class TestCombine:
             combine_quasi_diagonal(b, d, paths)
 
 
+    def test_quasi_diagonality_is_read_off_b(self, monkeypatch):
+        def no_structure(c):
+            raise AssertionError("combine_quasi_diagonal built the quasi-diagonal structure")
+
+        monkeypatch.setattr(finder, "quasi_diagonal", no_structure)
+        self.test_disjoint_form()
+        self.test_shared_form()
+        for size in (4, 6, 8, 10):
+            # b = C_size on 0..size - 1 and a triangle d: connectors from 0 to
+            # size and from i to size + 1, quasi-diagonal iff i = size/2 -+ 1
+            g = complete_graph(size + 3)
+            b, d = Cycle(g, tuple(range(size))), Cycle(g, (size, size + 1, size + 2))
+            for i in range(1, size):
+                paths = [Path(g, (0, size)), Path(g, (i, size + 1))]
+                if abs(i - size // 2) == 1:
+                    assert oracle.validate(combine_quasi_diagonal(b, d, paths), g)[0]
+                else:
+                    with pytest.raises(GraphError, match="not quasi-diagonal"):
+                        combine_quasi_diagonal(b, d, paths)
+
+
 class TestLemmaPipelines:
     def test_disjoint_odd_even(self):
         g = complete_graph(7)
@@ -446,6 +467,38 @@ class TestThreeConnected:
         (cert,) = certs
         assert oracle.validate(cert, g)[0]
         assert (cert.c1.vertices, cert.c2.vertices) == ((2, 3, 5, 6), (0, 1, 6, 5, 3, 2))
+
+    def test_triangle_case_with_a_leaf_path_of_length_three(self):
+        # graph6 F[pz_, of order 7, the smallest input that 16 seeded
+        # relabellings of the 3-connected graphs of order 6-8 bring here: D is
+        # the triangle 1 2 5 and F = g - D the path 4 0 3 6, whose leaves see
+        # D at va = 1 and vb = 2, so the C6 is that path closed through them
+        g, certs = decode_graph6("F[pz_"), []
+        ran = source_lines_run(finder._triangle_case, lambda: certs.append(three_connected_pair(g)))
+        assert "c6 = Cycle(g, pseq + (vb, va))" in ran
+        (cert,) = certs
+        assert oracle.validate(cert, g)[0]
+        assert (cert.c1.vertices, cert.c2.vertices) == ((1, 2, 5, 4), (0, 3, 6, 2, 1, 4))
+
+    @pytest.mark.parametrize("n, k, length", [(6, 2, 6), (16, 6, 10)])
+    def test_tree_attachment_builds_only_the_pair_it_returns(self, monkeypatch, n, k, length):
+        # l(C) = 6 and 10: k = 3 and 5 attachment paths, each of which closes
+        # two cycles, but only the even one chosen and its partner are built
+        built, calls, real = [], [], finder._pair_tree_attachment
+        monkeypatch.setattr(
+            finder, "cycle_from_paths", lambda p, q, f=finder.cycle_from_paths: built.append(1) or f(p, q)
+        )
+
+        def spy(g, c, qd, fset):
+            built.clear()
+            cert = real(g, c, qd, fset)
+            calls.append((c.length, len(built)))
+            return cert
+
+        monkeypatch.setattr(finder, "_pair_tree_attachment", spy)
+        g = generalized_petersen(n, k)
+        assert oracle.validate(three_connected_pair(g), g)[0]
+        assert calls == [(length, 2)]
 
     def test_generalized_petersen_golden(self):
         # the exact cycles on every non-bipartite GP(n, k) with n <= 25
@@ -1080,6 +1133,44 @@ class TestOutcomeTypes:
             g = gen_k5_block_tree(b)
             assert len(K5BlockWitness(blocks(g), g.n, g.e).decomposition.blocks) == b
         K5BlockWitness(blocks(Graph.build(1, [])), 1, 0)  # K1: b = 0 and its one K1 block
+
+
+K7, K8 = complete_graph(7), complete_graph(8)
+K5_WITNESS = K5BlockWitness(blocks(complete_graph(5)), 5, 10)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: combine_quasi_diagonal(Cycle(K7, (0, 1, 2)), Cycle(K7, (3, 4, 5)), []),
+             "needs an even b and an odd d"),
+            (lambda: combine_quasi_diagonal(Cycle(K8, (0, 1, 2, 3)), Cycle(K8, (4, 5, 6, 7)), []),
+             "needs an even b and an odd d"),
+            (lambda: pair_from_shared_vertex(K7, Cycle(K7, (0, 1, 2)), Cycle(K7, (0, 3, 4)), 0),
+             "need an even b and an odd d"),
+            (lambda: pair_from_shared_vertex(K7, Cycle(K7, (0, 1, 2, 3)), Cycle(K7, (0, 4, 5, 6)), 0),
+             "need an even b and an odd d"),
+            (lambda: quasi_diagonal(Cycle(K7, (0, 1, 2, 3, 4))), "requires an even cycle"),
+            (lambda: K5BlockWitness(blocks(complete_graph(6)), 9, 20), "non-K5 block"),
+            (lambda: Outcome(), "exactly one variant"),
+            (lambda: Outcome(witness=K5_WITNESS, failure=HypothesisFailure("density")),
+             "exactly one variant"),
+        ],
+        ids=[
+            "combine-odd-b",
+            "combine-even-d",
+            "shared-vertex-odd-b",
+            "shared-vertex-even-d",
+            "quasi-diagonal-odd-cycle",
+            "witness-non-k5-block",
+            "outcome-no-variant",
+            "outcome-two-variants",
+        ],
+    )
+    def test_raises_graph_error(self, call, message):
+        with pytest.raises(GraphError, match=message):
+            call()
 
 
 class TestCycleTwoModFour:

@@ -1204,6 +1204,28 @@ def odd_closed_walk_length(g: Graph, s: int, allowed):
     return dist.get((s, 1))
 
 
+def shortest_odd_cycle_with_prepass(g: Graph):
+    """Reference for shortest_odd_cycle: a copy of the routine as it was
+    with its `is_bipartite` pre-pass, which answered a bipartite g and
+    bounded the first start's search by the length of its odd cycle."""
+    ok, witness = is_bipartite(g)
+    if ok:
+        return None
+    level = [-1] * g.n
+    best, start = witness.length + 1, None
+    for s in g.vertices:
+        length = graphs._odd_walk_length(g, s, best, level)
+        if length is not None:
+            best, start = length, s
+            if best == 3:
+                break
+    walk = graphs._double_cover_walk(g, start, start, 1)[1:]
+    assert len(walk) == best and len(set(walk)) == best
+    cyc = Cycle(g, walk).canonical()
+    assert not cyc.chords()
+    return cyc
+
+
 class TestShortestOddCycle:
     """shortest_odd_cycle returns exactly the cycle the all-starts reference finds."""
 
@@ -1307,21 +1329,62 @@ class TestShortestOddCycle:
                 assert level == [-1] * g.n
 
     def test_starts_searched(self, monkeypatch):
-        # a triangle at vertex 0 ends the search at the first start, and a
-        # bipartite graph is answered without any
-        starts = []
+        # no is_bipartite pre-pass; a triangle at vertex 0 ends the search at
+        # the first start; on a bipartite graph each component's least vertex
+        # is the one start there, and the searches reach each vertex once
+        starts, reached = [], []
+
+        class Through:  # the caller's level list, recording each vertex a search reaches
+            def __init__(self, level):
+                self.level = level
+
+            def __getitem__(self, v):
+                return self.level[v]
+
+            def __setitem__(self, v, x):
+                if x >= 0:
+                    reached.append(v)
+                self.level[v] = x
+
+        def spy(g, s, bound, level):
+            starts.append(s)
+            return real(g, s, bound, Through(level))
+
+        def no_prepass(g):
+            raise AssertionError("shortest_odd_cycle called is_bipartite")
+
         real = graphs._odd_walk_length
-        monkeypatch.setattr(
-            graphs, "_odd_walk_length", lambda g, s, *a: starts.append(s) or real(g, s, *a)
-        )
+        monkeypatch.setattr(graphs, "_odd_walk_length", spy)
+        monkeypatch.setattr(graphs, "is_bipartite", no_prepass)
         for n in (3, 10, 40):
             starts.clear()
             assert shortest_odd_cycle(complete_graph(n)).vertices == (0, 1, 2)
             assert starts == [0]
-        for g in (cycle_graph(8), complete_bipartite(5, 7), generalized_petersen(10, 3)):
+        q4 = [(v, v ^ b) for v in range(16) for b in (1, 2, 4, 8) if v < v ^ b]
+        k22 = [(6 + u, 8 + v) for u in range(2) for v in range(2)]
+        beside = Graph.build(10, list(complete_bipartite(3, 3).edges) + k22)
+        connected = [cycle_graph(8), complete_bipartite(5, 7), generalized_petersen(10, 3), Graph.build(16, q4)]
+        for g, want in [(g, [0]) for g in connected] + [(beside, [0, 6])]:
             starts.clear()
+            reached.clear()
             assert shortest_odd_cycle(g) is None
-            assert starts == []
+            assert starts == want
+            assert sorted(reached) == list(g.vertices)
+
+    def test_equals_the_routine_with_a_bipartite_prepass(self):
+        # every graph of order <= 7, disconnected ones included, as built and
+        # under two seeded relabellings
+        rng = random.Random(29)
+        checked = 0
+        for n in range(8):
+            for g in enumerate_small(n):
+                for _ in range(3):
+                    got, want = shortest_odd_cycle(g), shortest_odd_cycle_with_prepass(g)
+                    assert (got and got.vertices) == (want and want.vertices), g.sorted_edges()
+                    checked += 1
+                    ids = rng.sample(range(n), n)
+                    g = Graph.build(n, [(ids[u], ids[v]) for u, v in g.edges])
+        assert checked == 3 * 1253
 
 
 def _fan_separator(g, u, targets, inner, x) -> bool:
