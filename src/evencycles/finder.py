@@ -180,7 +180,8 @@ def _cycle_walk(nbrs, start: int) -> tuple:
 
 
 def odd_even_arcs(c: Cycle, u: int, v: int) -> tuple:
-    """The odd-length and even-length arcs of an odd cycle between u and v."""
+    """The odd-length and even-length arcs of an odd cycle between u and
+    v, both running from u to v."""
     a, b = c.arc(u, v), c.arc(v, u).reverse()
     if a.length % 2 == 1:
         return a, b
@@ -475,10 +476,8 @@ def _pair_tree_attachment(g, c, qd, fset) -> CyclePairCertificate:
         _require(short.length == k - 1 and long_.length == k + 1, "quasi-diagonal arcs")
         triples.append((short, long_, qpath))
 
-    total_w = sum(qpath.length for _, _, qpath in triples)
     total = sum(short.length + qpath.length for short, _, qpath in triples)
     # parity identity: sum l(C_i) = (k-1) * l(C)/2 + l(W), which is even
-    _require(total == (k - 1) * c.length // 2 + total_w, "parity identity value")
     _require(total % 2 == 0, "parity identity: sum of attachment cycles is even")
     for short, long_, qpath in triples:
         if (short.length + qpath.length) % 2 == 0:
@@ -563,17 +562,14 @@ def _pair_from_shared_vertex(g: Graph, b: Cycle, d: Cycle, u: int) -> CyclePairC
     _require(g.has_edge(u1, u2), "u1u2 must be the chord of C")
     i = c.index_of(u)
     vs = c.vertices
-    u3cands = sorted((vs[(i + 1) % len(vs)], vs[(i - 1) % len(vs)]))
     u4 = vs[(i + len(vs) // 2) % len(vs)]
-    for u3 in u3cands:
-        p = route(u3)
-        if p is None:
-            continue
-        ceven = _ear_even_cycle(d, Path(g, (u,) + p.vertices))
-        tri = Cycle(g, (u1, u2, u4))
-        _require(not (ceven.vertex_set() & tri.vertex_set()), "even cycle misses the chord triangle")
-        return _pair_from_disjoint_odd_even(g, tri, ceven)
-    raise InternalInvariantError("a C-neighbor of u must reach F")
+    # a C-neighbour of u ends the chord u1u2 only if l(C) = 4, so it sees F
+    p = route(min(vs[(i + 1) % len(vs)], vs[(i - 1) % len(vs)]))
+    _require(p is not None, "a C-neighbour of u must reach F")
+    ceven = _ear_even_cycle(d, Path(g, (u,) + p.vertices))
+    tri = Cycle(g, (u1, u2, u4))
+    _require(not (ceven.vertex_set() & tri.vertex_set()), "even cycle misses the chord triangle")
+    return _pair_from_disjoint_odd_even(g, tri, ceven)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +673,6 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
     uv = next(e for e, val in sorted(b_lens.items()) if val == 3)
     u, v = uv
     do = odd_even_arcs(d, match[u], match[v])[0]
-    if do.start != match[u]:
-        do = do.reverse()
     c6 = Cycle(g, (u, v) + tuple(reversed(do.vertices)))
     _require(c6.length == 6, "length-3 arc closes a C6")
 
@@ -691,19 +685,13 @@ def _cubic_endgame(g: Graph, b: Cycle, d: Cycle) -> CyclePairCertificate:
         all(val == 3 for val in b_lens.values()) and all(val == 3 for val in d_lens.values()),
         "remaining ladder has all odd arcs of length 3",
     )
-    uprime, a, bb, vprime = do.vertices
-    _require((uprime, vprime) == (match[u], match[v]), "odd arc orientation")
+    _, a, bb, vprime = do.vertices
     bo_ua = odd_even_arcs(b, u, match[a])[0]
     _require(bo_ua.length == 3, "B-side odd arc has length 3")
-    if v not in bo_ua.vertex_set():
-        seq = bo_ua.vertices if bo_ua.start == u else tuple(reversed(bo_ua.vertices))
-        c8 = Cycle(g, seq + (a, bb, vprime, v))
-    else:
-        bo_vb = odd_even_arcs(b, v, match[bb])[0]
-        _require(bo_vb.length == 3, "B-side odd arc has length 3")
-        _require(u not in bo_vb.vertex_set(), "both long arcs through u and v is impossible")
-        seq = bo_vb.vertices if bo_vb.start == v else tuple(reversed(bo_vb.vertices))
-        c8 = Cycle(g, seq + (bb, a, uprime, u))
+    # v on it would give match[a] = b3 (B = u v b2 ...), so match[bb] = b6,
+    # not at odd-arc distance 3 from v as the D-edge bb v' needs
+    _require(v not in bo_ua.vertex_set(), "the odd arc from u to match[a] avoids v")
+    c8 = Cycle(g, bo_ua.vertices + (a, bb, vprime, v))
     return _certify(g, c6, c8)
 
 
@@ -893,15 +881,11 @@ def _long_odd_case(g, d: Cycle, fcomp) -> CyclePairCertificate:
             sorted(x for x in g.adj[w] if x in dset) == [v2],
             "interior path vertices attach exactly to v2",
         )
-    if len(fcomp) == 2:
-        _require(k == 5, "a C5 through F forces the shortest odd cycle to be 5")
-        c6 = Cycle(g, (u, v1, vs[4], vs[3], v3, uprime))
-        return _certify(g, c4, c6)
-    if len(fcomp) == 3:
-        (w,) = fset - {u, uprime}
-        c6 = Cycle(g, (u, v1, v2, v3, uprime, w))
-        return _certify(g, c4, c6)
-    raise InternalInvariantError("interior vertices all on v2 force |F| <= 3")
+    # |F| = 2 closes the triangle u u' v1, |F| >= 4 one through v2
+    _require(len(fcomp) == 3, "a shortest odd cycle of length >= 5 leaves F three vertices")
+    (w,) = fset - {u, uprime}
+    c6 = Cycle(g, (u, v1, v2, v3, uprime, w))
+    return _certify(g, c4, c6)
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,15 @@ TWO_PATHS_GOLDEN = json.loads((DATA / "two_paths_golden.json").read_text())
 
 
 def source_lines_run(fn, call) -> set:
-    """The source lines of the function fn, stripped, that run during call()."""
-    lines, first = inspect.getsourcelines(fn)
+    """The line numbers of the function fn that run during call().  The
+    frames of other code go on to any tracer already set."""
     ran, old = set(), sys.gettrace()
 
     def trace(frame, event, arg):
         if frame.f_code is not fn.__code__:
-            return None
+            return old(frame, event, arg) if old else None
         if event == "line":
-            ran.add(lines[frame.f_lineno - first].strip())
+            ran.add(frame.f_lineno)
         return trace
 
     sys.settrace(trace)
@@ -85,8 +85,49 @@ def source_lines_run(fn, call) -> set:
 def assert_valid_pair(cert, g):
     ok, why = oracle.validate(cert, g)
     assert ok, why
-    spec = oracle.cycle_spectrum(g, size_guard=max(oracle.DEFAULT_GUARD, g.n))
-    assert cert.lengths[0] in spec.lengths and cert.lengths[1] in spec.lengths
+
+
+def block_heads(fn) -> dict:
+    """Line number -> stripped text of the first statement of each block of
+    the function fn: its body and those of its ifs, elses and loops, nested
+    defs left out.  A block that only raises has no head."""
+    lines, first = inspect.getsourcelines(fn)
+    heads = {}
+
+    def visit(body):
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # a docstring runs no line
+        if not (len(body) == 1 and isinstance(body[0], ast.Raise)):
+            heads[first + body[0].lineno - 1] = lines[body[0].lineno - 1].strip()
+        for stmt in body:
+            if isinstance(stmt, (ast.If, ast.For, ast.While)):
+                visit(stmt.body)
+                if stmt.orelse:
+                    visit(stmt.orelse)
+
+    visit(ast.parse("".join(lines)).body[0].body)
+    return heads
+
+
+def test_source_lines_run_keeps_an_outer_tracer():
+    seen, old = [], sys.gettrace()
+
+    def outer(frame, event, arg):
+        seen.append(frame.f_code.co_name)
+
+    def inner():
+        return 1
+
+    def fn():
+        return inner()
+
+    sys.settrace(outer)
+    try:
+        ran = source_lines_run(fn, fn)
+    finally:
+        sys.settrace(old)
+    assert ran == {fn.__code__.co_firstlineno + 1}
+    assert "inner" in seen
 
 
 class TestQuasiDiagonal:
@@ -120,16 +161,18 @@ class TestQuasiDiagonal:
 
     @pytest.mark.parametrize("length", range(3, 16, 2))
     def test_odd_arc_length(self, length):
-        # the cubic endgame reads the odd arc's length off arc_length alone:
-        # on a cycle graph and on the rims of the odd prism GP(length, 1),
-        # reversed and rotated too
+        # the cubic endgame reads the odd arc's length off arc_length alone,
+        # and walks both arcs from u to v: on a cycle graph and on the rims
+        # of the odd prism GP(length, 1), reversed and rotated too
         prism = generalized_petersen(length, 1)
         rim, inner = tuple(range(length)), tuple(range(length, 2 * length))
         cycles = [Cycle(cycle_graph(length), rim)]
         cycles += [Cycle(prism, vs) for vs in (rim, rim[::-1], inner, inner[2:] + inner[:2])]
         for c in cycles:
             for u, v in itertools.permutations(c.vertices, 2):
-                assert finder._odd_arc_length(c, u, v) == odd_even_arcs(c, u, v)[0].length
+                arcs = odd_even_arcs(c, u, v)
+                assert finder._odd_arc_length(c, u, v) == arcs[0].length
+                assert [(a.start, a.end) for a in arcs] == [(u, v), (u, v)]
 
 
 def stabilized(g, v):
@@ -341,6 +384,57 @@ class TestLemmaPipelines:
         assert calls == [(3, 4, 5)]
 
 
+# Inputs that together run every block of the 3-connected step, each with
+# the certificate it gives: a graph6 string; the cycles b and d, and the
+# vertex u they share, handed to pair_from_shared_vertex, or None for
+# three_connected_pair; and the pair.
+THREE_CONNECTED_PINS = [
+    # _long_odd_case: no vertex of D past v3 has an F-neighbour (the
+    # `continue`), so F is the path u w u'
+    ("IqeBJGSQG", None, ((0, 1, 6, 5), (0, 1, 7, 2, 6, 5))),
+    # the stabilized even cycle misses u
+    ("F@vfw", ((1, 4, 6, 5), (2, 3, 6), 6), ((0, 4, 3, 6), (0, 5, 1, 4, 3, 6))),
+    # both quasi-diagonal partners of u are buried: the chord triangle
+    ("G@U^FC", ((0, 5, 3, 4, 1, 6), (2, 6, 7), 6), ((0, 5, 3, 4, 1, 6), (0, 5, 3, 4, 1, 6, 2, 7))),
+    # _two_disjoint_odd: an odd end-block of F without a cut vertex
+    ("JUcgcCJRB_?", None, ((0, 2, 10, 1, 3, 6, 8, 7), (0, 2, 10, 1, 9, 4, 3, 6, 8, 7))),
+    # ... and one with a cut vertex of F
+    ("G@Q^No", None, ((1, 6, 2, 7), (1, 6, 5, 3, 2, 7))),
+    # ... and an end-block K2
+    ("F@vn_", None, ((0, 4, 3, 6), (0, 5, 1, 4, 3, 6))),
+    # _cubic_endgame: B and D matched 5-cycles, an edge of one with partners
+    # one apart on the other, so that edge and its partners close a C4
+    ("IRDKAEHH_", None, ((0, 2, 9, 6), (1, 3, 2, 9, 6, 7))),
+    # ... every odd arc of length 1 (a relabelled pentagonal prism)
+    ("IqCcISoBG", None, ((0, 1, 7, 6), (0, 1, 3, 4, 7, 6))),
+    # ... every odd arc of length 3 (GP(5, 2): the C6 and the C8)
+    ("IheA@GUAo", None, ((0, 1, 6, 9, 7, 5), (0, 1, 6, 9, 7, 2, 3, 4))),
+    # ... a vertex with two neighbours on the other cycle, and then in
+    # _pair_from_shared_vertex a quasi-diagonal partner of it that sees F
+    ("ELvg", None, ((0, 3, 4, 5), (0, 3, 4, 1, 2, 5))),
+    # _long_odd_case: the first leaf u of F sees D at a and b > a, two steps
+    # apart along D from a, so v1 = a and v3 = b
+    ("Gp_ZIo", None, ((2, 3, 5, 6), (0, 1, 6, 5, 3, 2))),
+    # _triangle_case: g - V(D) is three K1s, each joined to all of D
+    ("E~z_", None, ((0, 2, 1, 3), (0, 3, 2, 5, 1, 4))),
+    # ... a K2 and a K1
+    ("E]}g", None, ((0, 2, 1, 4), (0, 3, 1, 4, 2, 5))),
+    # ... a path between leaves of length 2
+    ("EFzg", None, ((0, 4, 1, 5), (0, 4, 1, 3, 2, 5))),
+    # ... and of length 3, the smallest input that 16 seeded relabellings of
+    # the 3-connected graphs of order 6-8 bring there
+    ("F[pz_", None, ((1, 2, 5, 4), (0, 3, 6, 2, 1, 4))),
+]
+
+
+def pinned_call(g, shared):
+    """The call that THREE_CONNECTED_PINS pins on g."""
+    if shared is None:
+        return lambda: three_connected_pair(g)
+    b, d, u = shared
+    return lambda: pair_from_shared_vertex(g, Cycle(g, b), Cycle(g, d), u)
+
+
 class TestThreeConnected:
     @pytest.mark.parametrize(
         "g",
@@ -445,40 +539,30 @@ class TestThreeConnected:
             assert oracle.validate(three_connected_pair(g), g)[0], (n, k)
         assert ran == set(names)
 
-    def test_cubic_endgame_short_arc(self):
-        # graph6 IRDKAEHH_, cubic of order 10, from a seeded search over
-        # relabelled cubic graphs: B and D are matched 5-cycles, and an edge
-        # of one has partners one apart on the other, so that edge and its
-        # partners close a C4 beside the C6 of the length-3 arc
-        g, certs = decode_graph6("IRDKAEHH_"), []
-        ran = source_lines_run(finder._cubic_endgame, lambda: certs.append(three_connected_pair(g)))
-        assert "return _certify(g, Cycle(g, (e[0], e[1], match[e[1]], match[e[0]])), c6)" in ran
-        (cert,) = certs
+    @pytest.mark.parametrize(
+        "g6, shared, pair", THREE_CONNECTED_PINS, ids=[r[0] for r in THREE_CONNECTED_PINS]
+    )
+    def test_pinned_certificate(self, g6, shared, pair):
+        g = decode_graph6(g6)
+        cert = pinned_call(g, shared)()
         assert oracle.validate(cert, g)[0]
-        assert (cert.c1.vertices, cert.c2.vertices) == ((0, 2, 9, 6), (1, 3, 2, 9, 6, 7))
+        assert (cert.c1.vertices, cert.c2.vertices) == pair
 
-    def test_long_odd_case_with_the_smaller_neighbour_first(self):
-        # graph6 Gp_ZIo, cubic of order 8, from the same search: the first
-        # leaf u of F sees D at a and b > a, two steps apart along D from a,
-        # so v1 = a and v3 = b
-        g, certs = decode_graph6("Gp_ZIo"), []
-        ran = source_lines_run(finder._long_odd_case, lambda: certs.append(three_connected_pair(g)))
-        assert "v1, v3 = a, bvert" in ran
-        (cert,) = certs
-        assert oracle.validate(cert, g)[0]
-        assert (cert.c1.vertices, cert.c2.vertices) == ((2, 3, 5, 6), (0, 1, 6, 5, 3, 2))
-
-    def test_triangle_case_with_a_leaf_path_of_length_three(self):
-        # graph6 F[pz_, of order 7, the smallest input that 16 seeded
-        # relabellings of the 3-connected graphs of order 6-8 bring here: D is
-        # the triangle 1 2 5 and F = g - D the path 4 0 3 6, whose leaves see
-        # D at va = 1 and vb = 2, so the C6 is that path closed through them
-        g, certs = decode_graph6("F[pz_"), []
-        ran = source_lines_run(finder._triangle_case, lambda: certs.append(three_connected_pair(g)))
-        assert "c6 = Cycle(g, pseq + (vb, va))" in ran
-        (cert,) = certs
-        assert oracle.validate(cert, g)[0]
-        assert (cert.c1.vertices, cert.c2.vertices) == ((1, 2, 5, 4), (0, 3, 6, 2, 1, 4))
+    def test_every_block_of_the_3_connected_step_runs(self):
+        # the first statement of every block of these functions runs on
+        # some pinned input, so no proof branch of the step goes untested
+        calls = [pinned_call(decode_graph6(g6), shared) for g6, shared, _ in THREE_CONNECTED_PINS]
+        missing = []
+        for fn in (
+            finder._pair_from_shared_vertex,
+            finder._two_disjoint_odd,
+            finder._cubic_endgame,
+            finder._triangle_case,
+            finder._long_odd_case,
+        ):
+            ran = set().union(*(source_lines_run(fn, call) for call in calls))
+            missing += [(fn.__name__, text) for line, text in block_heads(fn).items() if line not in ran]
+        assert missing == []
 
     @pytest.mark.parametrize("n, k, length", [(6, 2, 6), (16, 6, 10)])
     def test_tree_attachment_builds_only_the_pair_it_returns(self, monkeypatch, n, k, length):
